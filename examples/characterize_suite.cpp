@@ -128,7 +128,7 @@ main(int argc, char **argv)
                 detail_ops += d.stats.detailOps;
             }
             std::cerr << "sampled sweep: " << total
-                      << " uops recorded, " << detail_ops
+                      << " uops executed, " << detail_ops
                       << " simulated in detail ("
                       << (detail_ops
                           ? static_cast<double>(total) / detail_ops

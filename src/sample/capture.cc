@@ -44,27 +44,22 @@ captureWorkload(const WorkloadRunner &runner,
     cap.id = id;
     cap.node = node;
     cap.numCores = runner.config().numCores;
+    cap.runner = &runner;
+    // Attempt 0 executes over the plain node seed (bitwise equal to
+    // the pre-recovery path); retries execute over the same
+    // attempt-salted seed the full path would use.
+    const AttemptContext *ctx = currentAttempt();
+    cap.dataSeed =
+        runner.attemptDataSeed(id, node, ctx ? ctx->attempt : 0);
 
-    // 1. Record: drive the stack engine into a recording-only target
-    //    — the op stream of a detailed run at profiling cost.
-    RecordingTarget target(cap.numCores);
-    {
-        TraceSpan stage("sample.record");
-        // Attempt 0 records over the plain node seed (bitwise equal
-        // to the pre-recovery path); retries record over the same
-        // attempt-salted seed the full path would use.
-        const AttemptContext *ctx = currentAttempt();
-        runner.execute(id, target,
-                       runner.attemptDataSeed(
-                           id, node, ctx ? ctx->attempt : 0));
-    }
-    cap.trace = target.trace();
-
-    // 2. Profile: split into intervals with BBV/mix features.
+    // 1-2. Execute and profile: drive the stack engine straight into
+    //      the profiler, which splits the stream into intervals with
+    //      BBV/mix features — op generation at profiling cost.
     IntervalProfiler profiler(opts.intervalUops, opts.bbvDims);
     {
         TraceSpan stage("sample.profile");
-        cap.trace.replay(profiler);
+        ProfilingTarget target(profiler, cap.numCores);
+        runner.execute(id, target, cap.dataSeed);
         profiler.finish();
     }
     cap.numIntervals = profiler.numIntervals();
@@ -85,14 +80,14 @@ replayCapture(const WorkloadCapture &cap, const NodeConfig &machine,
               const SamplingOptions &opts,
               const CheckpointContext *ckpt)
 {
-    // A trace records the stack engines' work sharding across cores;
-    // replaying it on a machine with a different core count would
-    // attribute ops to cores that machine does not have (or leave
+    // The stream bakes in the stack engines' work sharding across
+    // cores; replaying it on a machine with a different core count
+    // would attribute ops to cores that machine does not have (or leave
     // cores idle that its scheduler would have used). Geometry may
     // vary freely; the core count may not.
     if (machine.numCores != cap.numCores)
         BDS_RAISE(ErrorCode::InvalidConfig,
-                  "capture of " << cap.id.name() << " was recorded on "
+                  "capture of " << cap.id.name() << " was executed on "
                       << cap.numCores
                       << " cores and cannot replay on "
                       << machine.numCores
@@ -102,7 +97,7 @@ replayCapture(const WorkloadCapture &cap, const NodeConfig &machine,
     SystemModel sys(machine);
     SampledReplayer replayer(sys, opts.intervalUops,
                              opts.warmupIntervals);
-    // Checkpoints are keyed to the op stream; a retry attempt records
+    // Checkpoints are keyed to the op stream; a retry attempt executes
     // over an attempt-salted seed, so only attempt 0 may touch them.
     const AttemptContext *attempt = currentAttempt();
     if (ckpt && ckpt->enabled()
@@ -113,7 +108,23 @@ replayCapture(const WorkloadCapture &cap, const NodeConfig &machine,
     std::vector<PmcCounters> snaps;
     {
         TraceSpan stage("sample.replay");
-        snaps = replayer.replay(cap.trace, cap.picked, &stats);
+        if (cap.trace.size() > 0) {
+            snaps = replayer.replay(cap.trace, cap.picked, &stats);
+        } else {
+            // Re-execute: the same (workload, data seed, core count)
+            // reproduces the profiled ops and DMA bit for bit.
+            if (!cap.runner)
+                BDS_RAISE(ErrorCode::InvalidConfig,
+                          "capture of "
+                              << cap.id.name()
+                              << " carries neither a trace nor a "
+                                 "runner");
+            snaps = replayer.replay(
+                [&](ExecTarget &target) {
+                    cap.runner->execute(cap.id, target, cap.dataSeed);
+                },
+                cap.picked, &stats);
+        }
     }
     Tracer::global().counter("sample.total_ops", stats.totalOps);
     Tracer::global().counter("sample.detail_ops", stats.detailOps);

@@ -2,16 +2,24 @@
  * @file
  * The capture/replay seam of the sampled path.
  *
- * The first three stages of sampled characterization — record the op
- * stream, profile it into intervals, pick weighted representatives —
- * depend only on the workload, its data seed, the sampling knobs and
- * the recorded core count. They never touch cache or predictor
- * state. The last two stages — warm + detailed replay, counter
- * estimation — are where the machine geometry matters. Splitting the
- * pipeline at that boundary lets a design-space-exploration sweep
- * (bench/dse_sweep.cc) capture each workload once and replay the one
- * capture against every same-core-count geometry, exactly the
- * trace-driven methodology of the paper's tech-report sequel.
+ * The first three stages of sampled characterization — execute the
+ * op stream, profile it into intervals, pick weighted
+ * representatives — depend only on the workload, its data seed, the
+ * sampling knobs and the core count. They never touch cache or
+ * predictor state. The last two stages — warm + detailed replay,
+ * counter estimation — are where the machine geometry matters.
+ * Splitting the pipeline at that boundary lets a design-space-
+ * exploration sweep (bench/dse_sweep.cc) capture each workload once
+ * and replay the one capture against every same-core-count geometry,
+ * exactly the trace-driven methodology of the paper's tech-report
+ * sequel.
+ *
+ * No trace is held. The op stream is a pure function of (workload,
+ * data seed, core count): WorkloadRunner::execute builds a fresh
+ * address space on every call. So the capture keeps only the runner,
+ * the data seed and the selection, and every replay re-executes the
+ * stack engines into the replayer, reproducing the profiled ops and
+ * DMA bit for bit. The runner must outlive the capture.
  *
  * SampledCharacterizer::runOnNode() is implemented on this seam, so
  * the single-machine path and the sweep path cannot drift apart: a
@@ -32,29 +40,38 @@
 namespace bds {
 
 /**
- * One workload's machine-independent sampling state: the recorded op
- * stream plus the interval selection made over it. Valid for replay
- * on any geometry with the same core count (the stack engines shard
- * work across cores at record time, so the stream itself bakes the
- * core count in — replaying a 4-core trace on a 2-core machine would
- * not be that machine's execution).
+ * One workload's machine-independent sampling state: how to
+ * reproduce the op stream plus the interval selection made over it.
+ * Valid for replay on any geometry with the same core count (the
+ * stack engines shard work across cores, so the stream itself bakes
+ * the core count in — replaying a 4-core stream on a 2-core machine
+ * would not be that machine's execution).
  */
 struct WorkloadCapture
 {
     WorkloadId id{};          ///< which workload was captured
     unsigned node = 0;        ///< cluster-node shard index
-    unsigned numCores = 0;    ///< core count the trace was recorded on
-    TraceRecorder trace;      ///< the full op/DMA stream
+    unsigned numCores = 0;    ///< core count the stream was executed on
+    /** Re-executes the stream on replay; must outlive the capture. */
+    const WorkloadRunner *runner = nullptr;
+    std::uint64_t dataSeed = 0; ///< data seed the stream executed with
+    /**
+     * Optional recorded op/DMA stream. When non-empty, replay reads
+     * it instead of re-executing; captureWorkload() leaves it empty.
+     */
+    TraceRecorder trace;
     PickResult picked;        ///< representative intervals + weights
     std::size_t numIntervals = 0; ///< profiled intervals
 };
 
 /**
- * Record, profile and pick for one (workload, node) shard: stages
- * 1-3 of the sampled pipeline. Seeds derive from (opts.seed, id,
- * node) and the current retry attempt only, so captures are
- * deterministic at any thread count. Raises Error(InvalidConfig) on
- * degenerate sampling knobs.
+ * Execute, profile and pick for one (workload, node) shard: stages
+ * 1-3 of the sampled pipeline. The stack engines stream straight
+ * into the interval profiler; no trace is recorded. Seeds derive
+ * from (opts.seed, id, node) and the current retry attempt only, so
+ * captures are deterministic at any thread count. The capture
+ * refers to `runner`, which must outlive it. Raises
+ * Error(InvalidConfig) on degenerate sampling knobs.
  */
 WorkloadCapture captureWorkload(const WorkloadRunner &runner,
                                 const SamplingOptions &opts,
@@ -64,13 +81,16 @@ WorkloadCapture captureWorkload(const WorkloadRunner &runner,
  * Warm, replay and estimate a capture on `machine`: stages 4-5 of
  * the sampled pipeline, including the fault layer's metric-
  * corruption injection point and the non-finite estimate check.
- * Raises Error(InvalidConfig) when `machine` has a different core
- * count than the capture was recorded on.
+ * Each call re-executes the stack engines with the capture's data
+ * seed (or reads `cap.trace` when the capture carries one). Raises
+ * Error(InvalidConfig) when `machine` has a different core count
+ * than the capture was executed on, or when the capture has neither
+ * a trace nor a runner.
  *
  * `ckpt` (optional) attaches the run's checkpoint context: the
  * replay restores representative-entry snapshots when present and
  * writes them when absent (docs/CHECKPOINT.md). Ignored on retry
- * attempts — attempt-salted record seeds change the op stream, so a
+ * attempts — attempt-salted data seeds change the op stream, so a
  * retry's intervals must never alias attempt 0's checkpoints.
  */
 SampledWorkloadResult replayCapture(const WorkloadCapture &cap,

@@ -1,8 +1,9 @@
 /**
  * @file
  * Sampled characterization: the end-to-end per-workload pipeline —
- * record, profile, pick, warm, replay, estimate — and the 32-workload
- * sweep that produces a sampled 32 x 45 metric matrix.
+ * execute + profile, pick, re-execute to warm and replay, estimate —
+ * and the 32-workload sweep that produces a sampled 32 x 45 metric
+ * matrix.
  *
  * The sweep mirrors WorkloadRunner::runAll's determinism contract:
  * one preallocated slot per workload, per-workload derived seeds, a

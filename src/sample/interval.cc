@@ -96,6 +96,12 @@ IntervalProfiler::closeInterval()
     sinceBranch_.assign(sinceBranch_.size(), 0);
 }
 
+void
+ProfilingTarget::consume(unsigned core, const MicroOp &op)
+{
+    profiler_.consume(core, op);
+}
+
 Matrix
 IntervalProfiler::featureMatrix() const
 {

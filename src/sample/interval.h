@@ -3,12 +3,13 @@
  * Interval profiling: the paper's feature-extraction step applied
  * recursively to execution intervals.
  *
- * An IntervalProfiler consumes a micro-op stream (live, or a
- * TraceRecorder replay) and splits it into fixed-size intervals,
- * collecting per interval the cheap structural features SimPoint-style
- * sampling clusters on: a hashed branch-target basic-block vector plus
- * the op-class and privilege-mode mixes. No microarchitectural state
- * is simulated, so a profiling pass costs a small constant per op.
+ * An IntervalProfiler consumes a micro-op stream (a live stack
+ * execution, or a TraceRecorder replay) and splits it into fixed-size
+ * intervals, collecting per interval the cheap structural features
+ * SimPoint-style sampling clusters on: a hashed branch-target
+ * basic-block vector plus the op-class and privilege-mode mixes. No
+ * microarchitectural state is simulated, so a profiling pass costs a
+ * small constant per op.
  */
 
 #ifndef BDS_SAMPLE_INTERVAL_H
@@ -35,8 +36,9 @@ struct IntervalRecord
  * Recording-only execution target: implements the ExecTarget seam so
  * a stack engine can drive it exactly like a SystemModel, but every
  * op and DMA event lands in a TraceRecorder instead of a detailed
- * simulation. This is what makes the sampled path cheap: op
- * generation without microarchitectural cost.
+ * simulation. For tools that want a stream on disk or in memory; the
+ * sampled path itself streams the engines into the profiler and the
+ * replayer and never records (sample/capture.h).
  */
 class RecordingTarget : public ExecTarget
 {
@@ -117,6 +119,35 @@ class IntervalProfiler : public OpSink
 
     std::vector<IntervalRecord> intervals_;
     std::vector<std::vector<double>> features_;
+};
+
+/**
+ * Live-profiling execution target: a stack engine drives it like a
+ * SystemModel and every op goes straight into an IntervalProfiler,
+ * so a workload is profiled without recording its stream. DMA is
+ * dropped: the profiler's features are op-stream features only.
+ */
+class ProfilingTarget : public ExecTarget
+{
+  public:
+    /**
+     * @param profiler Consumer of the op stream (must outlive this).
+     * @param num_cores Core count reported to the engines.
+     */
+    ProfilingTarget(IntervalProfiler &profiler, unsigned num_cores)
+        : profiler_(profiler), cores_(num_cores)
+    {
+    }
+
+    void consume(unsigned core, const MicroOp &op) override;
+
+    unsigned numCores() const override { return cores_; }
+
+    void dmaFill(std::uint64_t, std::uint64_t) override {}
+
+  private:
+    IntervalProfiler &profiler_;
+    unsigned cores_;
 };
 
 } // namespace bds

@@ -31,11 +31,12 @@ struct CkptPlan
 };
 
 /**
- * Routes a replayed stream through the system according to the
- * per-interval plan, toggling the freeze mode and snapshotting
- * counters at interval boundaries.
+ * Routes a stream through the system according to the per-interval
+ * plan, toggling the freeze mode and snapshotting counters at
+ * interval boundaries. An ExecTarget, so the stack engines can drive
+ * it directly; reports the system's core count for their sharding.
  */
-class PlanSink : public OpSink
+class PlanSink : public ExecTarget
 {
   public:
     PlanSink(SystemModel &sys, std::uint64_t interval_uops,
@@ -77,13 +78,15 @@ class PlanSink : public OpSink
         sys_.consume(core, op);
     }
 
+    unsigned numCores() const override { return sys_.numCores(); }
+
     /**
      * DMA events reach the node in every mode except Jump: a jumped
      * range ends at a restored checkpoint whose snapshot already
-     * embodies the range's DMA effects (or at the end of the trace,
+     * embodies the range's DMA effects (or at the end of the stream,
      * after which nothing is observed).
      */
-    void dma(std::uint64_t addr, std::uint64_t bytes)
+    void dmaFill(std::uint64_t addr, std::uint64_t bytes) override
     {
         if (mode_ != IntervalMode::Jump)
             sys_.dmaFill(addr, bytes);
@@ -187,6 +190,19 @@ SampledReplayer::replay(const TraceRecorder &trace,
                         const PickResult &picked,
                         SampledReplayStats *stats)
 {
+    return replay([&](ExecTarget &target) {
+        trace.replay(target,
+                     [&](std::uint64_t addr, std::uint64_t bytes) {
+                         target.dmaFill(addr, bytes);
+                     });
+    }, picked, stats);
+}
+
+std::vector<PmcCounters>
+SampledReplayer::replay(const StreamSource &drive,
+                        const PickResult &picked,
+                        SampledReplayStats *stats)
+{
     // Build the per-interval plan. Representatives run in detail;
     // with a bounded warmup window, only the W intervals before each
     // representative are warmed and the rest are skipped. W == 0
@@ -257,9 +273,7 @@ SampledReplayer::replay(const TraceRecorder &trace,
     SampledReplayStats local;
     PlanSink sink(sys_, intervalUops_, plan, rep_of, snaps, local,
                   ckptCache_ ? &ckpt : nullptr);
-    trace.replay(sink, [&](std::uint64_t addr, std::uint64_t bytes) {
-        sink.dma(addr, bytes);
-    });
+    drive(sink);
     sink.finish();
 
     if (stats)

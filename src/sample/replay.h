@@ -2,13 +2,16 @@
  * @file
  * Warmup-aware sampled replay, with interval checkpoint/restore.
  *
- * A SampledReplayer drives a recorded op stream into a SystemModel,
+ * A SampledReplayer drives an op stream into a SystemModel,
  * simulating only the chosen representative intervals with live
- * counters. Everything else is either functionally warmed — replayed
- * in the SystemModel's counter-freeze mode, so caches, TLBs, the
- * branch predictor and coherence advance while PmcCounters stand
- * still — or fast-forwarded entirely when outside the warmup window
- * (DMA events still apply, keeping the memory image in sync).
+ * counters. The stream comes either from re-executing the stack
+ * engines (the sampled path: nothing is held in memory) or from a
+ * recorded TraceRecorder; both feed the same per-interval plan.
+ * Everything else is either functionally warmed — replayed in the
+ * SystemModel's counter-freeze mode, so caches, TLBs, the branch
+ * predictor and coherence advance while PmcCounters stand still — or
+ * fast-forwarded entirely when outside the warmup window (DMA events
+ * still apply, keeping the memory image in sync).
  *
  * With a checkpoint cache attached (setCheckpoints), the replayer
  * additionally snapshots the full SystemModel state at each
@@ -25,6 +28,7 @@
 #define BDS_SAMPLE_REPLAY_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,7 +43,7 @@ namespace bds {
 /** Op accounting of one sampled replay. */
 struct SampledReplayStats
 {
-    std::uint64_t totalOps = 0;   ///< ops in the trace
+    std::uint64_t totalOps = 0;   ///< ops in the stream
     std::uint64_t detailOps = 0;  ///< simulated with live counters
     std::uint64_t warmOps = 0;    ///< replayed counter-frozen
     std::uint64_t skippedOps = 0; ///< fast-forwarded entirely
@@ -47,10 +51,17 @@ struct SampledReplayStats
     std::uint64_t ckptWrites = 0;   ///< checkpoints written
 };
 
-/** Replays a trace, detailing only the representative intervals. */
+/** Replays a stream, detailing only the representative intervals. */
 class SampledReplayer
 {
   public:
+    /**
+     * One execution of the op stream into `target`: every op through
+     * consume(), every device DMA through dmaFill(). Calling it must
+     * produce the same stream the intervals were profiled on.
+     */
+    using StreamSource = std::function<void(ExecTarget &target)>;
+
     /**
      * @param sys Target node (fresh, same geometry as the recording).
      * @param interval_uops Interval size used by the profiler.
@@ -73,13 +84,19 @@ class SampledReplayer
                         CheckpointKey key);
 
     /**
-     * Replay the trace and capture per-representative counters.
-     * @param trace The recorded stream (profiler's interval origin).
+     * Drive the stream and capture per-representative counters.
+     * @param drive Executes the stream once (profiler's interval
+     *        origin) into the replayer's plan target.
      * @param picked Representatives to simulate in detail.
      * @param stats Optional op-accounting sink.
      * @return One aggregated PmcCounters per representative, in
      *         picked.reps order.
      */
+    std::vector<PmcCounters> replay(const StreamSource &drive,
+                                    const PickResult &picked,
+                                    SampledReplayStats *stats = nullptr);
+
+    /** replay() over a recorded stream, DMA events included. */
     std::vector<PmcCounters> replay(const TraceRecorder &trace,
                                     const PickResult &picked,
                                     SampledReplayStats *stats = nullptr);

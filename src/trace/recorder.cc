@@ -1,5 +1,6 @@
 #include "trace/recorder.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -109,7 +110,8 @@ TraceRecorder::load(std::istream &is)
     // both truncation and trailing garbage are rejected.
     constexpr std::uint64_t kEntryBytes = 20;
     std::istream::pos_type body = is.tellg();
-    if (body != std::istream::pos_type(-1)) {
+    const bool seekable = body != std::istream::pos_type(-1);
+    if (seekable) {
         is.seekg(0, std::ios::end);
         std::uint64_t remaining =
             static_cast<std::uint64_t>(is.tellg() - body);
@@ -125,8 +127,12 @@ TraceRecorder::load(std::istream &is)
                       << " entries");
     }
 
+    // A non-seekable stream has not vouched for `count`: reserve at
+    // most a bounded chunk and let the vector grow as entries arrive.
+    constexpr std::uint64_t kUncheckedReserve = 1 << 16;
     TraceRecorder rec;
-    rec.entries_.reserve(count);
+    rec.entries_.reserve(static_cast<std::size_t>(
+        seekable ? count : std::min(count, kUncheckedReserve)));
     for (std::uint64_t i = 0; i < count; ++i) {
         Entry e;
         is.read(reinterpret_cast<char *>(&e.ip), sizeof(e.ip));

@@ -8,13 +8,18 @@
  *  - a sampled replay restoring interval checkpoints produces the
  *    same 45 metrics, bit for bit, as warming from zero — and a
  *    corrupted checkpoint degrades to a counted warm-from-zero
- *    fallback with identical metrics, never drift.
+ *    fallback with identical metrics, never drift;
+ *  - re-executing the stack engines and replaying a recorded trace
+ *    write byte-identical checkpoints and restore identically.
  */
 
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +30,7 @@
 #include "common/rng.h"
 #include "fault/error.h"
 #include "sample/capture.h"
+#include "sample/interval.h"
 #include "trace/memlayout.h"
 #include "trace/recorder.h"
 #include "trace/runtime.h"
@@ -260,6 +266,82 @@ TEST(ReplayCheckpointRestore, CorruptCheckpointFallsBackWarmFromZero)
     EXPECT_EQ(healed.metrics, base.metrics);
 
     std::system(("rm -rf '" + dir + "'").c_str());
+}
+
+/** Every regular file under `dir`, relative path -> bytes. */
+std::map<std::string, std::string>
+readTree(const std::string &dir)
+{
+    namespace fs = std::filesystem;
+    std::map<std::string, std::string> files;
+    for (const auto &e : fs::recursive_directory_iterator(dir)) {
+        if (!e.is_regular_file())
+            continue;
+        std::ifstream in(e.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        files[fs::relative(e.path(), dir).string()] = bytes.str();
+    }
+    return files;
+}
+
+TEST(ReplayCheckpointRestore, StreamedAndRecordedSourcesAgree)
+{
+    // The sampled path re-executes the engines on every replay; a
+    // capture carrying a recorded trace reads it instead. The cold
+    // pass must write byte-identical checkpoint files either way,
+    // and the warm restore must be identical too.
+    RunConfig cfg;
+    cfg.scaleName = "quick";
+    cfg.sampling.enabled = true;
+    cfg.ckpt.enabled = true;
+
+    const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
+    const WorkloadId id = allWorkloads()[19];
+    const WorkloadCapture streamed =
+        captureWorkload(runner, cfg.sampling, id, 0);
+    WorkloadCapture recorded = streamed;
+    {
+        bds::RecordingTarget rec(streamed.numCores);
+        runner.execute(id, rec, streamed.dataSeed);
+        recorded.trace = rec.trace();
+    }
+    const NodeConfig machine = resolveMachineSpec(cfg.machineSpec);
+
+    std::vector<std::map<std::string, std::string>> trees;
+    std::vector<SampledWorkloadResult> colds, warms;
+    const WorkloadCapture *sources[] = {&streamed, &recorded};
+    for (const WorkloadCapture *cap : sources) {
+        cfg.ckpt.dir = ::testing::TempDir() + "bds_ckpt_source_"
+            + (cap == &streamed ? "streamed" : "recorded");
+        std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
+        CheckpointContext ctx = checkpointContextFor(cfg);
+        colds.push_back(replayCapture(*cap, machine, cfg.sampling,
+                                      &ctx));
+        trees.push_back(readTree(cfg.ckpt.dir));
+        warms.push_back(replayCapture(*cap, machine, cfg.sampling,
+                                      &ctx));
+        std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
+    }
+
+    // One file per checkpoint written, plus the store's own index.
+    ASSERT_GT(colds[0].stats.ckptWrites, 0u);
+    EXPECT_GE(trees[0].size(), colds[0].stats.ckptWrites);
+    EXPECT_TRUE(trees[0] == trees[1])
+        << "checkpoint files differ between the two stream sources";
+    for (const auto *pair : {&colds, &warms}) {
+        const SampledWorkloadResult &a = (*pair)[0];
+        const SampledWorkloadResult &b = (*pair)[1];
+        EXPECT_EQ(a.metrics, b.metrics);
+        EXPECT_EQ(a.stats.totalOps, b.stats.totalOps);
+        EXPECT_EQ(a.stats.detailOps, b.stats.detailOps);
+        EXPECT_EQ(a.stats.warmOps, b.stats.warmOps);
+        EXPECT_EQ(a.stats.skippedOps, b.stats.skippedOps);
+        EXPECT_EQ(a.stats.ckptRestores, b.stats.ckptRestores);
+        EXPECT_EQ(a.stats.ckptWrites, b.stats.ckptWrites);
+    }
+    EXPECT_EQ(warms[0].stats.ckptRestores, colds[0].stats.ckptWrites);
+    EXPECT_EQ(warms[0].metrics, colds[0].metrics);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "common/log.h"
 #include "fault/error.h"
+#include "fault/inject.h"
 #include "sample/capture.h"
 #include "sample/characterizer.h"
 #include "sample/estimate.h"
@@ -19,6 +20,7 @@
 #include "sample/replay.h"
 #include "trace/memlayout.h"
 #include "trace/runtime.h"
+#include "uarch/machine.h"
 #include "uarch/system.h"
 
 namespace {
@@ -469,6 +471,145 @@ TEST(WorkloadCapture, OneCaptureReplaysAcrossGeometries)
         if (base.metrics[i] != starved.metrics[i])
             moved = true;
     EXPECT_TRUE(moved);
+}
+
+/** `cap` plus a recorded copy of the stream it re-executes. */
+bds::WorkloadCapture
+withRecordedTrace(const bds::WorkloadCapture &cap)
+{
+    RecordingTarget rec(cap.numCores);
+    cap.runner->execute(cap.id, rec, cap.dataSeed);
+    bds::WorkloadCapture traced = cap;
+    traced.trace = rec.trace();
+    return traced;
+}
+
+TEST(WorkloadCapture, LiveProfileEqualsRecordedTraceProfile)
+{
+    // The capture profiles the engines live; the slow path it
+    // replaced recorded a trace and profiled its replay. Same
+    // intervals and bit-identical features.
+    bds::WorkloadRunner runner(bds::NodeConfig::defaultSim(),
+                               bds::ScaleProfile::quick(), 42);
+    const bds::WorkloadId id = bds::allWorkloads()[17];
+    SamplingOptions opts;
+    opts.enabled = true;
+    const bds::WorkloadCapture cap =
+        bds::captureWorkload(runner, opts, id, 0);
+    EXPECT_EQ(cap.runner, &runner);
+    EXPECT_EQ(cap.dataSeed, runner.nodeDataSeed(id, 0));
+    EXPECT_EQ(cap.trace.size(), 0u); // nothing held
+
+    IntervalProfiler live(opts.intervalUops, opts.bbvDims);
+    bds::ProfilingTarget target(live, cap.numCores);
+    runner.execute(id, target, cap.dataSeed);
+    live.finish();
+
+    RecordingTarget rec(cap.numCores);
+    runner.execute(id, rec, cap.dataSeed);
+    IntervalProfiler replayed(opts.intervalUops, opts.bbvDims);
+    rec.trace().replay(replayed);
+    replayed.finish();
+
+    ASSERT_EQ(live.numIntervals(), replayed.numIntervals());
+    EXPECT_EQ(cap.numIntervals, live.numIntervals());
+    for (std::size_t i = 0; i < live.numIntervals(); ++i) {
+        const IntervalRecord &a = live.intervals()[i];
+        const IntervalRecord &b = replayed.intervals()[i];
+        EXPECT_EQ(a.firstOp, b.firstOp) << i;
+        EXPECT_EQ(a.opCount, b.opCount) << i;
+        EXPECT_EQ(a.instructions, b.instructions) << i;
+    }
+    const Matrix fa = live.featureMatrix();
+    const Matrix fb = replayed.featureMatrix();
+    ASSERT_EQ(fa.rows(), fb.rows());
+    ASSERT_EQ(fa.cols(), fb.cols());
+    for (std::size_t r = 0; r < fa.rows(); ++r)
+        for (std::size_t c = 0; c < fa.cols(); ++c)
+            ASSERT_EQ(fa(r, c), fb(r, c)) << r << "," << c;
+
+    std::uint64_t ops = 0;
+    for (const IntervalRecord &iv : replayed.intervals())
+        ops += iv.opCount;
+    EXPECT_EQ(cap.picked.totalOps, ops);
+}
+
+TEST(WorkloadCapture, ReExecutedReplayEqualsTraceReplay)
+{
+    // replayCapture re-executes the engines; on a capture carrying a
+    // recorded trace it reads the trace instead. Bitwise-equal
+    // metrics and identical op accounting across warm-up windows, a
+    // 2-core machine, and a retry attempt's salted seed.
+    struct Case
+    {
+        const char *machine;
+        unsigned warmup;
+        unsigned attempt;
+        std::size_t workload;
+    };
+    for (const Case &c : {Case{"default", 0, 0, 0},
+                          Case{"default", 2, 0, 20},
+                          Case{"cores-2", 2, 0, 5},
+                          Case{"default", 2, 1, 0}}) {
+        SCOPED_TRACE(std::string(c.machine) + " warmup "
+                     + std::to_string(c.warmup) + " attempt "
+                     + std::to_string(c.attempt));
+        bds::WorkloadRunner runner(bds::resolveMachineSpec(c.machine),
+                                   bds::ScaleProfile::quick(), 42);
+        const bds::WorkloadId id = bds::allWorkloads()[c.workload];
+        SamplingOptions opts;
+        opts.enabled = true;
+        opts.warmupIntervals = c.warmup;
+
+        bds::AttemptContext attempt;
+        attempt.attempt = c.attempt;
+        bds::AttemptScope scope(attempt);
+        const bds::WorkloadCapture cap =
+            bds::captureWorkload(runner, opts, id, 0);
+        EXPECT_EQ(cap.dataSeed,
+                  runner.attemptDataSeed(id, 0, c.attempt));
+        if (c.attempt > 0) {
+            EXPECT_NE(cap.dataSeed, runner.nodeDataSeed(id, 0));
+        }
+
+        const bds::WorkloadCapture traced = withRecordedTrace(cap);
+        const bds::SampledWorkloadResult streamed =
+            bds::replayCapture(cap, runner.config(), opts);
+        const bds::SampledWorkloadResult recorded =
+            bds::replayCapture(traced, runner.config(), opts);
+
+        for (std::size_t i = 0; i < bds::kNumMetrics; ++i)
+            EXPECT_EQ(streamed.metrics[i], recorded.metrics[i]) << i;
+        const SampledReplayStats &a = streamed.stats;
+        const SampledReplayStats &b = recorded.stats;
+        EXPECT_EQ(a.totalOps, b.totalOps);
+        EXPECT_EQ(a.detailOps, b.detailOps);
+        EXPECT_EQ(a.warmOps, b.warmOps);
+        EXPECT_EQ(a.skippedOps, b.skippedOps);
+        EXPECT_EQ(a.ckptRestores, b.ckptRestores);
+        EXPECT_EQ(a.ckptWrites, b.ckptWrites);
+        EXPECT_EQ(a.totalOps, cap.picked.totalOps);
+        if (c.warmup > 0) {
+            EXPECT_GT(a.skippedOps, 0u);
+        }
+    }
+}
+
+TEST(WorkloadCapture, ReplayWithoutTraceOrRunnerIsATypedError)
+{
+    bds::WorkloadRunner runner(bds::NodeConfig::defaultSim(),
+                               bds::ScaleProfile::quick(), 42);
+    SamplingOptions opts;
+    opts.enabled = true;
+    bds::WorkloadCapture cap = bds::captureWorkload(
+        runner, opts, bds::allWorkloads()[0], 0);
+    cap.runner = nullptr;
+    try {
+        bds::replayCapture(cap, runner.config(), opts);
+        FAIL() << "expected Error(InvalidConfig)";
+    } catch (const bds::Error &e) {
+        EXPECT_EQ(e.code(), bds::ErrorCode::InvalidConfig);
+    }
 }
 
 TEST(WorkloadCapture, CoreCountMismatchIsATypedError)

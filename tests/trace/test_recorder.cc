@@ -1,6 +1,8 @@
 /** @file Tests for trace recording, serialization, and replay. */
 
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -144,6 +146,46 @@ TEST(Recorder, LoadRejectsOverstatedCount)
                   reinterpret_cast<const char *>(&huge), sizeof huge);
     std::stringstream buf(bytes);
     EXPECT_THROW(TraceRecorder::load(buf), bds::FatalError);
+}
+
+/**
+ * A read-only streambuf over a byte string that cannot seek, like a
+ * pipe or socket: tellg() on an istream over it returns -1.
+ */
+class PipeBuf : public std::streambuf
+{
+  public:
+    explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes))
+    {
+        char *p = bytes_.data();
+        setg(p, p, p + bytes_.size());
+    }
+
+  private:
+    std::string bytes_;
+};
+
+TEST(Recorder, NonSeekableLoadRejectsBadCountsTyped)
+{
+    const std::string bytes = savedTraceBytes();
+    {
+        // Intact: the non-seekable path still loads a good trace.
+        PipeBuf pipe(bytes);
+        std::istream in(&pipe);
+        ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));
+        EXPECT_EQ(TraceRecorder::load(in).size(), 17u);
+    }
+    // An inflated header count must fail typed (not as a
+    // std::length_error out of the reserve), as must a truncated body.
+    std::string inflated = bytes;
+    std::uint64_t huge = 1ULL << 61;
+    inflated.replace(12, sizeof huge,
+                     reinterpret_cast<const char *>(&huge), sizeof huge);
+    for (const std::string &b : {inflated, bytes.substr(0, 40)}) {
+        PipeBuf pipe(b);
+        std::istream in(&pipe);
+        EXPECT_THROW(TraceRecorder::load(in), bds::FatalError);
+    }
 }
 
 TEST(Recorder, CorruptionRoundTrip)
