@@ -1,15 +1,13 @@
 #include "ckpt/checkpoint.h"
 
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <bit>
+#include <charconv>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
+#include "ckpt/state.h"
 #include "fault/error.h"
 #include "obs/trace.h"
 #include "serve/confighash.h"
@@ -35,64 +33,86 @@ globalCkptStats()
     return stats;
 }
 
-/** Read one header line; Error(Io) on EOF. */
-std::string
-readLine(std::istream &is, const std::string &what)
+/**
+ * A cursor over the container bytes. Every read is bounds-checked
+ * against the buffer and raises Error(Io) on a short or malformed
+ * field; sizes declared inside the (possibly corrupt) entry are only
+ * ever compared with what is left, never allocated, so an implausible
+ * value stays a typed Io error that the warm-from-zero fallback sees.
+ */
+class Cursor
 {
-    std::string line;
-    if (!std::getline(is, line))
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": truncated checkpoint (unexpected EOF)");
-    return line;
-}
-
-/** Parse "<key> <value>" where value is a non-negative integer. */
-std::uint64_t
-readSizeField(std::istream &is, const std::string &what,
-              const std::string &key)
-{
-    const std::string line = readLine(is, what);
-    std::istringstream ss(line);
-    std::string k;
-    std::uint64_t v = 0;
-    if (!(ss >> k >> v) || k != key)
-        BDS_RAISE(ErrorCode::Io, what << ": expected '" << key
-                                      << " <n>', got '" << line << "'");
-    return v;
-}
-
-/** Read exactly `n` payload bytes; Error(Io) on short reads. */
-std::string
-readBytes(std::istream &is, const std::string &what, std::uint64_t n,
-          const std::string &label)
-{
-    std::string out;
-    // The size comes from the (possibly corrupt) entry itself: an
-    // implausible value must stay a typed Io error, not a bad_alloc
-    // that dodges the warm-from-zero fallback.
-    try {
-        out.resize(static_cast<std::size_t>(n));
-    } catch (const std::exception &) {
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": " << label << " declares implausible size "
-                       << n << " (corrupt checkpoint)");
+  public:
+    Cursor(std::string_view bytes, const std::string &what)
+        : rest_(bytes), what_(what)
+    {
     }
-    is.read(out.data(), static_cast<std::streamsize>(n));
-    if (is.gcount() != static_cast<std::streamsize>(n))
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": " << label << " payload truncated ("
-                       << is.gcount() << " of " << n << " bytes)");
-    return out;
-}
 
-/** A length-prefixed text field ("<key>_bytes N\n<bytes>"). */
-std::string
-readTextField(std::istream &is, const std::string &what,
-              const std::string &key)
-{
-    return readBytes(is, what, readSizeField(is, what, key + "_bytes"),
-                     key);
-}
+    /** The next '\n'-terminated line, without the newline. */
+    std::string_view line()
+    {
+        const std::size_t nl = rest_.find('\n');
+        if (nl == std::string_view::npos)
+            BDS_RAISE(ErrorCode::Io,
+                      what_ << ": truncated checkpoint (unexpected EOF)");
+        const std::string_view l = rest_.substr(0, nl);
+        rest_.remove_prefix(nl + 1);
+        return l;
+    }
+
+    /** The non-empty value of a "<key> <value>" line. */
+    std::string_view field(std::string_view key)
+    {
+        const std::string_view l = line();
+        if (l.size() <= key.size() + 1 || l.substr(0, key.size()) != key
+            || l[key.size()] != ' ')
+            BDS_RAISE(ErrorCode::Io, what_ << ": expected '" << key
+                                           << " <value>', got '"
+                                           << clip(l) << "'");
+        return l.substr(key.size() + 1);
+    }
+
+    /** A "<key> <n>" line, n a non-negative decimal integer. */
+    std::uint64_t number(std::string_view key)
+    {
+        const std::string_view v = field(key);
+        std::uint64_t n = 0;
+        const auto [end, ec] =
+            std::from_chars(v.data(), v.data() + v.size(), n);
+        if (ec != std::errc() || end != v.data() + v.size())
+            BDS_RAISE(ErrorCode::Io, what_ << ": expected '" << key
+                                           << " <n>', got '" << key
+                                           << ' ' << clip(v) << "'");
+        return n;
+    }
+
+    /** A length-prefixed field ("<key>_bytes N\n<N bytes>"). */
+    std::string_view sized(const std::string &key)
+    {
+        const std::uint64_t n = number(key + "_bytes");
+        if (n > rest_.size())
+            BDS_RAISE(ErrorCode::Io,
+                      what_ << ": " << key << " payload truncated ("
+                            << rest_.size() << " of " << n
+                            << " bytes)");
+        const std::string_view out =
+            rest_.substr(0, static_cast<std::size_t>(n));
+        rest_.remove_prefix(out.size());
+        return out;
+    }
+
+    bool atEnd() const { return rest_.empty(); }
+
+  private:
+    /** A diagnostic-sized prefix of untrusted bytes. */
+    static std::string_view clip(std::string_view v)
+    {
+        return v.substr(0, 64);
+    }
+
+    std::string_view rest_;
+    const std::string &what_;
+};
 
 /** Filename-safe rendering of a workload name. */
 std::string
@@ -150,6 +170,34 @@ noteCkptFallback()
     Tracer::global().counter("ckpt.fallbacks", 1);
 }
 
+std::uint64_t
+stateChecksum(std::string_view bytes)
+{
+    constexpr std::uint64_t kPrime = 0x100000001b3ULL; // FNV-1a 64
+    constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+    constexpr int kRot = 29;
+    // Four independent multiply chains over 32-byte blocks, so the
+    // CPU overlaps their latencies; the rotate feeds each product's
+    // high bits back into the low ones. Every step is a bijection of
+    // the running state for a fixed input word (xor, multiply by an
+    // odd constant, rotate), so a change confined to one word or one
+    // tail byte always changes the result.
+    std::uint64_t lane[4] = {kBasis, kBasis + 1, kBasis + 2,
+                             kBasis + 3};
+    const char *p = bytes.data();
+    const char *const end = p + bytes.size();
+    for (; end - p >= 32; p += 32)
+        for (int i = 0; i < 4; ++i)
+            lane[i] = std::rotl((lane[i] ^ loadLe64(p + 8 * i)) * kPrime,
+                                kRot);
+    std::uint64_t h = kBasis;
+    for (std::uint64_t l : lane)
+        h = std::rotl((h ^ l) * kPrime, kRot);
+    for (; p < end; ++p)
+        h = (h ^ static_cast<unsigned char>(*p)) * kPrime;
+    return (h ^ bytes.size()) * kPrime;
+}
+
 void
 writeCheckpoint(std::ostream &os, const CheckpointEntry &entry)
 {
@@ -162,77 +210,54 @@ writeCheckpoint(std::ostream &os, const CheckpointEntry &entry)
        << entry.key.workload
        << "node " << entry.key.node << '\n'
        << "interval " << entry.interval << '\n'
-       << "state_fnv " << toHex64(fnv1a64(entry.state)) << '\n'
+       << "state_sum " << toHex64(stateChecksum(entry.state)) << '\n'
        << "state_bytes " << entry.state.size() << '\n'
        << entry.state
        << "END\n";
 }
 
 CheckpointEntry
-readCheckpoint(std::istream &is, const std::string &what,
+readCheckpoint(std::string bytes, const std::string &what,
                const CheckpointKey &expected,
                std::uint64_t expectedInterval)
 {
     CheckpointEntry entry;
+    Cursor in(bytes, what);
 
-    {
-        const std::string line = readLine(is, what);
-        std::istringstream ss(line);
-        std::string magic;
-        unsigned version = 0;
-        if (!(ss >> magic >> version) || magic != "BDSCKPT")
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": not a bds checkpoint (bad magic)");
-        if (version != kCheckpointVersion)
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": unsupported checkpoint version "
-                           << version << " (expected "
-                           << kCheckpointVersion << ")");
-    }
-    {
-        const std::string line = readLine(is, what);
-        std::istringstream ss(line);
-        std::string key;
-        if (!(ss >> key >> entry.key.configHash) || key != "hash"
-            || entry.key.configHash.size() != 16)
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": malformed hash line '" << line << "'");
-    }
-    {
-        const std::string line = readLine(is, what);
-        std::istringstream ss(line);
-        std::string key;
-        if (!(ss >> key >> entry.key.machineSlug) || key != "slug")
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": malformed slug line '" << line << "'");
-    }
-    entry.key.machineText = readTextField(is, what, "machine");
-    entry.key.workload = readTextField(is, what, "workload");
-    entry.key.node = static_cast<unsigned>(
-        readSizeField(is, what, "node"));
-    entry.interval = readSizeField(is, what, "interval");
+    const std::uint64_t version = in.number("BDSCKPT");
+    if (version != kCheckpointVersion)
+        BDS_RAISE(ErrorCode::Io,
+                  what << ": unsupported checkpoint version " << version
+                       << " (expected " << kCheckpointVersion << ")");
+    entry.key.configHash = std::string(in.field("hash"));
+    if (entry.key.configHash.size() != 16)
+        BDS_RAISE(ErrorCode::Io, what << ": malformed hash line");
+    entry.key.machineSlug = std::string(in.field("slug"));
+    entry.key.machineText = std::string(in.sized("machine"));
+    entry.key.workload = std::string(in.sized("workload"));
+    const std::uint64_t node = in.number("node");
+    if (node > std::numeric_limits<unsigned>::max())
+        BDS_RAISE(ErrorCode::Io,
+                  what << ": node " << node << " out of range");
+    entry.key.node = static_cast<unsigned>(node);
+    entry.interval = in.number("interval");
 
-    std::string declared_fnv;
-    {
-        const std::string line = readLine(is, what);
-        std::istringstream ss(line);
-        std::string key;
-        if (!(ss >> key >> declared_fnv) || key != "state_fnv"
-            || declared_fnv.size() != 16)
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": malformed state_fnv line '" << line
-                           << "'");
-    }
-    entry.state = readBytes(
-        is, what, readSizeField(is, what, "state_bytes"), "state");
-    if (toHex64(fnv1a64(entry.state)) != declared_fnv)
+    const std::string_view declared_sum = in.field("state_sum");
+    if (declared_sum.size() != 16)
+        BDS_RAISE(ErrorCode::Io, what << ": malformed state_sum line");
+    const std::string_view state = in.sized("state");
+    if (toHex64(stateChecksum(state)) != declared_sum)
         BDS_RAISE(ErrorCode::Io,
                   what << ": state payload checksum mismatch "
                        << "(corrupt checkpoint)");
-    if (readLine(is, what) != "END")
+    if (in.line() != "END")
         BDS_RAISE(ErrorCode::Io,
                   what << ": missing END sentinel (truncated "
                        << "checkpoint)");
+    if (!in.atEnd())
+        BDS_RAISE(ErrorCode::Io,
+                  what << ": trailing bytes after the END sentinel "
+                       << "(corrupt checkpoint)");
 
     // Key verification: the machine text is the load-bearing guard
     // (equal text implies equal geometry, hence an exactly matching
@@ -258,6 +283,15 @@ readCheckpoint(std::istream &is, const std::string &what,
                        << expected.configHash << "/"
                        << expected.workload << "/n" << expected.node
                        << "/i" << expectedInterval);
+
+    // The payload becomes the entry's state in place: slide it to the
+    // front of the buffer already read, no second allocation.
+    const std::size_t offset =
+        static_cast<std::size_t>(state.data() - bytes.data());
+    const std::size_t size = state.size();
+    bytes.resize(offset + size);
+    bytes.erase(0, offset);
+    entry.state = std::move(bytes);
     return entry;
 }
 
@@ -303,12 +337,12 @@ bool
 CheckpointCache::load(const CheckpointKey &key, std::uint64_t interval,
                       std::string *state) const
 {
-    const std::string p = path(key, interval);
     std::string bytes;
     if (!backend_.read(entryName(key, interval), &bytes))
         return false;
-    std::istringstream in(bytes);
-    CheckpointEntry entry = readCheckpoint(in, p, key, interval);
+    CheckpointEntry entry =
+        readCheckpoint(std::move(bytes), path(key, interval), key,
+                       interval);
     AtomicCkptStats &g = globalCkptStats();
     g.hits.fetch_add(1, std::memory_order_relaxed);
     g.bytesRead.fetch_add(entry.state.size(),

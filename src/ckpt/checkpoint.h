@@ -25,9 +25,9 @@
  * directory honours the BDS_CKPT_MAX_BYTES budget with LRU eviction;
  * any filesystem failure degrades the cache to store-down mode
  * (replays warm from zero, nothing crashes); every load verifies
- * magic, version, key fields and an FNV checksum, and any violation
- * is a typed Error(Io) / Error(InvalidConfig) the replayer converts
- * into a transparent warm-from-zero fallback.
+ * magic, version, key fields and the payload checksum, and any
+ * violation is a typed Error(Io) / Error(InvalidConfig) the replayer
+ * converts into a transparent warm-from-zero fallback.
  */
 
 #ifndef BDS_CKPT_CHECKPOINT_H
@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "store/shared.h"
 
@@ -46,9 +47,10 @@ namespace bds {
  * schema underneath it (the saveState() field lists). Bump on any
  * change to either; a foreign version on disk is a typed Io error
  * that the replayer treats as "no checkpoint" — stale state is never
- * silently restored.
+ * silently restored. Version 2 replaced the byte-serial FNV-1a
+ * `state_fnv` header field with `state_sum` (stateChecksum()).
  */
-constexpr unsigned kCheckpointVersion = 1;
+constexpr unsigned kCheckpointVersion = 2;
 
 /** Identity of one checkpoint stream (all intervals share it). */
 struct CheckpointKey
@@ -165,15 +167,27 @@ class CheckpointCache
     mutable SharedStore backend_;
 };
 
-/** Serialize a checkpoint to the on-disk format (tests). */
+/**
+ * The container's state-payload checksum: an FNV-style hash that
+ * consumes 64-bit little-endian words on four independent lanes (then
+ * the sub-32-byte tail byte by byte), so it runs at memory speed
+ * instead of one multiply latency per byte. Any single changed word
+ * or tail byte changes the result. Not a config hash: fnv1a64 keys
+ * the stores and stays byte-serial.
+ */
+std::uint64_t stateChecksum(std::string_view bytes);
+
+/** Serialize a checkpoint to the on-disk format. */
 void writeCheckpoint(std::ostream &os, const CheckpointEntry &entry);
 
 /**
- * Parse and verify a checkpoint against the expected key/interval;
- * `what` names the source in diagnostics. Error(Io) on structural
- * violations, Error(InvalidConfig) on machine/key mismatches.
+ * Parse and verify a whole checkpoint file's bytes against the
+ * expected key/interval; `what` names the source in diagnostics. The
+ * returned entry's state reuses `bytes`' buffer. Error(Io) on
+ * structural violations, Error(InvalidConfig) on machine/key
+ * mismatches.
  */
-CheckpointEntry readCheckpoint(std::istream &is, const std::string &what,
+CheckpointEntry readCheckpoint(std::string bytes, const std::string &what,
                                const CheckpointKey &expected,
                                std::uint64_t expectedInterval);
 

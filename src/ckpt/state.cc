@@ -25,8 +25,7 @@ void
 StateSink::u64(std::uint64_t v)
 {
     char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    storeLe64(b, v);
     buf_.append(b, 8);
 }
 
@@ -44,6 +43,14 @@ StateSink::str(const std::string &s)
 {
     u64(s.size());
     buf_.append(s);
+}
+
+RecordWriter
+StateSink::records(std::uint64_t count, std::size_t stride)
+{
+    const std::size_t at = buf_.size();
+    buf_.resize(at + static_cast<std::size_t>(count) * stride);
+    return RecordWriter(buf_.data() + at);
 }
 
 StateSource::StateSource(const std::string &payload, std::string what)
@@ -97,13 +104,7 @@ StateSource::u32()
 std::uint64_t
 StateSource::u64()
 {
-    const char *p = take(8, "u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(p[i]))
-             << (8 * i);
-    return v;
+    return loadLe64(take(8, "u64"));
 }
 
 double
@@ -125,6 +126,21 @@ StateSource::str()
                         << n << " (corrupt payload)");
     const char *p = take(static_cast<std::size_t>(n), "string");
     return std::string(p, static_cast<std::size_t>(n));
+}
+
+RecordReader
+StateSource::records(std::uint64_t count, std::size_t stride,
+                     const char *label)
+{
+    if (count > remaining() / stride)
+        BDS_RAISE(ErrorCode::Io,
+                  what_ << ": state payload declares " << count << " "
+                        << label << " records of " << stride
+                        << " bytes at offset " << pos_ << " but only "
+                        << remaining() << " bytes remain"
+                        << " (truncated or corrupt payload)");
+    return RecordReader(
+        take(static_cast<std::size_t>(count) * stride, label));
 }
 
 void

@@ -15,12 +15,23 @@
  * encoding, so a structure's save/load methods are a single visibly
  * symmetric field list.
  *
+ * Bulk sections: the flat arrays (cache lines, TLB entries, gshare
+ * counters) are runs of fixed-stride records. records(count, stride)
+ * reserves (sink) or bounds-checks (source) the whole run at once and
+ * hands back a RecordWriter / RecordReader cursor, so the per-record
+ * field list stays visibly symmetric while decode pays one bounds
+ * check per section instead of one per field. The bytes are exactly
+ * what per-field u8/u64 calls would produce.
+ *
  * Hardening contract: every structural violation on the read side —
- * underflow, a section tag that is not the expected one, a geometry
- * guard mismatch, trailing bytes at finish() — raises a typed
- * Error(Io). Restoring from a corrupt payload can therefore never be
- * UB or silent drift; callers (the checkpoint cache, the sampled
- * replayer) catch the typed error and fall back to warming from zero.
+ * underflow, a record count whose run outruns the payload (checked
+ * before count * stride is formed, so it cannot overflow), a section
+ * tag that is not the expected one, a geometry guard mismatch,
+ * trailing bytes at finish() — raises a typed Error(Io). Per-record
+ * value checks (slot range, enum range) stay with the structure.
+ * Restoring from a corrupt payload can therefore never be UB or
+ * silent drift; callers (the checkpoint cache, the sampled replayer)
+ * catch the typed error and fall back to warming from zero.
  *
  * Layering: depends only on bds_fault (for the typed errors), so
  * bds_uarch can link it without pulling in the checkpoint container
@@ -30,10 +41,81 @@
 #ifndef BDS_CKPT_STATE_H
 #define BDS_CKPT_STATE_H
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace bds {
+
+/** Little-endian load of 8 bytes (no alignment requirement). */
+inline std::uint64_t
+loadLe64(const char *p)
+{
+    std::uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(v));
+    } else {
+        for (int i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(p[i]))
+                 << (8 * i);
+    }
+    return v;
+}
+
+/** Little-endian store of 8 bytes (no alignment requirement). */
+inline void
+storeLe64(char *p, std::uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &v, sizeof(v));
+    } else {
+        for (int i = 0; i < 8; ++i)
+            p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+}
+
+/**
+ * Unchecked writer over a record run that StateSink::records() has
+ * already sized; valid only until the sink is appended to again.
+ */
+class RecordWriter
+{
+  public:
+    explicit RecordWriter(char *p) : p_(p) {}
+
+    void u8(std::uint8_t v) { *p_++ = static_cast<char>(v); }
+    void u64(std::uint64_t v)
+    {
+        storeLe64(p_, v);
+        p_ += 8;
+    }
+
+  private:
+    char *p_;
+};
+
+/**
+ * Unchecked reader over a record run that StateSource::records() has
+ * already bounds-checked; reads exactly what RecordWriter wrote.
+ */
+class RecordReader
+{
+  public:
+    explicit RecordReader(const char *p) : p_(p) {}
+
+    std::uint8_t u8() { return static_cast<std::uint8_t>(*p_++); }
+    std::uint64_t u64()
+    {
+        const std::uint64_t v = loadLe64(p_);
+        p_ += 8;
+        return v;
+    }
+
+  private:
+    const char *p_;
+};
 
 /**
  * Byte-accurate state writer. Integers are fixed-width little-endian;
@@ -53,6 +135,13 @@ class StateSink
     void f64(double v);
     /** Length-prefixed byte string. */
     void str(const std::string &s);
+
+    /**
+     * Append a run of `count` records of `stride` bytes each and
+     * return a writer positioned at its start; the caller writes
+     * exactly count * stride bytes through it.
+     */
+    RecordWriter records(std::uint64_t count, std::size_t stride);
 
     /** The serialized payload so far. */
     const std::string &bytes() const { return buf_; }
@@ -88,6 +177,16 @@ class StateSource
     std::uint64_t u64();
     double f64();
     std::string str();
+
+    /**
+     * Consume a run of `count` records of `stride` (non-zero) bytes
+     * with one bounds check and return a reader over it. Error(Io) naming
+     * `label` when the run does not fit in the remaining payload;
+     * `count` is compared against remaining() / stride first, so an
+     * absurd on-disk count can never overflow the byte length.
+     */
+    RecordReader records(std::uint64_t count, std::size_t stride,
+                         const char *label);
 
     /**
      * Guard helper: verify a config-derived value recorded in the

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include <dirent.h>
@@ -236,14 +235,36 @@ SharedStore::read(const std::string &name, std::string *bytes)
     if (!maybeHeal())
         return false;
     const std::string path = entryPath(name);
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (!in.good() && !in.eof())
-        return false;
-    *bytes = buf.str();
+    // One copy, kernel to caller: size the buffer from fstat, read
+    // straight into it, and keep reading until EOF in case the size
+    // moved under us (entries are immutable once renamed in, but the
+    // loop does not rely on it).
+    struct stat st;
+    const std::size_t hint = ::fstat(fd, &st) == 0 && st.st_size > 0
+        ? static_cast<std::size_t>(st.st_size) : 0;
+    // One spare byte, so the read that finds EOF needs no regrow.
+    std::string buf(hint + 1, '\0');
+    std::size_t got = 0;
+    for (;;) {
+        if (got == buf.size())
+            buf.resize(2 * buf.size());
+        const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            ::close(fd);
+            return false;
+        }
+        if (n == 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    buf.resize(got);
+    *bytes = std::move(buf);
 
     // Bump mtime so this hit counts as recency for other processes'
     // eviction decisions too; failure only costs LRU accuracy.

@@ -21,8 +21,9 @@ GshareBranchPredictor::saveState(StateSink &sink) const
     sink.u32(history_);
     // Dense: 2-bit counters pack poorly as sparse records and the
     // whole table is at most 2^24 bytes.
+    RecordWriter rec = sink.records(table_.size(), 1);
     for (std::uint8_t ctr : table_)
-        sink.u8(ctr);
+        rec.u8(ctr);
 }
 
 void
@@ -31,8 +32,9 @@ GshareBranchPredictor::loadState(StateSource &src)
     src.section("BPRD");
     src.check("gshare.table_size", table_.size());
     history_ = src.u32() & mask_;
+    RecordReader rec = src.records(table_.size(), 1, "gshare counter");
     for (std::uint8_t &ctr : table_) {
-        std::uint8_t v = src.u8();
+        std::uint8_t v = rec.u8();
         if (v > 3)
             BDS_RAISE(ErrorCode::Io,
                       "gshare state holds counter value "

@@ -176,15 +176,17 @@ SetAssocCache::saveState(StateSink &sink) const
     sink.u64(cfg_.assoc);
     sink.u64(cfg_.lineBytes);
     sink.u64(tick_);
-    sink.u64(validLines());
+    const std::uint64_t valid = validLines();
+    sink.u64(valid);
+    RecordWriter rec = sink.records(valid, kLineRecordBytes);
     for (std::size_t i = 0; i < tags_.size(); ++i) {
         if (tags_[i] == kInvalidTag)
             continue;
-        sink.u64(i);
-        sink.u64(tags_[i]);
-        sink.u64(lru_[i]);
-        sink.u8(static_cast<std::uint8_t>(states_[i]));
-        sink.u8(flags_[i]);
+        rec.u64(i);
+        rec.u64(tags_[i]);
+        rec.u64(lru_[i]);
+        rec.u8(static_cast<std::uint8_t>(states_[i]));
+        rec.u8(flags_[i]);
     }
 }
 
@@ -206,22 +208,23 @@ SetAssocCache::loadState(StateSource &src)
     std::fill(lru_.begin(), lru_.end(), 0);
     std::fill(states_.begin(), states_.end(), CoherenceState::Invalid);
     std::fill(flags_.begin(), flags_.end(), 0);
+    RecordReader rec = src.records(valid, kLineRecordBytes, "cache line");
     for (std::uint64_t n = 0; n < valid; ++n) {
-        std::uint64_t slot = src.u64();
+        std::uint64_t slot = rec.u64();
         if (slot >= tags_.size())
             BDS_RAISE(ErrorCode::Io,
                       "cache state names slot " << slot
                           << " outside the " << tags_.size()
                           << "-slot array (corrupt payload)");
-        tags_[slot] = src.u64();
-        lru_[slot] = src.u64();
-        std::uint8_t state = src.u8();
+        tags_[slot] = rec.u64();
+        lru_[slot] = rec.u64();
+        std::uint8_t state = rec.u8();
         if (state > static_cast<std::uint8_t>(CoherenceState::Modified))
             BDS_RAISE(ErrorCode::Io,
                       "cache state holds invalid coherence value "
                           << unsigned(state) << " (corrupt payload)");
         states_[slot] = static_cast<CoherenceState>(state);
-        flags_[slot] = src.u8();
+        flags_[slot] = rec.u8();
     }
 }
 

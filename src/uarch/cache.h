@@ -276,6 +276,9 @@ class SetAssocCache
     /** Tag value of an invalid way; unreachable as a line address. */
     static constexpr std::uint64_t kInvalidTag = ~0ULL;
 
+    /** One saved line: slot, tag, LRU stamp (u64 each), state, flags. */
+    static constexpr std::size_t kLineRecordBytes = 3 * 8 + 2;
+
     static constexpr std::uint8_t kDirty = 1;      ///< flags_ bit 0
     static constexpr std::uint8_t kSharedEver = 2; ///< flags_ bit 1
 

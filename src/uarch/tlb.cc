@@ -42,12 +42,13 @@ TlbArray::saveState(StateSink &sink) const
         if (p != kInvalidPage)
             ++valid;
     sink.u64(valid);
+    RecordWriter rec = sink.records(valid, kEntryRecordBytes);
     for (std::size_t i = 0; i < pages_.size(); ++i) {
         if (pages_[i] == kInvalidPage)
             continue;
-        sink.u64(i);
-        sink.u64(pages_[i]);
-        sink.u64(lru_[i]);
+        rec.u64(i);
+        rec.u64(pages_[i]);
+        rec.u64(lru_[i]);
     }
 }
 
@@ -66,15 +67,16 @@ TlbArray::loadState(StateSource &src)
                       << pages_.size() << " slots (corrupt payload)");
     std::fill(pages_.begin(), pages_.end(), kInvalidPage);
     std::fill(lru_.begin(), lru_.end(), 0);
+    RecordReader rec = src.records(valid, kEntryRecordBytes, "TLB entry");
     for (std::uint64_t n = 0; n < valid; ++n) {
-        std::uint64_t slot = src.u64();
+        std::uint64_t slot = rec.u64();
         if (slot >= pages_.size())
             BDS_RAISE(ErrorCode::Io,
                       "TLB state names slot " << slot
                           << " outside the " << pages_.size()
                           << "-slot array (corrupt payload)");
-        pages_[slot] = src.u64();
-        lru_[slot] = src.u64();
+        pages_[slot] = rec.u64();
+        lru_[slot] = rec.u64();
     }
 }
 

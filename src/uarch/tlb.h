@@ -90,6 +90,9 @@ class TlbArray
     /** Page value of an invalid way; unreachable as a page number. */
     static constexpr std::uint64_t kInvalidPage = ~0ULL;
 
+    /** One saved entry: slot, page, LRU stamp (u64 each). */
+    static constexpr std::size_t kEntryRecordBytes = 3 * 8;
+
     /** First slot of the set holding the page. */
     std::uint64_t setBase(std::uint64_t page) const
     {

@@ -66,9 +66,8 @@ ErrorCode
 parseCode(const std::string &bytes, const CheckpointKey &key,
           std::uint64_t interval)
 {
-    std::istringstream is(bytes);
     try {
-        readCheckpoint(is, "test-entry", key, interval);
+        readCheckpoint(bytes, "test-entry", key, interval);
     } catch (const Error &e) {
         return e.code();
     }
@@ -78,9 +77,8 @@ parseCode(const std::string &bytes, const CheckpointKey &key,
 TEST(CheckpointContainer, RoundTripIsExact)
 {
     const CheckpointEntry entry = makeEntry();
-    std::istringstream is(serialized(entry));
-    const CheckpointEntry back =
-        readCheckpoint(is, "round-trip", entry.key, entry.interval);
+    const CheckpointEntry back = readCheckpoint(
+        serialized(entry), "round-trip", entry.key, entry.interval);
     EXPECT_EQ(back.state, entry.state);
     EXPECT_EQ(back.key.configHash, entry.key.configHash);
     EXPECT_EQ(back.key.machineSlug, entry.key.machineSlug);
@@ -104,25 +102,46 @@ TEST(CheckpointContainer, TruncationAnywhereIsTypedIo)
                   ErrorCode::Io)
             << "kept " << keep << " of " << bytes.size() << " bytes";
     }
+    // The END sentinel is the last line: anything after it is damage.
+    EXPECT_EQ(parseCode(bytes + "x", entry.key, entry.interval),
+              ErrorCode::Io);
 }
 
 TEST(CheckpointContainer, FlippedPayloadByteFailsTheChecksum)
 {
-    const CheckpointEntry entry = makeEntry();
-    std::string bytes = serialized(entry);
-    const std::size_t pos = bytes.find("state-payload-");
+    // Three 32-byte checksum blocks plus a 5-byte tail, so the flips
+    // cover every lane of the word-wise body and every tail byte.
+    CheckpointEntry entry = makeEntry();
+    entry.state.resize(3 * 32 + 5);
+    for (std::size_t i = 0; i < entry.state.size(); ++i)
+        entry.state[i] = static_cast<char>(i * 37 + 11);
+    const std::string bytes = serialized(entry);
+    const std::string marker =
+        "state_bytes " + std::to_string(entry.state.size()) + "\n";
+    const std::size_t pos = bytes.find(marker);
     ASSERT_NE(pos, std::string::npos);
-    bytes[pos + 3] ^= 0x20; // one bit inside the state payload
-    EXPECT_EQ(parseCode(bytes, entry.key, entry.interval),
-              ErrorCode::Io);
+    const std::size_t begin = pos + marker.size();
+    ASSERT_EQ(parseCode(bytes, entry.key, entry.interval),
+              ErrorCode::None);
+    for (std::size_t off = 0; off < entry.state.size(); ++off) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string flipped = bytes;
+            flipped[begin + off] ^= static_cast<char>(1 << bit);
+            EXPECT_EQ(parseCode(flipped, entry.key, entry.interval),
+                      ErrorCode::Io)
+                << "bit " << bit << " of payload byte " << off;
+        }
+    }
 }
 
 TEST(CheckpointContainer, ForeignVersionIsTypedIo)
 {
     const CheckpointEntry entry = makeEntry();
     std::string bytes = serialized(entry);
-    ASSERT_EQ(bytes.rfind("BDSCKPT 1\n", 0), 0u) << bytes.substr(0, 16);
-    bytes.replace(0, 9, "BDSCKPT 999");
+    const std::string header =
+        "BDSCKPT " + std::to_string(bds::kCheckpointVersion) + "\n";
+    ASSERT_EQ(bytes.rfind(header, 0), 0u) << bytes.substr(0, 16);
+    bytes.replace(0, header.size() - 1, "BDSCKPT 999");
     EXPECT_EQ(parseCode(bytes, entry.key, entry.interval),
               ErrorCode::Io);
 

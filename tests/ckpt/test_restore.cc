@@ -10,7 +10,10 @@
  *    corrupted checkpoint degrades to a counted warm-from-zero
  *    fallback with identical metrics, never drift;
  *  - re-executing the stack engines and replaying a recorded trace
- *    write byte-identical checkpoints and restore identically.
+ *    write byte-identical checkpoints and restore identically;
+ *  - seeded mutants of a real checkpoint either restore or raise a
+ *    typed bds::Error, through both the container and the payload
+ *    parser.
  */
 
 #include <array>
@@ -18,19 +21,24 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <map>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.h"
 #include "ckpt/context.h"
 #include "ckpt/state.h"
 #include "common/rng.h"
 #include "fault/error.h"
 #include "sample/capture.h"
 #include "sample/interval.h"
+#include "serve/confighash.h"
 #include "trace/memlayout.h"
 #include "trace/recorder.h"
 #include "trace/runtime.h"
@@ -129,6 +137,10 @@ TEST(SystemStateRestore, SaveLoadContinuationIsBitwise)
     StateSource src(snapshot, "mid-run snapshot");
     clone.loadState(src);
     src.finish();
+    // Save -> load -> save is byte-identical.
+    StateSink resaved;
+    clone.saveState(resaved);
+    EXPECT_EQ(resaved.bytes(), snapshot);
     replayInto(second, clone);
 
     expectCountersBitwiseEqual(original.aggregateCounters(),
@@ -157,6 +169,9 @@ TEST(SystemStateRestore, GeometryGuardRejectsForeignPayload)
         EXPECT_EQ(e.code(), ErrorCode::Io);
     }
 }
+
+/** fnv1a64 of the quick/42 cold pass's payloads (first workload). */
+const char *const kColdPayloadDigest = "d4952f4f89906430";
 
 TEST(ReplayCheckpointRestore, RestoredReplayIsBitwiseIdentical)
 {
@@ -192,6 +207,21 @@ TEST(ReplayCheckpointRestore, RestoredReplayIsBitwiseIdentical)
     EXPECT_GT(ckptStats().misses, 0u);
     EXPECT_EQ(cold.metrics, base.metrics);
 
+    // The state payloads (not the container header) are pinned byte
+    // for byte: a golden digest over every written (interval,
+    // payload) of this warmed 4-core model, in interval order. A
+    // change to any saveState() field list or record layout moves it
+    // and needs a kCheckpointVersion bump.
+    std::string written;
+    for (const bds::Representative &r : cap.picked.reps) {
+        std::string state;
+        ASSERT_TRUE(ctx.cache->load(ctx.keyFor(id.name(), 0), r.interval,
+                                    &state));
+        written += std::to_string(r.interval) + ':' + state;
+    }
+    EXPECT_EQ(machine.numCores, 4u);
+    EXPECT_EQ(bds::toHex64(bds::fnv1a64(written)), kColdPayloadDigest);
+
     // Warm pass: every representative restores, no warming replayed.
     const SampledWorkloadResult warm =
         replayCapture(cap, machine, cfg.sampling, &ctx);
@@ -204,17 +234,53 @@ TEST(ReplayCheckpointRestore, RestoredReplayIsBitwiseIdentical)
     std::system(("rm -rf '" + dir + "'").c_str());
 }
 
+/** The whole file at `path`. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/**
+ * The version-1 container (byte-serial FNV-1a `state_fnv` header) of
+ * a checkpoint, as caches written before version 2 hold it.
+ */
+std::string
+versionOneEntry(const bds::CheckpointKey &key, std::uint64_t interval,
+                const std::string &state)
+{
+    std::ostringstream os;
+    os << "BDSCKPT 1\n"
+       << "hash " << key.configHash << '\n'
+       << "slug " << key.machineSlug << '\n'
+       << "machine_bytes " << key.machineText.size() << '\n'
+       << key.machineText
+       << "workload_bytes " << key.workload.size() << '\n'
+       << key.workload
+       << "node " << key.node << '\n'
+       << "interval " << interval << '\n'
+       << "state_fnv " << bds::toHex64(bds::fnv1a64(state)) << '\n'
+       << "state_bytes " << state.size() << '\n'
+       << state << "END\n";
+    return os.str();
+}
+
 TEST(ReplayCheckpointRestore, CorruptCheckpointFallsBackWarmFromZero)
 {
-    const std::string dir =
-        ::testing::TempDir() + "bds_ckpt_fallback_test";
-    std::system(("rm -rf '" + dir + "'").c_str());
-
     RunConfig cfg;
     cfg.scaleName = "quick";
     cfg.sampling.enabled = true;
     cfg.ckpt.enabled = true;
-    cfg.ckpt.dir = dir;
 
     const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
     const WorkloadId id = allWorkloads().front();
@@ -223,49 +289,201 @@ TEST(ReplayCheckpointRestore, CorruptCheckpointFallsBackWarmFromZero)
     const NodeConfig machine = resolveMachineSpec(cfg.machineSpec);
     const SampledWorkloadResult base =
         replayCapture(cap, machine, cfg.sampling);
+    const std::uint64_t interval = cap.picked.reps.front().interval;
 
-    CheckpointContext ctx = checkpointContextFor(cfg);
-    const SampledWorkloadResult cold =
-        replayCapture(cap, machine, cfg.sampling, &ctx);
-    ASSERT_GT(cold.stats.ckptWrites, 0u);
+    // Two ways the first representative's entry goes bad on disk: a
+    // flipped byte mid-file (inside the state payload), and an entry
+    // a version-1 cache left behind.
+    const std::map<std::string,
+                   std::function<void(const CheckpointContext &,
+                                      const std::string &)>>
+        corruptions = {
+            {"flipped-byte",
+             [](const CheckpointContext &, const std::string &path) {
+                 std::string bytes = slurp(path);
+                 bytes[bytes.size() / 2] ^= 0x40;
+                 spit(path, bytes);
+             }},
+            {"version-1",
+             [&](const CheckpointContext &ctx, const std::string &path) {
+                 std::string state;
+                 ASSERT_TRUE(ctx.cache->load(ctx.keyFor(id.name(), 0),
+                                             interval, &state));
+                 spit(path, versionOneEntry(ctx.keyFor(id.name(), 0),
+                                            interval, state));
+             }},
+        };
+    for (const auto &[name, corrupt] : corruptions) {
+        SCOPED_TRACE(name);
+        cfg.ckpt.dir = ::testing::TempDir() + "bds_ckpt_fallback_" + name;
+        std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
+        CheckpointContext ctx = checkpointContextFor(cfg);
+        const SampledWorkloadResult cold =
+            replayCapture(cap, machine, cfg.sampling, &ctx);
+        ASSERT_GT(cold.stats.ckptWrites, 0u);
 
-    // Corrupt the first representative's checkpoint on disk: flip a
-    // byte in the middle of the file (inside the state payload).
-    const std::string path = ctx.cache->path(
-        ctx.keyFor(id.name(), 0), cap.picked.reps.front().interval);
-    {
-        std::fstream f(path,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(f.is_open()) << path;
-        f.seekg(0, std::ios::end);
-        const std::streamoff size = f.tellg();
-        f.seekp(size / 2);
-        char c = 0;
-        f.seekg(size / 2);
-        f.read(&c, 1);
-        f.seekp(size / 2);
-        c = static_cast<char>(c ^ 0x40);
-        f.write(&c, 1);
+        const std::string path =
+            ctx.cache->path(ctx.keyFor(id.name(), 0), interval);
+        corrupt(ctx, path);
+
+        resetCkptStats();
+        const SampledWorkloadResult fallback =
+            replayCapture(cap, machine, cfg.sampling, &ctx);
+        // The bad entry fell back (counted), the rest restored, the
+        // bad one was re-written — and the metrics never moved.
+        EXPECT_EQ(ckptStats().fallbacks, 1u);
+        EXPECT_EQ(fallback.stats.ckptRestores,
+                  cold.stats.ckptWrites - 1);
+        EXPECT_EQ(fallback.stats.ckptWrites, 1u);
+        EXPECT_EQ(fallback.metrics, base.metrics);
+        const std::string header =
+            "BDSCKPT " + std::to_string(bds::kCheckpointVersion) + "\n";
+        EXPECT_EQ(slurp(path).rfind(header, 0), 0u);
+
+        // The re-written entry is valid again: a final pass restores
+        // all, with no fallback and less warming than the fallback.
+        resetCkptStats();
+        const SampledWorkloadResult healed =
+            replayCapture(cap, machine, cfg.sampling, &ctx);
+        EXPECT_EQ(ckptStats().fallbacks, 0u);
+        EXPECT_EQ(healed.stats.ckptRestores, cold.stats.ckptWrites);
+        EXPECT_LT(healed.stats.warmOps, fallback.stats.warmOps);
+        EXPECT_EQ(healed.metrics, base.metrics);
+
+        std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
     }
+}
 
-    resetCkptStats();
-    const SampledWorkloadResult fallback =
-        replayCapture(cap, machine, cfg.sampling, &ctx);
-    // The corrupt entry fell back (counted), the rest restored, the
-    // corrupt one was re-written — and the metrics never moved.
-    EXPECT_EQ(ckptStats().fallbacks, 1u);
-    EXPECT_EQ(fallback.stats.ckptRestores,
-              cold.stats.ckptWrites - 1);
-    EXPECT_EQ(fallback.stats.ckptWrites, 1u);
-    EXPECT_EQ(fallback.metrics, base.metrics);
+TEST(CheckpointMutation, MutantsRestoreOrRaiseTypedErrors)
+{
+    // A deterministic mutational fuzz of the two parsers a restore
+    // runs: the container (readCheckpoint) and the state payload
+    // (StateSource under SystemModel::loadState). The seed is one
+    // real quick-scale checkpoint; the seed value and budget are
+    // fixed so every run tries the same mutants.
+    RunConfig cfg;
+    cfg.scaleName = "quick";
+    cfg.sampling.enabled = true;
+    cfg.ckpt.enabled = true;
+    cfg.ckpt.dir = ::testing::TempDir() + "bds_ckpt_mutation";
+    std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
 
-    // The re-written entry is valid again: a final pass restores all.
-    const SampledWorkloadResult healed =
-        replayCapture(cap, machine, cfg.sampling, &ctx);
-    EXPECT_EQ(healed.stats.ckptRestores, cold.stats.ckptWrites);
-    EXPECT_EQ(healed.metrics, base.metrics);
+    const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
+    const WorkloadId id = allWorkloads().front();
+    const WorkloadCapture cap =
+        captureWorkload(runner, cfg.sampling, id, 0);
+    const NodeConfig machine = resolveMachineSpec(cfg.machineSpec);
+    CheckpointContext ctx = checkpointContextFor(cfg);
+    replayCapture(cap, machine, cfg.sampling, &ctx);
 
-    std::system(("rm -rf '" + dir + "'").c_str());
+    const bds::CheckpointKey key = ctx.keyFor(id.name(), 0);
+    const std::uint64_t interval = cap.picked.reps.front().interval;
+    const std::string file = slurp(ctx.cache->path(key, interval));
+    std::string state;
+    ASSERT_TRUE(ctx.cache->load(key, interval, &state));
+    std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
+
+    // Where the length fields sit: the container's *_bytes lines and
+    // the payload's per-structure valid counts (u64 right before each
+    // cache / TLB record run).
+    std::vector<std::size_t> count_fields;
+    for (const auto &[tag, offset] :
+         {std::pair<const char *, std::size_t>{"CACH", 36},
+          std::pair<const char *, std::size_t>{"TLBA", 28}})
+        for (std::size_t at = state.find(tag);
+             at != std::string::npos && at + offset + 8 <= state.size();
+             at = state.find(tag, at + 1))
+            count_fields.push_back(at + offset);
+    ASSERT_FALSE(count_fields.empty());
+    const char *const size_keys[] = {"machine_bytes ", "workload_bytes ",
+                                     "state_bytes "};
+
+    bds::Pcg32 rng(0x6d757461ULL);
+    auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.next64() % static_cast<std::uint64_t>(n));
+    };
+    auto inflated = [&](std::uint64_t n) {
+        const std::uint64_t kMax = ~std::uint64_t(0);
+        const std::uint64_t picks[] = {n + 1, 2 * n + 7, 1ull << 32,
+                                       1ull << 62, kMax / 26 + 1, kMax,
+                                       rng.next64()};
+        return picks[below(std::size(picks))];
+    };
+    // Byte flips, truncation, splice; inflation is per target below.
+    auto mutateBytes = [&](std::string &b, unsigned op) {
+        if (op == 0) {
+            for (std::size_t k = 1 + below(4); k > 0; --k)
+                b[below(b.size())] ^= static_cast<char>(1 + below(255));
+        } else if (op == 1) {
+            b.resize(below(b.size()));
+        } else {
+            const std::size_t cut = below(b.size());
+            const std::size_t from = below(b.size());
+            b = b.substr(0, cut) + b.substr(from);
+        }
+    };
+
+    SystemModel sys(machine);
+    std::size_t restored = 0, typed = 0;
+    auto attempt = [&](std::string bytes, const std::string &what) {
+        try {
+            const bds::CheckpointEntry entry =
+                bds::readCheckpoint(std::move(bytes), what, key, interval);
+            StateSource src(entry.state, what);
+            sys.loadState(src);
+            src.finish();
+            ++restored;
+        } catch (const Error &) {
+            ++typed;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << what << ": untyped " << e.what();
+        }
+    };
+
+    constexpr int kMutants = 2000;
+    for (int i = 0; i < kMutants; ++i) {
+        const unsigned op = static_cast<unsigned>(below(4));
+        const std::string what = "mutant " + std::to_string(i);
+        if (i % 2 == 0) {
+            // The container as read from disk.
+            std::string bytes = file;
+            if (op < 3) {
+                mutateBytes(bytes, op);
+            } else {
+                const char *k = size_keys[below(std::size(size_keys))];
+                const std::size_t at = bytes.find(k) + std::strlen(k);
+                const std::size_t nl = bytes.find('\n', at);
+                bytes.replace(at, nl - at,
+                              std::to_string(inflated(std::stoull(
+                                  bytes.substr(at, nl - at)))));
+            }
+            attempt(std::move(bytes), what);
+        } else {
+            // The payload behind a valid checksum, so the mutant
+            // reaches the state decoder.
+            bds::CheckpointEntry entry;
+            entry.key = key;
+            entry.interval = interval;
+            entry.state = state;
+            if (op < 3) {
+                mutateBytes(entry.state, op);
+            } else {
+                const std::size_t at =
+                    count_fields[below(count_fields.size())];
+                bds::storeLe64(entry.state.data() + at,
+                               inflated(bds::loadLe64(
+                                   entry.state.data() + at)));
+            }
+            std::ostringstream os;
+            bds::writeCheckpoint(os, entry);
+            attempt(os.str(), what);
+        }
+    }
+    EXPECT_EQ(restored + typed, static_cast<std::size_t>(kMutants));
+    // Both outcomes occur: the loop reaches past the checks.
+    EXPECT_GT(restored, 0u);
+    EXPECT_GT(typed, kMutants / 2u);
 }
 
 /** Every regular file under `dir`, relative path -> bytes. */
@@ -277,10 +495,8 @@ readTree(const std::string &dir)
     for (const auto &e : fs::recursive_directory_iterator(dir)) {
         if (!e.is_regular_file())
             continue;
-        std::ifstream in(e.path(), std::ios::binary);
-        std::ostringstream bytes;
-        bytes << in.rdbuf();
-        files[fs::relative(e.path(), dir).string()] = bytes.str();
+        files[fs::relative(e.path(), dir).string()] =
+            slurp(e.path().string());
     }
     return files;
 }

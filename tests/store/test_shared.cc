@@ -80,6 +80,20 @@ TEST(SharedStore, PublishAndReadRoundTrip)
     ASSERT_TRUE(store.read("a.ent", &bytes));
     EXPECT_EQ(bytes, kPayload);
     EXPECT_TRUE(fileExists(store.entryPath("a.ent")));
+
+    // A multi-MiB entry with every byte value, and an empty one,
+    // come back exactly; the caller's old contents never leak in.
+    std::string big(5 * 1024 * 1024 + 3, '\0');
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<char>((i * 131) ^ (i >> 11));
+    ASSERT_TRUE(store.publish("big.ent", big));
+    ASSERT_TRUE(store.publish("empty.ent", ""));
+    ASSERT_TRUE(store.read("big.ent", &bytes));
+    EXPECT_TRUE(bytes == big);
+    ASSERT_TRUE(store.read("empty.ent", &bytes));
+    EXPECT_EQ(bytes, "");
+    bytes = "stale";
+    EXPECT_FALSE(store.read("missing.ent", &bytes));
 }
 
 TEST(SharedStore, EmptyDirectoryIsInvalidConfig)
@@ -139,9 +153,20 @@ TEST(SharedStore, BudgetEvictsLeastRecentlyUsedFirst)
               before.evictedBytes + kPayload.size());
 
     // A read refreshes recency: after touching b, the next eviction
-    // victim is c, not b.
+    // victim is c, not b. The hit also bumps b's mtime, so other
+    // processes rebuilding recency from the directory agree.
+    struct timespec aged[2];
+    aged[0].tv_sec = 1000000;
+    aged[0].tv_nsec = 0;
+    aged[1] = aged[0];
+    ASSERT_EQ(::utimensat(AT_FDCWD, store.entryPath("b.ent").c_str(),
+                          aged, 0),
+              0);
     std::string bytes;
     ASSERT_TRUE(store.read("b.ent", &bytes));
+    struct stat st;
+    ASSERT_EQ(::stat(store.entryPath("b.ent").c_str(), &st), 0);
+    EXPECT_GT(st.st_mtime, aged[0].tv_sec);
     ASSERT_TRUE(store.publish("d.ent", kPayload));
     EXPECT_TRUE(fileExists(store.entryPath("b.ent")));
     EXPECT_FALSE(fileExists(store.entryPath("c.ent")));
@@ -254,6 +279,26 @@ TEST(SharedStore, InjectedEnospcDegradesThenHeals)
     std::string bytes;
     EXPECT_TRUE(store.read("a.ent", &bytes));
     EXPECT_EQ(bytes, kPayload);
+}
+
+TEST(SharedStore, DownStoreMissesEvenWhenTheEntryExists)
+{
+    DisarmGuard guard;
+    SharedStoreOptions opts = testOpts(freshDir("bds_shared_down_read"));
+    opts.healProbeMs = 60000; // stay down for the whole test
+    SharedStore store(opts);
+    ASSERT_TRUE(store.publish("a.ent", kPayload));
+
+    FaultOptions fault;
+    fault.ioAt = "store.enospc";
+    fault.attempts = 1;
+    FaultInjector::global().arm(fault);
+    EXPECT_FALSE(store.publish("b.ent", kPayload));
+    ASSERT_TRUE(store.down());
+
+    std::string bytes;
+    EXPECT_TRUE(fileExists(store.entryPath("a.ent")));
+    EXPECT_FALSE(store.read("a.ent", &bytes));
 }
 
 TEST(SharedStore, InjectedRenameFailureLeavesNoTempLitter)
