@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <charconv>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -11,6 +10,7 @@
 #include "fault/error.h"
 #include "obs/trace.h"
 #include "serve/confighash.h"
+#include "store/record.h"
 
 namespace bds {
 
@@ -32,87 +32,6 @@ globalCkptStats()
     static AtomicCkptStats stats;
     return stats;
 }
-
-/**
- * A cursor over the container bytes. Every read is bounds-checked
- * against the buffer and raises Error(Io) on a short or malformed
- * field; sizes declared inside the (possibly corrupt) entry are only
- * ever compared with what is left, never allocated, so an implausible
- * value stays a typed Io error that the warm-from-zero fallback sees.
- */
-class Cursor
-{
-  public:
-    Cursor(std::string_view bytes, const std::string &what)
-        : rest_(bytes), what_(what)
-    {
-    }
-
-    /** The next '\n'-terminated line, without the newline. */
-    std::string_view line()
-    {
-        const std::size_t nl = rest_.find('\n');
-        if (nl == std::string_view::npos)
-            BDS_RAISE(ErrorCode::Io,
-                      what_ << ": truncated checkpoint (unexpected EOF)");
-        const std::string_view l = rest_.substr(0, nl);
-        rest_.remove_prefix(nl + 1);
-        return l;
-    }
-
-    /** The non-empty value of a "<key> <value>" line. */
-    std::string_view field(std::string_view key)
-    {
-        const std::string_view l = line();
-        if (l.size() <= key.size() + 1 || l.substr(0, key.size()) != key
-            || l[key.size()] != ' ')
-            BDS_RAISE(ErrorCode::Io, what_ << ": expected '" << key
-                                           << " <value>', got '"
-                                           << clip(l) << "'");
-        return l.substr(key.size() + 1);
-    }
-
-    /** A "<key> <n>" line, n a non-negative decimal integer. */
-    std::uint64_t number(std::string_view key)
-    {
-        const std::string_view v = field(key);
-        std::uint64_t n = 0;
-        const auto [end, ec] =
-            std::from_chars(v.data(), v.data() + v.size(), n);
-        if (ec != std::errc() || end != v.data() + v.size())
-            BDS_RAISE(ErrorCode::Io, what_ << ": expected '" << key
-                                           << " <n>', got '" << key
-                                           << ' ' << clip(v) << "'");
-        return n;
-    }
-
-    /** A length-prefixed field ("<key>_bytes N\n<N bytes>"). */
-    std::string_view sized(const std::string &key)
-    {
-        const std::uint64_t n = number(key + "_bytes");
-        if (n > rest_.size())
-            BDS_RAISE(ErrorCode::Io,
-                      what_ << ": " << key << " payload truncated ("
-                            << rest_.size() << " of " << n
-                            << " bytes)");
-        const std::string_view out =
-            rest_.substr(0, static_cast<std::size_t>(n));
-        rest_.remove_prefix(out.size());
-        return out;
-    }
-
-    bool atEnd() const { return rest_.empty(); }
-
-  private:
-    /** A diagnostic-sized prefix of untrusted bytes. */
-    static std::string_view clip(std::string_view v)
-    {
-        return v.substr(0, 64);
-    }
-
-    std::string_view rest_;
-    const std::string &what_;
-};
 
 /** Filename-safe rendering of a workload name. */
 std::string
@@ -198,22 +117,23 @@ stateChecksum(std::string_view bytes)
     return (h ^ bytes.size()) * kPrime;
 }
 
-void
-writeCheckpoint(std::ostream &os, const CheckpointEntry &entry)
+std::string
+writeCheckpoint(const CheckpointEntry &entry)
 {
-    os << "BDSCKPT " << kCheckpointVersion << '\n'
-       << "hash " << entry.key.configHash << '\n'
-       << "slug " << entry.key.machineSlug << '\n'
-       << "machine_bytes " << entry.key.machineText.size() << '\n'
-       << entry.key.machineText
-       << "workload_bytes " << entry.key.workload.size() << '\n'
-       << entry.key.workload
-       << "node " << entry.key.node << '\n'
-       << "interval " << entry.interval << '\n'
-       << "state_sum " << toHex64(stateChecksum(entry.state)) << '\n'
-       << "state_bytes " << entry.state.size() << '\n'
-       << entry.state
-       << "END\n";
+    std::string out;
+    out.reserve(256 + entry.key.machineText.size()
+                + entry.key.workload.size() + entry.state.size());
+    appendField(out, "BDSCKPT", kCheckpointVersion);
+    appendField(out, "hash", entry.key.configHash);
+    appendField(out, "slug", entry.key.machineSlug);
+    appendSized(out, "machine", entry.key.machineText);
+    appendSized(out, "workload", entry.key.workload);
+    appendField(out, "node", entry.key.node);
+    appendField(out, "interval", entry.interval);
+    appendField(out, "state_sum", toHex64(stateChecksum(entry.state)));
+    appendSized(out, "state", entry.state);
+    out += "END\n";
+    return out;
 }
 
 CheckpointEntry
@@ -222,13 +142,8 @@ readCheckpoint(std::string bytes, const std::string &what,
                std::uint64_t expectedInterval)
 {
     CheckpointEntry entry;
-    Cursor in(bytes, what);
-
-    const std::uint64_t version = in.number("BDSCKPT");
-    if (version != kCheckpointVersion)
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": unsupported checkpoint version " << version
-                       << " (expected " << kCheckpointVersion << ")");
+    RecordCursor in(bytes, what);
+    in.header("BDSCKPT", kCheckpointVersion);
     entry.key.configHash = std::string(in.field("hash"));
     if (entry.key.configHash.size() != 16)
         BDS_RAISE(ErrorCode::Io, what << ": malformed hash line");
@@ -250,14 +165,7 @@ readCheckpoint(std::string bytes, const std::string &what,
         BDS_RAISE(ErrorCode::Io,
                   what << ": state payload checksum mismatch "
                        << "(corrupt checkpoint)");
-    if (in.line() != "END")
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": missing END sentinel (truncated "
-                       << "checkpoint)");
-    if (!in.atEnd())
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": trailing bytes after the END sentinel "
-                       << "(corrupt checkpoint)");
+    in.end();
 
     // Key verification: the machine text is the load-bearing guard
     // (equal text implies equal geometry, hence an exactly matching
@@ -361,11 +269,10 @@ CheckpointCache::store(const CheckpointKey &key, std::uint64_t interval,
     entry.key = key;
     entry.interval = interval;
     entry.state = state;
-    std::ostringstream out;
-    writeCheckpoint(out, entry);
     // A failed publish flips the backend down (counted + warned);
     // the replay simply stops writing checkpoints until it heals.
-    if (!backend_.publish(entryName(key, interval), out.str()))
+    if (!backend_.publish(entryName(key, interval),
+                          writeCheckpoint(entry)))
         return;
     AtomicCkptStats &g = globalCkptStats();
     g.writes.fetch_add(1, std::memory_order_relaxed);

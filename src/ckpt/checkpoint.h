@@ -34,7 +34,6 @@
 #define BDS_CKPT_CHECKPOINT_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -178,7 +177,7 @@ class CheckpointCache
 std::uint64_t stateChecksum(std::string_view bytes);
 
 /** Serialize a checkpoint to the on-disk format. */
-void writeCheckpoint(std::ostream &os, const CheckpointEntry &entry);
+std::string writeCheckpoint(const CheckpointEntry &entry);
 
 /**
  * Parse and verify a whole checkpoint file's bytes against the

@@ -95,44 +95,6 @@ struct ServeOptions
      * `bds_serve --replay` and bench/serve_replay. Empty = no log.
      */
     std::string logPath;
-
-    // Deprecated field spellings, predating the one-convention
-    // cleanup. Reference aliases of the fields above: reads and
-    // writes keep working (and warn), new code names the real field.
-    [[deprecated("use storeDir")]]
-    std::string &cacheDir = storeDir;
-    [[deprecated("use bypassStore")]]
-    bool &bypassCache = bypassStore;
-    [[deprecated("use logPath")]]
-    std::string &requestLogPath = logPath;
-
-    // The alias references pin the implicit copy operations to the
-    // source object's members; copy the real fields instead. The
-    // constructors (re)bind the aliases, which counts as a "use" —
-    // silence that here so only genuinely stale call sites warn.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    ServeOptions() = default;
-    ServeOptions(const ServeOptions &o)
-        : enabled(o.enabled), socketPath(o.socketPath),
-          storeDir(o.storeDir), maxInFlight(o.maxInFlight),
-          maxQueue(o.maxQueue), maxStoreBytes(o.maxStoreBytes),
-          bypassStore(o.bypassStore), logPath(o.logPath)
-    {
-    }
-    ServeOptions &operator=(const ServeOptions &o)
-    {
-        enabled = o.enabled;
-        socketPath = o.socketPath;
-        storeDir = o.storeDir;
-        maxInFlight = o.maxInFlight;
-        maxQueue = o.maxQueue;
-        maxStoreBytes = o.maxStoreBytes;
-        bypassStore = o.bypassStore;
-        logPath = o.logPath;
-        return *this;
-    }
-#pragma GCC diagnostic pop
 };
 
 } // namespace bds

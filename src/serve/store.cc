@@ -1,150 +1,55 @@
 #include "serve/store.h"
 
-#include <cerrno>
 #include <condition_variable>
-#include <cstdio>
-#include <cstring>
 #include <exception>
-#include <fstream>
-#include <sstream>
-
-#include <sys/stat.h>
-#include <sys/types.h>
 
 #include "common/log.h"
 #include "fault/error.h"
 #include "serve/confighash.h"
+#include "store/record.h"
 
 namespace bds {
 
-namespace {
-
-/** Read one header line; Error(Io) on EOF. */
 std::string
-readLine(std::istream &is, const std::string &what)
-{
-    std::string line;
-    if (!std::getline(is, line))
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": truncated result entry (unexpected EOF)");
-    return line;
-}
-
-/** Parse "<key> <value>" where value is a non-negative integer. */
-std::uint64_t
-readSizeField(std::istream &is, const std::string &what,
-              const std::string &key)
-{
-    const std::string line = readLine(is, what);
-    std::istringstream ss(line);
-    std::string k;
-    std::uint64_t v = 0;
-    if (!(ss >> k >> v) || k != key)
-        BDS_RAISE(ErrorCode::Io, what << ": expected '" << key
-                                      << " <n>', got '" << line << "'");
-    return v;
-}
-
-/** Read exactly `n` payload bytes; Error(Io) on short reads. */
-std::string
-readBytes(std::istream &is, const std::string &what, std::uint64_t n,
-          const std::string &label)
+writeResultEntry(const ResultEntry &entry)
 {
     std::string out;
-    // The size field comes from the (possibly corrupt) entry itself:
-    // an implausible value must stay a typed Io error, not a
-    // length_error/bad_alloc that escapes the corrupt-entry recovery.
-    try {
-        out.resize(static_cast<std::size_t>(n));
-    } catch (const std::exception &) {
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": " << label << " declares implausible size "
-                       << n << " (corrupt entry)");
-    }
-    is.read(out.data(), static_cast<std::streamsize>(n));
-    if (is.gcount() != static_cast<std::streamsize>(n))
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": " << label << " payload truncated ("
-                       << is.gcount() << " of " << n << " bytes)");
+    appendField(out, "BDSRESULT", kResultStoreVersion);
+    appendField(out, "hash", entry.hashHex);
+    appendSized(out, "config", entry.canonicalConfig);
+    appendField(out, "names", entry.names.size());
+    for (const std::string &name : entry.names)
+        out += name + '\n';
+    appendSized(out, "manifest", entry.manifestJson);
+    appendField(out, "csv_fnv", toHex64(fnv1a64(entry.csv)));
+    appendSized(out, "csv", entry.csv);
+    out += "END\n";
     return out;
 }
 
-} // namespace
-
-void
-writeResultEntry(std::ostream &os, const ResultEntry &entry)
-{
-    os << "BDSRESULT " << kResultStoreVersion << '\n'
-       << "hash " << entry.hashHex << '\n'
-       << "config_bytes " << entry.canonicalConfig.size() << '\n'
-       << entry.canonicalConfig
-       << "names " << entry.names.size() << '\n';
-    for (const std::string &name : entry.names)
-        os << name << '\n';
-    os << "manifest_bytes " << entry.manifestJson.size() << '\n'
-       << entry.manifestJson
-       << "csv_fnv " << toHex64(fnv1a64(entry.csv)) << '\n'
-       << "csv_bytes " << entry.csv.size() << '\n'
-       << entry.csv
-       << "END\n";
-}
-
 ResultEntry
-readResultEntry(std::istream &is, const std::string &what)
+readResultEntry(std::string_view bytes, const std::string &what)
 {
     ResultEntry entry;
-
-    {
-        const std::string line = readLine(is, what);
-        std::istringstream ss(line);
-        std::string magic;
-        unsigned version = 0;
-        if (!(ss >> magic >> version) || magic != "BDSRESULT")
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": not a bds result entry (bad magic)");
-        if (version != kResultStoreVersion)
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": unsupported result-entry version "
-                           << version << " (expected "
-                           << kResultStoreVersion << ")");
-    }
-    {
-        const std::string line = readLine(is, what);
-        std::istringstream ss(line);
-        std::string key;
-        if (!(ss >> key >> entry.hashHex) || key != "hash"
-            || entry.hashHex.size() != 16)
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": malformed hash line '" << line << "'");
-    }
-    entry.canonicalConfig = readBytes(
-        is, what, readSizeField(is, what, "config_bytes"), "config");
-    const std::uint64_t names = readSizeField(is, what, "names");
+    RecordCursor in(bytes, what);
+    in.header("BDSRESULT", kResultStoreVersion);
+    entry.hashHex = std::string(in.field("hash"));
+    if (entry.hashHex.size() != 16)
+        BDS_RAISE(ErrorCode::Io, what << ": malformed hash line");
+    entry.canonicalConfig = std::string(in.sized("config"));
+    const std::uint64_t names = in.number("names");
     for (std::uint64_t i = 0; i < names; ++i)
-        entry.names.push_back(readLine(is, what));
-    entry.manifestJson = readBytes(
-        is, what, readSizeField(is, what, "manifest_bytes"),
-        "manifest");
-    std::string declared_fnv;
-    {
-        const std::string line = readLine(is, what);
-        std::istringstream ss(line);
-        std::string key;
-        if (!(ss >> key >> declared_fnv) || key != "csv_fnv"
-            || declared_fnv.size() != 16)
-            BDS_RAISE(ErrorCode::Io,
-                      what << ": malformed csv_fnv line '" << line
-                           << "'");
-    }
-    entry.csv = readBytes(is, what,
-                          readSizeField(is, what, "csv_bytes"), "csv");
+        entry.names.emplace_back(in.line());
+    entry.manifestJson = std::string(in.sized("manifest"));
+    const std::string_view declared_fnv = in.field("csv_fnv");
+    if (declared_fnv.size() != 16)
+        BDS_RAISE(ErrorCode::Io, what << ": malformed csv_fnv line");
+    entry.csv = std::string(in.sized("csv"));
     if (toHex64(fnv1a64(entry.csv)) != declared_fnv)
         BDS_RAISE(ErrorCode::Io,
                   what << ": csv payload checksum mismatch "
                        << "(corrupt entry)");
-    if (readLine(is, what) != "END")
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": missing END sentinel (truncated entry)");
+    in.end();
     return entry;
 }
 
@@ -195,8 +100,7 @@ ResultStore::load(const std::string &hashHex, ResultEntry *out) const
     std::string bytes;
     if (!backend_.read(entryName(hashHex), &bytes))
         return false;
-    std::istringstream in(bytes);
-    ResultEntry entry = readResultEntry(in, path);
+    ResultEntry entry = readResultEntry(bytes, path);
     if (entry.hashHex != hashHex)
         BDS_RAISE(ErrorCode::Io,
                   path << ": entry is keyed to " << entry.hashHex
@@ -208,9 +112,8 @@ ResultStore::load(const std::string &hashHex, ResultEntry *out) const
 bool
 ResultStore::store(const ResultEntry &entry) const
 {
-    std::ostringstream out;
-    writeResultEntry(out, entry);
-    return backend_.publish(entryName(entry.hashHex), out.str());
+    return backend_.publish(entryName(entry.hashHex),
+                            writeResultEntry(entry));
 }
 
 bool

@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/shared.h"
@@ -174,14 +175,14 @@ class ResultStore
     std::map<std::string, std::shared_ptr<Flight>> inflight_;
 };
 
-/** Serialize an entry to the on-disk format (tests, inspection). */
-void writeResultEntry(std::ostream &os, const ResultEntry &entry);
+/** Serialize an entry to the on-disk format. */
+std::string writeResultEntry(const ResultEntry &entry);
 
 /**
- * Parse an entry; `what` names the source in diagnostics. Raises
- * Error(Io) on any structural violation.
+ * Parse an entry from a whole file's bytes; `what` names the source
+ * in diagnostics. Raises Error(Io) on any structural violation.
  */
-ResultEntry readResultEntry(std::istream &is, const std::string &what);
+ResultEntry readResultEntry(std::string_view bytes, const std::string &what);
 
 } // namespace bds
 

@@ -1,11 +1,14 @@
 #include "store/index.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+
+#include "fault/error.h"
+#include "store/record.h"
 
 namespace bds {
+
+/** Version of the index file layout ("BDSINDEX 1"). */
+constexpr unsigned kIndexVersion = 1;
 
 bool
 StoreIndex::load(const std::string &path)
@@ -13,38 +16,35 @@ StoreIndex::load(const std::string &path)
     entries_.clear();
     nextSeq_ = 1;
 
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string bytes;
+    if (!readFile(path, &bytes))
         return false;
-
-    std::string line;
-    if (!std::getline(in, line) || line != "BDSINDEX 1")
-        return false;
-
-    std::uint64_t count = 0;
-    {
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream ss(line);
-        std::string key;
-        if (!(ss >> key >> count) || key != "entries")
-            return false;
-    }
 
     std::map<std::string, IndexedEntry> parsed;
     std::uint64_t maxSeq = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream ss(line);
-        IndexedEntry e;
-        if (!(ss >> e.seq >> e.bytes >> e.name) || e.name.empty())
-            return false;
-        maxSeq = std::max(maxSeq, e.seq);
-        parsed[e.name] = std::move(e);
-    }
-    if (!std::getline(in, line) || line != "END")
+    try {
+        RecordCursor in(bytes, path);
+        in.header("BDSINDEX", kIndexVersion);
+        const std::uint64_t count = in.number("entries");
+        for (std::uint64_t i = 0; i < count; ++i) {
+            // "<seq> <bytes> <name>"
+            const std::string_view l = in.line();
+            const std::size_t a = l.find(' ');
+            const std::size_t b = l.find(' ', a + 1); // npos if a is
+            IndexedEntry e;
+            if (b == std::string_view::npos
+                || !parseDecimal(l.substr(0, a), &e.seq)
+                || !parseDecimal(l.substr(a + 1, b - a - 1), &e.bytes)
+                || b + 1 == l.size())
+                return false;
+            e.name = std::string(l.substr(b + 1));
+            maxSeq = std::max(maxSeq, e.seq);
+            parsed[e.name] = std::move(e);
+        }
+        in.end();
+    } catch (const Error &) {
         return false;
+    }
 
     entries_ = std::move(parsed);
     nextSeq_ = maxSeq + 1;
@@ -54,26 +54,14 @@ StoreIndex::load(const std::string &path)
 bool
 StoreIndex::save(const std::string &path) const
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out << "BDSINDEX 1\n" << "entries " << entries_.size() << '\n';
-        for (const auto &kv : entries_)
-            out << kv.second.seq << ' ' << kv.second.bytes << ' '
-                << kv.second.name << '\n';
-        out << "END\n";
-        if (!out) {
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    std::string out;
+    appendField(out, "BDSINDEX", kIndexVersion);
+    appendField(out, "entries", entries_.size());
+    for (const auto &kv : entries_)
+        out += std::to_string(kv.second.seq) + ' '
+            + std::to_string(kv.second.bytes) + ' ' + kv.first + '\n';
+    out += "END\n";
+    return replaceFile(path, out);
 }
 
 namespace {

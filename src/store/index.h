@@ -70,7 +70,7 @@ class StoreIndex
     bool load(const std::string &path);
 
     /**
-     * Atomically persist (temp + rename). Returns false on any
+     * Atomically persist (per-process temp + rename). Returns false on any
      * filesystem failure; the index on disk is then simply stale,
      * which the next reconcile absorbs.
      */

@@ -4,8 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <limits>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -14,6 +13,7 @@
 #include <unistd.h>
 
 #include "fault/error.h"
+#include "store/record.h"
 
 namespace bds {
 
@@ -30,40 +30,18 @@ elapsedMs(Clock::time_point since)
             .count());
 }
 
-/** Render the lease payload for (pid, beat). */
-std::string
-leaseBody(long pid, std::uint64_t beat)
-{
-    std::ostringstream body;
-    body << "BDSLEASE 1\npid " << pid << "\nbeat " << beat << '\n';
-    return body.str();
-}
+/** Version of the lease file layout ("BDSLEASE 1"). */
+constexpr unsigned kLeaseVersion = 1;
 
-/**
- * Re-publish the lease payload atomically (temp + rename), so a
- * waiter never reads a half-written beat. Failures are swallowed: the
- * lease may legitimately have been taken over and unlinked, and a
- * heartbeat that cannot land simply looks wedged to waiters — the
- * protocol's designed degradation.
- */
-void
-republishLease(const std::string &path, long pid, std::uint64_t beat)
+/** Render this process's lease payload at `beat`. */
+std::string
+leaseBody(std::uint64_t beat)
 {
-    std::ostringstream tmpName;
-    tmpName << path << ".hb." << pid;
-    const std::string tmp = tmpName.str();
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return;
-        out << leaseBody(pid, beat);
-        if (!out) {
-            std::remove(tmp.c_str());
-            return;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        std::remove(tmp.c_str());
+    std::string body;
+    appendField(body, "BDSLEASE", kLeaseVersion);
+    appendField(body, "pid", static_cast<std::uint64_t>(::getpid()));
+    appendField(body, "beat", beat);
+    return body;
 }
 
 } // namespace
@@ -89,7 +67,6 @@ void
 Lease::startHeartbeat()
 {
     heartbeat_ = std::thread([this]() {
-        const long pid = static_cast<long>(::getpid());
         // Sleep in short slices so release() never blocks a full
         // heartbeat period on join.
         const auto slice = std::chrono::milliseconds(
@@ -104,7 +81,10 @@ Lease::startHeartbeat()
             last = Clock::now();
             const std::uint64_t beat =
                 beat_.fetch_add(1, std::memory_order_relaxed) + 1;
-            republishLease(path_, pid, beat);
+            // A failed replace is swallowed: the lease may have been
+            // taken over, and a beat that cannot land looks wedged to
+            // waiters — the protocol's designed degradation.
+            replaceFile(path_, leaseBody(beat));
         }
     });
 }
@@ -126,16 +106,24 @@ bool
 readLease(const std::string &path, LeaseProbe *out)
 {
     *out = LeaseProbe{};
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string bytes;
+    if (!readFile(path, &bytes))
         return false;
-    std::string magic, pidKey, beatKey;
-    unsigned version = 0;
-    if ((in >> magic >> version >> pidKey >> out->pid >> beatKey
-         >> out->beat)
-        && magic == "BDSLEASE" && version == 1 && pidKey == "pid"
-        && beatKey == "beat")
-        out->parsed = true;
+    try {
+        RecordCursor in(bytes, path);
+        in.header("BDSLEASE", kLeaseVersion);
+        const std::uint64_t pid = in.number("pid");
+        const std::uint64_t beat = in.number("beat");
+        if (pid <= static_cast<std::uint64_t>(
+                std::numeric_limits<long>::max())
+            && in.atEnd()) {
+            out->pid = static_cast<long>(pid);
+            out->beat = beat;
+            out->parsed = true;
+        }
+    } catch (const Error &) {
+        // Foreign bytes: present but unparsed.
+    }
     return true;
 }
 
@@ -152,12 +140,11 @@ tryAcquireLease(const std::string &path, const LeaseOptions &opts)
                                      << path << "': "
                                      << std::strerror(err));
     }
-    const std::string body =
-        leaseBody(static_cast<long>(::getpid()), 0);
-    const ssize_t wrote = ::write(fd, body.data(), body.size());
+    const std::string body = leaseBody(0);
+    const bool wrote = writeAll(fd, body);
     const int werr = errno;
     ::close(fd);
-    if (wrote != static_cast<ssize_t>(body.size())) {
+    if (!wrote) {
         ::unlink(path.c_str());
         BDS_RAISE(ErrorCode::Io, "cannot stamp lease '"
                                      << path << "': "
@@ -218,11 +205,11 @@ acquireLease(const std::string &path, const LeaseOptions &opts,
         }
 
         if (takeover) {
-            std::ostringstream aside;
-            aside << path << ".stale." << ::getpid();
-            if (std::rename(path.c_str(), aside.str().c_str()) == 0) {
+            const std::string aside =
+                path + ".stale." + std::to_string(::getpid());
+            if (std::rename(path.c_str(), aside.c_str()) == 0) {
                 // We won the challenge; the corpse is ours to reap.
-                std::remove(aside.str().c_str());
+                std::remove(aside.c_str());
                 ++st.takeovers;
             }
             // Either way the path is (or is about to be) free —

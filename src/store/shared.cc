@@ -4,7 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <limits>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -15,6 +15,7 @@
 #include "fault/error.h"
 #include "fault/inject.h"
 #include "obs/trace.h"
+#include "store/record.h"
 
 namespace bds {
 
@@ -58,23 +59,18 @@ fileExists(const std::string &path)
 
 /**
  * Parse the trailing ".<pid>" of an orphan coordination file
- * (temp/probe/heartbeat/stale-aside). Returns 0 when the tail is not
- * a number.
+ * (temp/probe/stale-aside). Returns 0 when the tail is not a pid.
  */
 long
 trailingPid(const std::string &name)
 {
     const std::size_t dot = name.find_last_of('.');
-    if (dot == std::string::npos || dot + 1 >= name.size())
+    std::uint64_t pid = 0;
+    if (dot == std::string::npos
+        || !parseDecimal(std::string_view(name).substr(dot + 1), &pid)
+        || pid > static_cast<std::uint64_t>(std::numeric_limits<long>::max()))
         return 0;
-    long pid = 0;
-    for (std::size_t i = dot + 1; i < name.size(); ++i) {
-        const char c = name[i];
-        if (c < '0' || c > '9')
-            return 0;
-        pid = pid * 10 + (c - '0');
-    }
-    return pid;
+    return static_cast<long>(pid);
 }
 
 } // namespace
@@ -202,9 +198,8 @@ SharedStore::maybeHeal()
 
     // Probe: the disk is healthy again iff a full create/write/
     // fsync/unlink round-trip succeeds in the store directory.
-    std::ostringstream probeName;
-    probeName << opts_.dir << "/.probe." << ::getpid();
-    const std::string probe = probeName.str();
+    const std::string probe =
+        opts_.dir + "/.probe." + std::to_string(::getpid());
     const int fd =
         ::open(probe.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0666);
     if (fd < 0)
@@ -235,36 +230,8 @@ SharedStore::read(const std::string &name, std::string *bytes)
     if (!maybeHeal())
         return false;
     const std::string path = entryPath(name);
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
+    if (!readFile(path, bytes))
         return false;
-    // One copy, kernel to caller: size the buffer from fstat, read
-    // straight into it, and keep reading until EOF in case the size
-    // moved under us (entries are immutable once renamed in, but the
-    // loop does not rely on it).
-    struct stat st;
-    const std::size_t hint = ::fstat(fd, &st) == 0 && st.st_size > 0
-        ? static_cast<std::size_t>(st.st_size) : 0;
-    // One spare byte, so the read that finds EOF needs no regrow.
-    std::string buf(hint + 1, '\0');
-    std::size_t got = 0;
-    for (;;) {
-        if (got == buf.size())
-            buf.resize(2 * buf.size());
-        const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0) {
-            ::close(fd);
-            return false;
-        }
-        if (n == 0)
-            break;
-        got += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
-    buf.resize(got);
-    *bytes = std::move(buf);
 
     // Bump mtime so this hit counts as recency for other processes'
     // eviction decisions too; failure only costs LRU accuracy.
@@ -297,9 +264,7 @@ SharedStore::publish(const std::string &name, const std::string &bytes)
     }
 
     const std::string path = entryPath(name);
-    std::ostringstream tmpName;
-    tmpName << path << ".tmp." << ::getpid();
-    const std::string tmp = tmpName.str();
+    const std::string tmp = tempPath(path);
 
     const int fd =
         ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0666);
@@ -309,21 +274,13 @@ SharedStore::publish(const std::string &name, const std::string &bytes)
                   + "': " + std::strerror(err));
         return false;
     }
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t wrote =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (wrote < 0) {
-            const int err = errno;
-            if (err == EINTR)
-                continue;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            enterDown("short write to '" + tmp
-                      + "': " + std::strerror(err));
-            return false;
-        }
-        off += static_cast<std::size_t>(wrote);
+    if (!writeAll(fd, bytes)) {
+        const int err = errno;
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        enterDown("short write to '" + tmp
+                  + "': " + std::strerror(err));
+        return false;
     }
     // fsync before rename: after the rename lands, the entry's bytes
     // are durable — a crash can lose the entry, never tear it.
@@ -450,7 +407,6 @@ SharedStore::reapOrphans() const
         // reap it once the owning process is gone.
         const bool orphanKind = name.find(".tmp.") != std::string::npos
             || name.find(".probe.") != std::string::npos
-            || name.find(".hb.") != std::string::npos
             || name.find(".stale.") != std::string::npos;
         if (!orphanKind)
             continue;

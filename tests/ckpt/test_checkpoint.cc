@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -56,9 +55,7 @@ makeEntry()
 std::string
 serialized(const CheckpointEntry &entry)
 {
-    std::ostringstream os;
-    writeCheckpoint(os, entry);
-    return os.str();
+    return writeCheckpoint(entry);
 }
 
 /** readCheckpoint over in-memory bytes, returning the typed code. */
@@ -86,6 +83,33 @@ TEST(CheckpointContainer, RoundTripIsExact)
     EXPECT_EQ(back.key.workload, entry.key.workload);
     EXPECT_EQ(back.key.node, entry.key.node);
     EXPECT_EQ(back.interval, entry.interval);
+}
+
+TEST(CheckpointContainer, WriterBytesArePinned)
+{
+    // The whole container, header included, for a tiny state. The
+    // same text must parse: files already on disk stay readable.
+    CheckpointEntry entry = makeEntry();
+    entry.key.machineText = "cores=4 l1d=32K";
+    entry.key.node = 1;
+    entry.state = "tiny";
+    const std::string golden = "BDSCKPT 2\n"
+                               "hash 0123456789abcdef\n"
+                               "slug default\n"
+                               "machine_bytes 15\n"
+                               "cores=4 l1d=32K"
+                               "workload_bytes 6\n"
+                               "H-Sort"
+                               "node 1\n"
+                               "interval 7\n"
+                               "state_sum 41e843ecfccd719a\n"
+                               "state_bytes 4\n"
+                               "tiny"
+                               "END\n";
+    EXPECT_EQ(serialized(entry), golden);
+    const CheckpointEntry back =
+        readCheckpoint(golden, "golden", entry.key, entry.interval);
+    EXPECT_EQ(back.state, "tiny");
 }
 
 TEST(CheckpointContainer, TruncationAnywhereIsTypedIo)

@@ -46,6 +46,8 @@
 #include "uarch/system.h"
 #include "workloads/registry.h"
 
+#include "../mutator.h"
+
 namespace {
 
 using bds::AddressSpace;
@@ -395,35 +397,10 @@ TEST(CheckpointMutation, MutantsRestoreOrRaiseTypedErrors)
              at = state.find(tag, at + 1))
             count_fields.push_back(at + offset);
     ASSERT_FALSE(count_fields.empty());
-    const char *const size_keys[] = {"machine_bytes ", "workload_bytes ",
-                                     "state_bytes "};
+    const std::vector<std::string> size_keys = {
+        "machine_bytes ", "workload_bytes ", "state_bytes "};
 
-    bds::Pcg32 rng(0x6d757461ULL);
-    auto below = [&](std::size_t n) {
-        return static_cast<std::size_t>(
-            rng.next64() % static_cast<std::uint64_t>(n));
-    };
-    auto inflated = [&](std::uint64_t n) {
-        const std::uint64_t kMax = ~std::uint64_t(0);
-        const std::uint64_t picks[] = {n + 1, 2 * n + 7, 1ull << 32,
-                                       1ull << 62, kMax / 26 + 1, kMax,
-                                       rng.next64()};
-        return picks[below(std::size(picks))];
-    };
-    // Byte flips, truncation, splice; inflation is per target below.
-    auto mutateBytes = [&](std::string &b, unsigned op) {
-        if (op == 0) {
-            for (std::size_t k = 1 + below(4); k > 0; --k)
-                b[below(b.size())] ^= static_cast<char>(1 + below(255));
-        } else if (op == 1) {
-            b.resize(below(b.size()));
-        } else {
-            const std::size_t cut = below(b.size());
-            const std::size_t from = below(b.size());
-            b = b.substr(0, cut) + b.substr(from);
-        }
-    };
-
+    bds::Mutator mut(0x6d757461ULL);
     SystemModel sys(machine);
     std::size_t restored = 0, typed = 0;
     auto attempt = [&](std::string bytes, const std::string &what) {
@@ -443,21 +420,15 @@ TEST(CheckpointMutation, MutantsRestoreOrRaiseTypedErrors)
 
     constexpr int kMutants = 2000;
     for (int i = 0; i < kMutants; ++i) {
-        const unsigned op = static_cast<unsigned>(below(4));
+        const unsigned op = static_cast<unsigned>(mut.below(4));
         const std::string what = "mutant " + std::to_string(i);
         if (i % 2 == 0) {
             // The container as read from disk.
             std::string bytes = file;
-            if (op < 3) {
-                mutateBytes(bytes, op);
-            } else {
-                const char *k = size_keys[below(std::size(size_keys))];
-                const std::size_t at = bytes.find(k) + std::strlen(k);
-                const std::size_t nl = bytes.find('\n', at);
-                bytes.replace(at, nl - at,
-                              std::to_string(inflated(std::stoull(
-                                  bytes.substr(at, nl - at)))));
-            }
+            if (op < 3)
+                mut.mutate(bytes, op);
+            else
+                mut.inflateField(bytes, size_keys);
             attempt(std::move(bytes), what);
         } else {
             // The payload behind a valid checksum, so the mutant
@@ -467,17 +438,15 @@ TEST(CheckpointMutation, MutantsRestoreOrRaiseTypedErrors)
             entry.interval = interval;
             entry.state = state;
             if (op < 3) {
-                mutateBytes(entry.state, op);
+                mut.mutate(entry.state, op);
             } else {
                 const std::size_t at =
-                    count_fields[below(count_fields.size())];
+                    count_fields[mut.below(count_fields.size())];
                 bds::storeLe64(entry.state.data() + at,
-                               inflated(bds::loadLe64(
+                               mut.inflated(bds::loadLe64(
                                    entry.state.data() + at)));
             }
-            std::ostringstream os;
-            bds::writeCheckpoint(os, entry);
-            attempt(os.str(), what);
+            attempt(bds::writeCheckpoint(entry), what);
         }
     }
     EXPECT_EQ(restored + typed, static_cast<std::size_t>(kMutants));

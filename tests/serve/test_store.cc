@@ -23,6 +23,8 @@
 #include "fault/error.h"
 #include "serve/store.h"
 
+#include "../mutator.h"
+
 namespace bds {
 namespace {
 
@@ -72,15 +74,74 @@ sampleEntry(const std::string &hashHex)
 TEST(ServeStore, EntryRoundTripsThroughTheOnDiskFormat)
 {
     const ResultEntry in = sampleEntry("00000000000000aa");
-    std::ostringstream os;
-    writeResultEntry(os, in);
-    std::istringstream is(os.str());
-    const ResultEntry out = readResultEntry(is, "test");
+    const ResultEntry out = readResultEntry(writeResultEntry(in), "test");
     EXPECT_EQ(out.hashHex, in.hashHex);
     EXPECT_EQ(out.canonicalConfig, in.canonicalConfig);
     EXPECT_EQ(out.names, in.names);
     EXPECT_EQ(out.csv, in.csv);
     EXPECT_EQ(out.manifestJson, in.manifestJson);
+}
+
+TEST(ServeStore, WriterBytesArePinned)
+{
+    // The on-disk entry, byte for byte; the same text must parse, so
+    // entries already on disk stay readable.
+    const std::string golden = "BDSRESULT 2\n"
+                               "hash 00000000000000aa\n"
+                               "config_bytes 29\n"
+                               "bds-runconfig-v1\nscale=quick\n"
+                               "names 2\n"
+                               "H-Sort\n"
+                               "S-Grep\n"
+                               "manifest_bytes 17\n"
+                               "{\"tool\": \"test\"}\n"
+                               "csv_fnv 21b341aa58542bdb\n"
+                               "csv_bytes 46\n"
+                               "workload,LOAD\nH-Sort,0.375196\n"
+                               "S-Grep,0.179149\n"
+                               "END\n";
+    const ResultEntry in = sampleEntry("00000000000000aa");
+    EXPECT_EQ(writeResultEntry(in), golden);
+    const ResultEntry out = readResultEntry(golden, "golden");
+    EXPECT_EQ(out.canonicalConfig, in.canonicalConfig);
+    EXPECT_EQ(out.names, in.names);
+    EXPECT_EQ(out.manifestJson, in.manifestJson);
+    EXPECT_EQ(out.csv, in.csv);
+}
+
+TEST(ResultEntryMutation, MutantsParseOrRaiseTypedIo)
+{
+    // A deterministic mutational fuzz of the entry parser: fixed seed
+    // and budget, so every run tries the same mutants. Each one
+    // parses or is Error(Io) — never another code, never an untyped
+    // exception.
+    const std::string file = writeResultEntry(sampleEntry("00000000000000aa"));
+    const std::vector<std::string> size_keys = {
+        "config_bytes ", "names ", "manifest_bytes ", "csv_bytes "};
+    Mutator mut(0x72657375ULL);
+    std::size_t parsed = 0, typed = 0;
+    constexpr int kMutants = 2000;
+    for (int i = 0; i < kMutants; ++i) {
+        const unsigned op = static_cast<unsigned>(mut.below(4));
+        std::string bytes = file;
+        if (op < 3)
+            mut.mutate(bytes, op);
+        else
+            mut.inflateField(bytes, size_keys);
+        const std::string what = "mutant " + std::to_string(i);
+        try {
+            readResultEntry(bytes, what);
+            ++parsed;
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Io) << what << ": " << e.what();
+            ++typed;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << what << ": untyped " << e.what();
+        }
+    }
+    EXPECT_EQ(parsed + typed, static_cast<std::size_t>(kMutants));
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(typed, kMutants / 2u);
 }
 
 TEST(ServeStore, StoreAndLoadThroughTheDirectory)
@@ -150,7 +211,7 @@ TEST(ServeStore, CorruptEntriesAreTypedIoErrors)
     // An entry keyed to a different hash (renamed file).
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        writeResultEntry(out, sampleEntry("00000000000000bb"));
+        out << writeResultEntry(sampleEntry("00000000000000bb"));
     }
     expectIo("foreign key");
 

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -19,6 +20,8 @@
 
 #include "fault/error.h"
 #include "store/lease.h"
+
+#include "../mutator.h"
 
 namespace bds {
 namespace {
@@ -99,6 +102,87 @@ TEST(StoreLease, HeartbeatAdvancesTheBeatCounter)
     }
     EXPECT_GT(later.beat, first.beat);
     held->release();
+}
+
+/** The bytes of the file at `path`. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(f)),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(StoreLease, BodyBytesArePinned)
+{
+    const std::string path = leasePath("bds_lease_bytes");
+    std::remove(path.c_str());
+    const std::string pid = std::to_string(::getpid());
+
+    std::unique_ptr<Lease> held = tryAcquireLease(path, fastOpts());
+    ASSERT_TRUE(held);
+    EXPECT_EQ(slurp(path), "BDSLEASE 1\npid " + pid + "\nbeat 0\n");
+
+    // The heartbeat republishes the same layout (readLease accepts
+    // nothing else) with the next beat.
+    LeaseProbe probe;
+    for (int tries = 0; tries < 100 && probe.beat == 0; ++tries) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        ASSERT_TRUE(readLease(path, &probe));
+        ASSERT_TRUE(probe.parsed);
+    }
+    EXPECT_EQ(probe.pid, static_cast<long>(::getpid()));
+    ASSERT_GT(probe.beat, 0u);
+    held->release();
+    EXPECT_FALSE(readLease(path, &probe));
+
+    // The literal layout parses.
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << "BDSLEASE 1\npid 4242\nbeat 9\n";
+    }
+    ASSERT_TRUE(readLease(path, &probe));
+    EXPECT_TRUE(probe.parsed);
+    EXPECT_EQ(probe.pid, 4242);
+    EXPECT_EQ(probe.beat, 9u);
+    std::remove(path.c_str());
+}
+
+TEST(LeaseMutation, MutantsParseOrReportUnparsed)
+{
+    // A deterministic mutational fuzz of readLease: fixed seed and
+    // budget. A present file always reads (true); each mutant either
+    // parses or comes back parsed=false — never an exception.
+    const std::string path = leasePath("bds_lease_mutation");
+    const std::string file = "BDSLEASE 1\npid 12345\nbeat 7\n";
+    Mutator mut(0x6c656173ULL);
+    std::size_t parsed = 0, unparsed = 0;
+    constexpr int kMutants = 2000;
+    for (int i = 0; i < kMutants; ++i) {
+        const unsigned op = static_cast<unsigned>(mut.below(4));
+        std::string bytes = file;
+        if (op < 3)
+            mut.mutate(bytes, op);
+        else
+            mut.inflateField(bytes, {"pid ", "beat "});
+        {
+            std::ofstream f(path, std::ios::binary | std::ios::trunc);
+            f << bytes;
+        }
+        LeaseProbe probe;
+        try {
+            ASSERT_TRUE(readLease(path, &probe)) << "mutant " << i;
+            ++(probe.parsed ? parsed : unparsed);
+            if (probe.parsed)
+                EXPECT_GE(probe.pid, 0) << "mutant " << i;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "mutant " << i << ": threw " << e.what();
+        }
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(parsed + unparsed, static_cast<std::size_t>(kMutants));
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(unparsed, kMutants / 2u);
 }
 
 TEST(StoreLease, DeadHolderIsTakenOverImmediately)

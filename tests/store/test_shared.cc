@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -224,6 +225,42 @@ TEST(SharedStore, CorruptIndexIsRebuiltFromTheDirectoryAtOpen)
     // entry was the victim.
     EXPECT_FALSE(fileExists(store.entryPath("old.ent")));
     EXPECT_TRUE(fileExists(store.entryPath("new.ent")));
+}
+
+TEST(SharedStore, IndexTempsArePerProcessAndReaped)
+{
+    // Index saves write "store.index.tmp.<pid>", so two processes
+    // sharing a store never truncate each other's temp, and a temp
+    // orphaned by a dead process is reaped at the next open.
+    const std::string dir = freshDir("bds_shared_index_tmp");
+    ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+    // A squatter on a shared, pid-less temp name blocks nothing.
+    ASSERT_EQ(::mkdir((dir + "/store.index.tmp").c_str(), 0777), 0);
+    const pid_t child = ::fork();
+    if (child == 0)
+        ::_exit(0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    const std::string orphan =
+        dir + "/store.index.tmp." + std::to_string(child);
+    {
+        std::ofstream f(orphan, std::ios::trunc);
+        f << "BDSINDEX 1\nentr";
+    }
+    // A tail too long for any pid is not a pid: left alone.
+    const std::string foreign = dir + "/x.tmp.99999999999999999999999";
+    std::ofstream(foreign).put('x');
+
+    SharedStore store(testOpts(dir));
+    EXPECT_FALSE(fileExists(orphan));
+    EXPECT_TRUE(fileExists(foreign));
+    ASSERT_TRUE(store.publish("a.ent", kPayload));
+    EXPECT_FALSE(fileExists(dir + "/store.index.tmp."
+                            + std::to_string(::getpid())));
+    std::ifstream f(dir + "/store.index", std::ios::binary);
+    const std::string index((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(index, "BDSINDEX 1\nentries 1\n1 100 a.ent\nEND\n");
 }
 
 TEST(SharedStore, OverBudgetStateIsRepairedAtOpen)
