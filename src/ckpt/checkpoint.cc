@@ -24,7 +24,16 @@ struct AtomicCkptStats
     std::atomic<std::uint64_t> fallbacks{0};
     std::atomic<std::uint64_t> bytesRead{0};
     std::atomic<std::uint64_t> bytesWritten{0};
+    /** Capture-record events, indexed by CaptureEvent. */
+    std::atomic<std::uint64_t> capture[4]{};
 };
+
+std::uint64_t
+captureCount(const AtomicCkptStats &g, CaptureEvent event)
+{
+    return g.capture[static_cast<std::size_t>(event)].load(
+        std::memory_order_relaxed);
+}
 
 AtomicCkptStats &
 globalCkptStats()
@@ -47,6 +56,16 @@ sanitize(const std::string &name)
     return out;
 }
 
+/** The filename stem shared by one (workload, node) stream's files. */
+std::string
+streamStem(const CheckpointKey &key)
+{
+    std::ostringstream name;
+    name << key.configHash << '_' << key.machineSlug << '_'
+         << sanitize(key.workload) << "_n" << key.node;
+    return name.str();
+}
+
 } // namespace
 
 CkptStats
@@ -60,6 +79,10 @@ ckptStats()
     s.fallbacks = g.fallbacks.load(std::memory_order_relaxed);
     s.bytesRead = g.bytesRead.load(std::memory_order_relaxed);
     s.bytesWritten = g.bytesWritten.load(std::memory_order_relaxed);
+    s.captureHits = captureCount(g, CaptureEvent::Hit);
+    s.captureMisses = captureCount(g, CaptureEvent::Miss);
+    s.captureWrites = captureCount(g, CaptureEvent::Write);
+    s.captureFallbacks = captureCount(g, CaptureEvent::Fallback);
     return s;
 }
 
@@ -73,6 +96,8 @@ resetCkptStats()
     g.fallbacks.store(0, std::memory_order_relaxed);
     g.bytesRead.store(0, std::memory_order_relaxed);
     g.bytesWritten.store(0, std::memory_order_relaxed);
+    for (std::atomic<std::uint64_t> &c : g.capture)
+        c.store(0, std::memory_order_relaxed);
 }
 
 void
@@ -87,6 +112,27 @@ noteCkptFallback()
 {
     globalCkptStats().fallbacks.fetch_add(1, std::memory_order_relaxed);
     Tracer::global().counter("ckpt.fallbacks", 1);
+}
+
+void
+noteCkptHits(std::uint64_t n, std::uint64_t bytes)
+{
+    AtomicCkptStats &g = globalCkptStats();
+    g.hits.fetch_add(n, std::memory_order_relaxed);
+    g.bytesRead.fetch_add(bytes, std::memory_order_relaxed);
+    Tracer::global().counter("ckpt.hits", n);
+    Tracer::global().counter("ckpt.bytes_read", bytes);
+}
+
+void
+noteCapture(CaptureEvent event)
+{
+    static const char *const kCounters[] = {
+        "capture.hits", "capture.misses", "capture.fallbacks",
+        "capture.writes"};
+    const auto i = static_cast<std::size_t>(event);
+    globalCkptStats().capture[i].fetch_add(1, std::memory_order_relaxed);
+    Tracer::global().counter(kCounters[i], 1);
 }
 
 std::uint64_t
@@ -122,7 +168,8 @@ writeCheckpoint(const CheckpointEntry &entry)
 {
     std::string out;
     out.reserve(256 + entry.key.machineText.size()
-                + entry.key.workload.size() + entry.state.size());
+                + entry.key.workload.size() + entry.state.size()
+                + entry.ops.size());
     appendField(out, "BDSCKPT", kCheckpointVersion);
     appendField(out, "hash", entry.key.configHash);
     appendField(out, "slug", entry.key.machineSlug);
@@ -132,6 +179,8 @@ writeCheckpoint(const CheckpointEntry &entry)
     appendField(out, "interval", entry.interval);
     appendField(out, "state_sum", toHex64(stateChecksum(entry.state)));
     appendSized(out, "state", entry.state);
+    appendField(out, "ops_sum", toHex64(stateChecksum(entry.ops)));
+    appendSized(out, "ops", entry.ops);
     out += "END\n";
     return out;
 }
@@ -157,14 +206,26 @@ readCheckpoint(std::string bytes, const std::string &what,
     entry.key.node = static_cast<unsigned>(node);
     entry.interval = in.number("interval");
 
-    const std::string_view declared_sum = in.field("state_sum");
-    if (declared_sum.size() != 16)
-        BDS_RAISE(ErrorCode::Io, what << ": malformed state_sum line");
-    const std::string_view state = in.sized("state");
-    if (toHex64(stateChecksum(state)) != declared_sum)
+    // Both payloads sit behind their own checksum line.
+    auto payload = [&](std::string_view name) {
+        const std::string sum_key = std::string(name) + "_sum";
+        const std::string_view declared = in.field(sum_key);
+        if (declared.size() != 16)
+            BDS_RAISE(ErrorCode::Io,
+                      what << ": malformed " << sum_key << " line");
+        const std::string_view bytes = in.sized(name);
+        if (toHex64(stateChecksum(bytes)) != declared)
+            BDS_RAISE(ErrorCode::Io,
+                      what << ": " << name << " payload checksum "
+                           << "mismatch (corrupt checkpoint)");
+        return bytes;
+    };
+    const std::string_view state = payload("state");
+    const std::string_view ops = payload("ops");
+    if (ops.size() % TraceRecorder::kEventBytes != 0)
         BDS_RAISE(ErrorCode::Io,
-                  what << ": state payload checksum mismatch "
-                       << "(corrupt checkpoint)");
+                  what << ": slice of " << ops.size()
+                       << " bytes is not a whole number of events");
     in.end();
 
     // Key verification: the machine text is the load-bearing guard
@@ -192,8 +253,10 @@ readCheckpoint(std::string bytes, const std::string &what,
                        << expected.workload << "/n" << expected.node
                        << "/i" << expectedInterval);
 
-    // The payload becomes the entry's state in place: slide it to the
-    // front of the buffer already read, no second allocation.
+    // The slice is copied out; the state then becomes the entry's
+    // state in place: slide it to the front of the buffer already
+    // read, no second allocation.
+    entry.ops = std::string(ops);
     const std::size_t offset =
         static_cast<std::size_t>(state.data() - bytes.data());
     const std::size_t size = state.size();
@@ -227,11 +290,13 @@ std::string
 CheckpointCache::entryName(const CheckpointKey &key,
                            std::uint64_t interval)
 {
-    std::ostringstream name;
-    name << key.configHash << '_' << key.machineSlug << '_'
-         << sanitize(key.workload) << "_n" << key.node << "_i"
-         << interval << ".ckpt";
-    return name.str();
+    return streamStem(key) + "_i" + std::to_string(interval) + ".ckpt";
+}
+
+std::string
+CheckpointCache::captureName(const CheckpointKey &key)
+{
+    return streamStem(key) + ".ckpt";
 }
 
 std::string
@@ -242,21 +307,25 @@ CheckpointCache::path(const CheckpointKey &key,
 }
 
 bool
-CheckpointCache::load(const CheckpointKey &key, std::uint64_t interval,
-                      std::string *state) const
+CheckpointCache::read(const CheckpointKey &key, std::uint64_t interval,
+                      CheckpointEntry *entry) const
 {
     std::string bytes;
     if (!backend_.read(entryName(key, interval), &bytes))
         return false;
-    CheckpointEntry entry =
-        readCheckpoint(std::move(bytes), path(key, interval), key,
-                       interval);
-    AtomicCkptStats &g = globalCkptStats();
-    g.hits.fetch_add(1, std::memory_order_relaxed);
-    g.bytesRead.fetch_add(entry.state.size(),
-                          std::memory_order_relaxed);
-    Tracer::global().counter("ckpt.hits", 1);
-    Tracer::global().counter("ckpt.bytes_read", entry.state.size());
+    *entry = readCheckpoint(std::move(bytes), path(key, interval), key,
+                            interval);
+    return true;
+}
+
+bool
+CheckpointCache::load(const CheckpointKey &key, std::uint64_t interval,
+                      std::string *state) const
+{
+    CheckpointEntry entry;
+    if (!read(key, interval, &entry))
+        return false;
+    noteCkptHits(1, entry.state.size());
     *state = std::move(entry.state);
     return true;
 }
@@ -265,20 +334,51 @@ void
 CheckpointCache::store(const CheckpointKey &key, std::uint64_t interval,
                        const std::string &state) const
 {
+    store(key, interval, state, TraceRecorder());
+}
+
+void
+CheckpointCache::store(const CheckpointKey &key, std::uint64_t interval,
+                       const std::string &state,
+                       const TraceRecorder &slice) const
+{
     CheckpointEntry entry;
     entry.key = key;
     entry.interval = interval;
     entry.state = state;
+    entry.ops = slice.encode();
     // A failed publish flips the backend down (counted + warned);
     // the replay simply stops writing checkpoints until it heals.
     if (!backend_.publish(entryName(key, interval),
                           writeCheckpoint(entry)))
         return;
+    const std::uint64_t bytes = entry.state.size() + entry.ops.size();
     AtomicCkptStats &g = globalCkptStats();
     g.writes.fetch_add(1, std::memory_order_relaxed);
-    g.bytesWritten.fetch_add(state.size(), std::memory_order_relaxed);
+    g.bytesWritten.fetch_add(bytes, std::memory_order_relaxed);
     Tracer::global().counter("ckpt.writes", 1);
-    Tracer::global().counter("ckpt.bytes_written", state.size());
+    Tracer::global().counter("ckpt.bytes_written", bytes);
+}
+
+std::string
+CheckpointCache::capturePath(const CheckpointKey &key) const
+{
+    return backend_.entryPath(captureName(key));
+}
+
+bool
+CheckpointCache::loadCapture(const CheckpointKey &key,
+                             std::string *bytes) const
+{
+    return backend_.read(captureName(key), bytes);
+}
+
+void
+CheckpointCache::storeCapture(const CheckpointKey &key,
+                              const std::string &bytes) const
+{
+    if (backend_.publish(captureName(key), bytes))
+        noteCapture(CaptureEvent::Write);
 }
 
 } // namespace bds

@@ -6,8 +6,11 @@
  * one sampled representative interval — after the replayer has
  * unfrozen and zeroed the counters — so a later run can jump
  * straight there instead of functionally warming every preceding
- * interval (docs/CHECKPOINT.md; ROADMAP item 3, the SESC
- * `*_chpt.conf` idiom).
+ * interval (docs/CHECKPOINT.md; the SESC `*_chpt.conf` idiom). The
+ * entry also carries the interval's detail slice, so that run need
+ * not re-execute the stream at all, and each stream's directory
+ * holds one capture record of its picks beside the entries
+ * (sample/capture.h).
  *
  * Keying: a checkpoint is only valid for the exact op stream and
  * machine that produced it, so the key is the v2 runConfigHash (which
@@ -38,6 +41,7 @@
 #include <string_view>
 
 #include "store/shared.h"
+#include "trace/recorder.h"
 
 namespace bds {
 
@@ -47,9 +51,11 @@ namespace bds {
  * change to either; a foreign version on disk is a typed Io error
  * that the replayer treats as "no checkpoint" — stale state is never
  * silently restored. Version 2 replaced the byte-serial FNV-1a
- * `state_fnv` header field with `state_sum` (stateChecksum()).
+ * `state_fnv` header field with `state_sum` (stateChecksum());
+ * version 3 added the representative's detail slice (`ops_sum`,
+ * `ops_bytes`).
  */
-constexpr unsigned kCheckpointVersion = 2;
+constexpr unsigned kCheckpointVersion = 3;
 
 /** Identity of one checkpoint stream (all intervals share it). */
 struct CheckpointKey
@@ -82,6 +88,15 @@ struct CheckpointEntry
 
     /** SystemModel::saveState() bytes. */
     std::string state;
+
+    /**
+     * The representative's detail slice, in TraceRecorder::encode()
+     * bytes: every op and DMA fill the model received from the
+     * interval's first op up to the next interval's first op. Empty
+     * when the entry carries none (it then restores, but the replay
+     * must re-execute the stream).
+     */
+    std::string ops;
 };
 
 /** Running process-wide checkpoint traffic counters. */
@@ -93,6 +108,12 @@ struct CkptStats
     std::uint64_t fallbacks = 0; ///< present but corrupt/mismatched
     std::uint64_t bytesRead = 0;
     std::uint64_t bytesWritten = 0;
+
+    /** Capture-record traffic (sample/capture.h), counted apart. */
+    std::uint64_t captureHits = 0;
+    std::uint64_t captureMisses = 0;
+    std::uint64_t captureWrites = 0;
+    std::uint64_t captureFallbacks = 0;
 };
 
 /**
@@ -147,19 +168,56 @@ class CheckpointCache
               std::string *state) const;
 
     /**
+     * Read and verify the whole entry of (key, interval) — state and
+     * slice — into *entry without counting anything: the sampled
+     * replayer counts its hits (noteCkptHits) only once every
+     * representative restored. Returns false when absent; raises as
+     * load() does.
+     */
+    bool read(const CheckpointKey &key, std::uint64_t interval,
+              CheckpointEntry *entry) const;
+
+    /**
      * Durably persist a checkpoint (temp + fsync + rename), then
      * enforce the byte budget. Never throws: a disk failure degrades
      * the cache (counted, warned) instead of failing the replay —
      * the checkpoint is an accelerator, not a correctness input.
      * Counts a write and the payload bytes when the publish lands.
+     * The entry carries no slice, so it restores but never lets a
+     * replay skip re-executing the stream.
      */
     void store(const CheckpointKey &key, std::uint64_t interval,
                const std::string &state) const;
+
+    /** store() of an entry that also carries its detail slice. */
+    void store(const CheckpointKey &key, std::uint64_t interval,
+               const std::string &state,
+               const TraceRecorder &slice) const;
+
+    /**
+     * The capture-record file of key's (workload, node) stream. It
+     * shares the directory, the byte budget and the LRU eviction of
+     * the representative entries; sample/capture.h owns its format.
+     */
+    std::string capturePath(const CheckpointKey &key) const;
+
+    /** Read key's capture record; false when absent. Counts nothing. */
+    bool loadCapture(const CheckpointKey &key, std::string *bytes) const;
+
+    /**
+     * Durably publish key's capture record. Never throws, like
+     * store(); counts a capture write when the publish lands.
+     */
+    void storeCapture(const CheckpointKey &key,
+                      const std::string &bytes) const;
 
   private:
     /** Entry filename of (key, interval). */
     static std::string entryName(const CheckpointKey &key,
                                  std::uint64_t interval);
+
+    /** Capture-record filename of key's stream. */
+    static std::string captureName(const CheckpointKey &key);
 
     /** Shared-storage backend (budget, degradation); mutable because
      *  reads bump recency and the down flag. */
@@ -183,8 +241,9 @@ std::string writeCheckpoint(const CheckpointEntry &entry);
  * Parse and verify a whole checkpoint file's bytes against the
  * expected key/interval; `what` names the source in diagnostics. The
  * returned entry's state reuses `bytes`' buffer. Error(Io) on
- * structural violations, Error(InvalidConfig) on machine/key
- * mismatches.
+ * structural violations — including a checksum mismatch in either
+ * payload or a slice that is not a whole number of events —
+ * Error(InvalidConfig) on machine/key mismatches.
  */
 CheckpointEntry readCheckpoint(std::string bytes, const std::string &what,
                                const CheckpointKey &expected,
@@ -193,6 +252,21 @@ CheckpointEntry readCheckpoint(std::string bytes, const std::string &what,
 /** Count one miss / one fallback (replayer accounting helpers). */
 void noteCkptMiss();
 void noteCkptFallback();
+
+/** Count `n` restored entries holding `bytes` payload bytes in all. */
+void noteCkptHits(std::uint64_t n, std::uint64_t bytes);
+
+/** Capture-record traffic, counted apart from the entries. */
+enum class CaptureEvent
+{
+    Hit,      ///< a valid record replaced execute, profile and pick
+    Miss,     ///< absent: recaptured and written
+    Fallback, ///< present but corrupt or foreign: recaptured
+    Write,    ///< a record was published
+};
+
+/** Count one capture-record event (`capture.*` trace counters). */
+void noteCapture(CaptureEvent event);
 
 } // namespace bds
 

@@ -21,6 +21,12 @@
  * stack engines into the replayer, reproducing the profiled ops and
  * DMA bit for bit. The runner must outlive the capture.
  *
+ * With checkpoints on, the selection is cached too: a BDSCAPTURE
+ * record per (workload, node) in the checkpoint store holds the
+ * picks, so a warm capture runs no stack engine and no picker, and
+ * the representatives' checkpoint entries carry the detail slices a
+ * warm replay feeds instead of re-executing (docs/CHECKPOINT.md).
+ *
  * SampledCharacterizer::runOnNode() is implemented on this seam, so
  * the single-machine path and the sweep path cannot drift apart: a
  * capture replayed on the capturing runner's own machine is bitwise
@@ -29,6 +35,9 @@
 
 #ifndef BDS_SAMPLE_CAPTURE_H
 #define BDS_SAMPLE_CAPTURE_H
+
+#include <string>
+#include <string_view>
 
 #include "ckpt/context.h"
 #include "sample/characterizer.h"
@@ -72,10 +81,38 @@ struct WorkloadCapture
  * captures are deterministic at any thread count. The capture
  * refers to `runner`, which must outlive it. Raises
  * Error(InvalidConfig) on degenerate sampling knobs.
+ *
+ * `ckpt` (optional) attaches the run's checkpoint context: a valid
+ * capture record stands in for all three stages, and an absent or
+ * bad one (counted as a capture miss or fallback) is recaptured and
+ * written. Ignored on retry attempts, like the checkpoints.
  */
 WorkloadCapture captureWorkload(const WorkloadRunner &runner,
                                 const SamplingOptions &opts,
-                                const WorkloadId &id, unsigned node);
+                                const WorkloadId &id, unsigned node,
+                                const CheckpointContext *ckpt
+                                = nullptr);
+
+/**
+ * The BDSCAPTURE record of `cap` under `key` (docs/STORAGE.md §6):
+ * the key fields, the data seed, the interval count and the
+ * PickResult — each weight as its exact IEEE-754 bits — then a
+ * checksum over everything before it.
+ */
+std::string writeCaptureRecord(const WorkloadCapture &cap,
+                               const CheckpointKey &key);
+
+/**
+ * Parse a capture record into cap.picked and cap.numIntervals;
+ * `what` names the source in diagnostics. Error(Io) on a structural
+ * violation, a checksum mismatch or picks no picker produces
+ * (representatives not strictly ascending, an interval out of range,
+ * a non-finite weight, more detail than total ops);
+ * Error(InvalidConfig) when the key fields or the data seed differ
+ * from `key` and cap.dataSeed. Declared counts are never allocated.
+ */
+void readCaptureRecord(std::string_view bytes, const std::string &what,
+                       const CheckpointKey &key, WorkloadCapture &cap);
 
 /**
  * Warm, replay and estimate a capture on `machine`: stages 4-5 of
@@ -84,14 +121,16 @@ WorkloadCapture captureWorkload(const WorkloadRunner &runner,
  * Each call re-executes the stack engines with the capture's data
  * seed (or reads `cap.trace` when the capture carries one). Raises
  * Error(InvalidConfig) when `machine` has a different core count
- * than the capture was executed on, or when the capture has neither
- * a trace nor a runner.
+ * than the capture was executed on, or when the stream must run and
+ * the capture has neither a trace nor a runner.
  *
  * `ckpt` (optional) attaches the run's checkpoint context: the
  * replay restores representative-entry snapshots when present and
- * writes them when absent (docs/CHECKPOINT.md). Ignored on retry
- * attempts — attempt-salted data seeds change the op stream, so a
- * retry's intervals must never alias attempt 0's checkpoints.
+ * writes them, with their detail slices, when absent; when every
+ * representative's entry carries a slice, nothing is re-executed
+ * (docs/CHECKPOINT.md). Ignored on retry attempts — attempt-salted
+ * data seeds change the op stream, so a retry's intervals must never
+ * alias attempt 0's checkpoints.
  */
 SampledWorkloadResult replayCapture(const WorkloadCapture &cap,
                                     const NodeConfig &machine,

@@ -30,7 +30,7 @@ SampledCharacterizer::runOnNode(const WorkloadId &id,
     // Replaying a fresh capture on the capturing machine is the
     // monolithic pipeline this method used to inline.
     const WorkloadCapture cap =
-        captureWorkload(runner_, opts_, id, node);
+        captureWorkload(runner_, opts_, id, node, &ckpt_);
     return replayCapture(cap, runner_.config(), opts_, &ckpt_);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "ckpt/state.h"
 #include "common/log.h"
@@ -26,7 +27,7 @@ struct CkptPlan
     const CheckpointCache *cache = nullptr;
     const CheckpointKey *key = nullptr;
 
-    /** Payloads restored at detail-interval entry, by interval. */
+    /** State payloads restored at detail-interval entry, by interval. */
     std::map<std::size_t, std::string> payloads;
 };
 
@@ -128,27 +129,38 @@ class PlanSink : public ExecTarget
             src.finish();
             ++stats_.ckptRestores;
         } else {
+            // Snapshot now; the entry is written when the interval
+            // ends, with the slice of events the model received.
             StateSink sink;
             sys_.saveState(sink);
-            try {
-                ckpt_->cache->store(*ckpt_->key, interval,
-                                    sink.take());
-                ++stats_.ckptWrites;
-            } catch (const Error &e) {
-                // A full disk must degrade the cache, not the run.
-                warn(std::string("checkpoint: cannot store interval "
-                                 "snapshot: ")
-                     + e.what());
-            }
+            entryState_ = sink.take();
+            slice_.clear();
+            sys_.attachRecorder(&slice_);
         }
     }
 
     void leaveInterval()
     {
-        if (mode_ == IntervalMode::Detail
-            && current_ < repOf_.size() && repOf_[current_] >= 0)
+        if (mode_ != IntervalMode::Detail)
+            return;
+        if (current_ < repOf_.size() && repOf_[current_] >= 0)
             snaps_[static_cast<std::size_t>(repOf_[current_])] =
                 sys_.aggregateCounters();
+        if (entryState_.empty())
+            return;
+        sys_.attachRecorder(nullptr);
+        try {
+            ckpt_->cache->store(*ckpt_->key, current_, entryState_,
+                                slice_);
+            ++stats_.ckptWrites;
+        } catch (const Error &e) {
+            // A full disk must degrade the cache, not the run.
+            warn(std::string("checkpoint: cannot store interval "
+                             "snapshot: ")
+                 + e.what());
+        }
+        entryState_.clear();
+        slice_.clear();
     }
 
     SystemModel &sys_;
@@ -163,6 +175,11 @@ class PlanSink : public ExecTarget
     std::uint64_t left_ = 0; ///< uops left in the current interval
     std::size_t current_ = 0;
     IntervalMode mode_ = IntervalMode::Warm;
+
+    /** Entry state of the detail interval being recorded, if any. */
+    std::string entryState_;
+    /** Events of that interval so far: its detail slice. */
+    TraceRecorder slice_;
 };
 
 } // namespace
@@ -198,11 +215,71 @@ SampledReplayer::replay(const TraceRecorder &trace,
     }, picked, stats);
 }
 
+bool
+SampledReplayer::replaySlices(const PickResult &picked,
+                              std::vector<PmcCounters> &snaps,
+                              SampledReplayStats &stats, bool &touched)
+{
+    std::uint64_t detail = 0, bytes = 0;
+    for (std::size_t r = 0; r < picked.reps.size(); ++r) {
+        const std::size_t interval = picked.reps[r].interval;
+        const std::string what = ckptCache_->path(ckptKey_, interval);
+        CheckpointEntry entry;
+        TraceRecorder slice;
+        try {
+            if (!ckptCache_->read(ckptKey_, interval, &entry)
+                || entry.ops.empty())
+                return false;
+            slice = TraceRecorder::decode(entry.ops, sys_.numCores(),
+                                          what);
+        } catch (const Error &) {
+            // The re-execution path reads the entry again, and
+            // reports and counts what is wrong with it.
+            return false;
+        }
+        touched = true;
+        sys_.setCounterFreeze(false);
+        sys_.resetCounters();
+        StateSource src(entry.state, what);
+        sys_.loadState(src);
+        src.finish();
+        std::uint64_t dma = 0;
+        slice.replay(sys_, [&](std::uint64_t addr, std::uint64_t n) {
+            sys_.dmaFill(addr, n);
+            ++dma;
+        });
+        snaps[r] = sys_.aggregateCounters();
+        detail += slice.size() - dma;
+        bytes += entry.state.size() + entry.ops.size();
+    }
+    noteCkptHits(picked.reps.size(), bytes);
+    stats.totalOps = picked.totalOps;
+    stats.detailOps = detail;
+    stats.skippedOps = picked.totalOps - detail;
+    stats.ckptRestores = picked.reps.size();
+    return true;
+}
+
 std::vector<PmcCounters>
 SampledReplayer::replay(const StreamSource &drive,
                         const PickResult &picked,
                         SampledReplayStats *stats)
 {
+    std::vector<PmcCounters> snaps(picked.reps.size());
+    SampledReplayStats local;
+    bool touched = false;
+    if (ckptCache_ && replaySlices(picked, snaps, local, touched)) {
+        if (stats)
+            *stats = local;
+        return snaps;
+    }
+    // Re-execute the stream. When the slice path got partway, start
+    // from a fresh model: an entry it restored may be gone (evicted
+    // by another process) by the time the probe below reads it, and
+    // warming must then begin from zero state.
+    std::optional<SystemModel> fresh;
+    SystemModel &sys = touched ? fresh.emplace(sys_.config()) : sys_;
+
     // Build the per-interval plan. Representatives run in detail;
     // with a bounded warmup window, only the W intervals before each
     // representative are warmed and the rest are skipped. W == 0
@@ -234,8 +311,9 @@ SampledReplayer::replay(const StreamSource &drive,
     // corrupt entry can still fall back to warming from zero. Every
     // interval strictly before a restorable representative is
     // covered by its snapshot and jumps; a representative without a
-    // valid checkpoint keeps its warm-up plan intact and writes one
-    // at detail entry. Reps arrive in ascending interval order
+    // valid checkpoint keeps its warm-up plan intact and writes one,
+    // with its slice, when its interval ends. Reps arrive in
+    // ascending interval order
     // (picker contract), so the cursor walks the stream once.
     CkptPlan ckpt;
     if (ckptCache_) {
@@ -243,21 +321,30 @@ SampledReplayer::replay(const StreamSource &drive,
         ckpt.key = &ckptKey_;
         std::size_t cursor = 0;
         for (const Representative &r : picked.reps) {
-            std::string payload;
+            CheckpointEntry entry;
             bool have = false;
             try {
-                have = ckptCache_->load(ckptKey_, r.interval,
-                                        &payload);
-                if (!have)
+                have = ckptCache_->read(ckptKey_, r.interval, &entry);
+                if (!have) {
                     noteCkptMiss();
+                } else {
+                    // A slice that does not decode makes the entry
+                    // as corrupt as a bad checksum does.
+                    TraceRecorder::decode(
+                        entry.ops, sys.numCores(),
+                        ckptCache_->path(ckptKey_, r.interval));
+                    noteCkptHits(1,
+                                 entry.state.size() + entry.ops.size());
+                }
             } catch (const std::exception &e) {
                 // Corrupt/truncated/foreign entry: report, warm from
-                // zero, rewrite at detail entry.
+                // zero, rewrite when its interval ends.
                 warn(std::string("checkpoint: ") + e.what());
                 noteCkptFallback();
+                have = false;
             }
             if (have) {
-                ckpt.payloads[r.interval] = std::move(payload);
+                ckpt.payloads[r.interval] = std::move(entry.state);
                 for (std::size_t i = cursor; i < r.interval; ++i)
                     plan[i] = IntervalMode::Jump;
             }
@@ -269,9 +356,7 @@ SampledReplayer::replay(const StreamSource &drive,
             plan[i] = IntervalMode::Jump;
     }
 
-    std::vector<PmcCounters> snaps(picked.reps.size());
-    SampledReplayStats local;
-    PlanSink sink(sys_, intervalUops_, plan, rep_of, snaps, local,
+    PlanSink sink(sys, intervalUops_, plan, rep_of, snaps, local,
                   ckptCache_ ? &ckpt : nullptr);
     drive(sink);
     sink.finish();

@@ -16,12 +16,17 @@
  * With a checkpoint cache attached (setCheckpoints), the replayer
  * additionally snapshots the full SystemModel state at each
  * representative's entry — after the unfreeze + counter reset, so
- * the payload is exactly what detail replay starts from — and on a
- * later run restores those snapshots instead of warming the
- * intervals that precede them. Restored replays are bitwise-identical
- * to warming from zero (test-pinned); a corrupt, truncated or
- * foreign checkpoint is a typed error the replayer converts into a
- * transparent warm-from-zero fallback for that interval.
+ * the payload is exactly what detail replay starts from — and stores
+ * it, when the interval ends, together with the interval's detail
+ * slice: every op and DMA fill the model received in between. A
+ * later run whose representatives all have such entries never calls
+ * the stream: it restores each entry in turn and feeds the model its
+ * slice. Otherwise it re-executes the stream, restoring the entries
+ * it has instead of warming the intervals that precede them.
+ * Restored replays are bitwise-identical to warming from zero
+ * (test-pinned); a corrupt, truncated or foreign checkpoint is a
+ * typed error the replayer converts into a transparent
+ * warm-from-zero fallback for that interval.
  */
 
 #ifndef BDS_SAMPLE_REPLAY_H
@@ -74,19 +79,24 @@ class SampledReplayer
     /**
      * Attach a checkpoint cache. `key` identifies this replay's
      * stream (config hash + machine + workload + node); the interval
-     * index is appended per representative. Before replaying, every
-     * representative's checkpoint is probed: present-and-valid ones
-     * are restored (the preceding intervals jump — no warming, no
-     * DMA, all already embodied in the snapshot), the rest warm as
-     * usual and are written at detail entry for the next run.
+     * index is appended per representative. When every
+     * representative's entry is valid and carries a slice, replay()
+     * restores and replays them one at a time and never calls the
+     * stream. Otherwise the stream is re-executed (on a fresh model)
+     * after every entry is probed: present-and-valid ones are
+     * restored (the preceding intervals jump — no warming, no DMA,
+     * all already embodied in the snapshot), the rest warm as usual
+     * and are written, with their slices, for the next run.
      */
     void setCheckpoints(std::shared_ptr<const CheckpointCache> cache,
                         CheckpointKey key);
 
     /**
-     * Drive the stream and capture per-representative counters.
+     * Drive the stream and capture per-representative counters. The
+     * model's state afterwards is unspecified.
      * @param drive Executes the stream once (profiler's interval
-     *        origin) into the replayer's plan target.
+     *        origin) into the replayer's plan target; not called
+     *        when the checkpoints' slices cover every representative.
      * @param picked Representatives to simulate in detail.
      * @param stats Optional op-accounting sink.
      * @return One aggregated PmcCounters per representative, in
@@ -102,6 +112,17 @@ class SampledReplayer
                                     SampledReplayStats *stats = nullptr);
 
   private:
+    /**
+     * The stream-free path: restore each representative's entry and
+     * feed the model its slice, reading one entry at a time. Counts
+     * the hits and fills `stats` only when every entry served; false
+     * as soon as one is absent, corrupt or sliceless, with `touched`
+     * telling whether the model was already changed.
+     */
+    bool replaySlices(const PickResult &picked,
+                      std::vector<PmcCounters> &snaps,
+                      SampledReplayStats &stats, bool &touched);
+
     SystemModel &sys_;
     std::uint64_t intervalUops_;
     unsigned warmupIntervals_;

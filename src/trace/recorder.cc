@@ -1,10 +1,12 @@
 #include "trace/recorder.h"
 
-#include <algorithm>
 #include <istream>
+#include <iterator>
 #include <ostream>
 
+#include "ckpt/state.h"
 #include "common/log.h"
+#include "fault/error.h"
 
 namespace bds {
 
@@ -67,6 +69,53 @@ TraceRecorder::replay(
     }
 }
 
+std::string
+TraceRecorder::encode() const
+{
+    std::string out(entries_.size() * kEventBytes, '\0');
+    char *p = out.data();
+    for (const Entry &e : entries_) {
+        storeLe64(p, e.ip);
+        storeLe64(p + 8, e.addr);
+        p[16] = static_cast<char>(e.core);
+        p[17] = static_cast<char>(e.cls);
+        p[18] = static_cast<char>(e.mode);
+        p[19] = static_cast<char>(e.flags);
+        p += kEventBytes;
+    }
+    return out;
+}
+
+TraceRecorder
+TraceRecorder::decode(std::string_view bytes, unsigned numCores,
+                      const std::string &what)
+{
+    if (bytes.size() % kEventBytes != 0)
+        BDS_RAISE(ErrorCode::Io,
+                  what << ": " << bytes.size()
+                       << " event bytes are not a whole number of "
+                       << kEventBytes << "-byte events");
+    TraceRecorder rec;
+    rec.entries_.resize(bytes.size() / kEventBytes);
+    const char *p = bytes.data();
+    for (std::size_t i = 0; i < rec.entries_.size(); ++i) {
+        Entry &e = rec.entries_[i];
+        e.ip = loadLe64(p);
+        e.addr = loadLe64(p + 8);
+        e.core = static_cast<std::uint8_t>(p[16]);
+        e.cls = static_cast<std::uint8_t>(p[17]);
+        e.mode = static_cast<std::uint8_t>(p[18]);
+        e.flags = static_cast<std::uint8_t>(p[19]);
+        if (e.core >= numCores
+            || e.cls > static_cast<std::uint8_t>(OpClass::SseAlu)
+            || e.mode > static_cast<std::uint8_t>(Mode::Kernel)
+            || e.flags > 15)
+            BDS_RAISE(ErrorCode::Io, what << ": corrupt trace event " << i);
+        p += kEventBytes;
+    }
+    return rec;
+}
+
 void
 TraceRecorder::save(std::ostream &os) const
 {
@@ -75,15 +124,8 @@ TraceRecorder::save(std::ostream &os) const
     os.write(reinterpret_cast<const char *>(&version), sizeof(version));
     std::uint64_t count = entries_.size();
     os.write(reinterpret_cast<const char *>(&count), sizeof(count));
-    for (const Entry &e : entries_) {
-        os.write(reinterpret_cast<const char *>(&e.ip), sizeof(e.ip));
-        os.write(reinterpret_cast<const char *>(&e.addr),
-                 sizeof(e.addr));
-        os.put(static_cast<char>(e.core));
-        os.put(static_cast<char>(e.cls));
-        os.put(static_cast<char>(e.mode));
-        os.put(static_cast<char>(e.flags));
-    }
+    const std::string events = encode();
+    os.write(events.data(), static_cast<std::streamsize>(events.size()));
     if (!os)
         BDS_FATAL("trace write failed");
 }
@@ -94,68 +136,32 @@ TraceRecorder::load(std::istream &is)
     char magic[8];
     is.read(magic, 8);
     if (!is || std::string(magic, 8) != std::string(kMagic, 8))
-        BDS_FATAL("not a bds trace file");
+        BDS_RAISE(ErrorCode::Io, "not a bds trace file");
     std::uint32_t version = 0;
     is.read(reinterpret_cast<char *>(&version), sizeof(version));
     if (version != kVersion)
-        BDS_FATAL("unsupported trace version " << version);
+        BDS_RAISE(ErrorCode::Io, "unsupported trace version " << version);
     std::uint64_t count = 0;
     is.read(reinterpret_cast<char *>(&count), sizeof(count));
     if (!is)
-        BDS_FATAL("truncated trace header");
+        BDS_RAISE(ErrorCode::Io, "truncated trace header");
 
-    // Entries are 20 bytes on disk. A seekable stream lets us check
-    // the payload against the header count up front, before trusting
-    // `count` for the reserve — a bogus header must not OOM us, and
-    // both truncation and trailing garbage are rejected.
-    constexpr std::uint64_t kEntryBytes = 20;
-    std::istream::pos_type body = is.tellg();
-    const bool seekable = body != std::istream::pos_type(-1);
-    if (seekable) {
-        is.seekg(0, std::ios::end);
-        std::uint64_t remaining =
-            static_cast<std::uint64_t>(is.tellg() - body);
-        is.seekg(body);
-        if (count > remaining / kEntryBytes)
-            BDS_FATAL("truncated trace: header promises " << count
-                      << " entries but only " << remaining
+    // The body is whatever the stream holds, so its size — never the
+    // header's count — bounds every allocation; the count must then
+    // match it exactly (truncation and trailing garbage both fail).
+    const std::string body{std::istreambuf_iterator<char>(is),
+                           std::istreambuf_iterator<char>()};
+    if (count > body.size() / kEventBytes)
+        BDS_RAISE(ErrorCode::Io,
+                  "truncated trace: header promises "
+                      << count << " entries but only " << body.size()
                       << " payload bytes remain");
-        if (remaining != count * kEntryBytes)
-            BDS_FATAL("oversized trace: "
-                      << remaining - count * kEntryBytes
-                      << " trailing bytes after " << count
-                      << " entries");
-    }
-
-    // A non-seekable stream has not vouched for `count`: reserve at
-    // most a bounded chunk and let the vector grow as entries arrive.
-    constexpr std::uint64_t kUncheckedReserve = 1 << 16;
-    TraceRecorder rec;
-    rec.entries_.reserve(static_cast<std::size_t>(
-        seekable ? count : std::min(count, kUncheckedReserve)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Entry e;
-        is.read(reinterpret_cast<char *>(&e.ip), sizeof(e.ip));
-        is.read(reinterpret_cast<char *>(&e.addr), sizeof(e.addr));
-        int core = is.get(), cls = is.get(), mode = is.get(),
-            flags = is.get();
-        if (!is || core < 0)
-            BDS_FATAL("truncated trace at entry " << i);
-        e.core = static_cast<std::uint8_t>(core);
-        e.cls = static_cast<std::uint8_t>(cls);
-        e.mode = static_cast<std::uint8_t>(mode);
-        e.flags = static_cast<std::uint8_t>(flags);
-        if (e.cls > static_cast<std::uint8_t>(OpClass::SseAlu)
-            || e.mode > static_cast<std::uint8_t>(Mode::Kernel)
-            || e.flags > 15)
-            BDS_FATAL("corrupt trace entry " << i);
-        rec.entries_.push_back(e);
-    }
-    // Non-seekable streams reach here without the up-front size
-    // check; trailing bytes mean the writer and header disagree.
-    if (is.peek() != std::char_traits<char>::eof())
-        BDS_FATAL("oversized trace: data past the last entry");
-    return rec;
+    if (body.size() != count * kEventBytes)
+        BDS_RAISE(ErrorCode::Io,
+                  "oversized trace: " << body.size() - count * kEventBytes
+                                      << " trailing bytes after "
+                                      << count << " entries");
+    return decode(body, 256, "trace");
 }
 
 } // namespace bds

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/microop.h"
@@ -61,13 +63,38 @@ class TraceRecorder : public OpSink
                     &dma = {}) const;
 
     /**
-     * Serialize to a binary stream (native endianness; the format is
-     * a private interchange format for this library, not an archive
-     * format).
+     * The recorded events, kEventBytes each, little-endian: ip and
+     * addr as u64, then the core, op-class, mode and flag bytes.
+     * save() writes these bytes after its header; checkpoint entries
+     * carry a representative's detail slice in them.
+     */
+    std::string encode() const;
+
+    /**
+     * Decode encode() bytes. The byte count must be a multiple of
+     * kEventBytes, checked before anything is allocated; an event
+     * naming a core >= `numCores`, an unknown op class or mode, or
+     * undefined flag bits is an Error(Io) naming `what`.
+     */
+    static TraceRecorder decode(std::string_view bytes,
+                                unsigned numCores,
+                                const std::string &what);
+
+    /** Bytes one event occupies in encode()'s layout. */
+    static constexpr std::size_t kEventBytes = 20;
+
+    /**
+     * Serialize to a binary stream: a magic, a version and the event
+     * count, then encode()'s bytes. A private interchange format for
+     * this library, not an archive format.
      */
     void save(std::ostream &os) const;
 
-    /** Deserialize a trace written by save(); fatal on corruption. */
+    /**
+     * Deserialize a trace written by save(). Any corruption is an
+     * Error(Io): a foreign header, a count that disagrees with the
+     * bytes that follow, or an event decode() rejects.
+     */
     static TraceRecorder load(std::istream &is);
 
   private:

@@ -15,6 +15,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "fault/error.h"
+#include "trace/recorder.h"
 
 namespace {
 
@@ -27,6 +28,7 @@ using bds::Error;
 using bds::ErrorCode;
 using bds::readCheckpoint;
 using bds::resetCkptStats;
+using bds::TraceRecorder;
 using bds::writeCheckpoint;
 
 CheckpointKey
@@ -87,29 +89,51 @@ TEST(CheckpointContainer, RoundTripIsExact)
 
 TEST(CheckpointContainer, WriterBytesArePinned)
 {
-    // The whole container, header included, for a tiny state. The
-    // same text must parse: files already on disk stay readable.
+    // The whole container, header included, for a tiny state and a
+    // two-event slice (one op, one DMA fill). The same text must
+    // parse: files already on disk stay readable.
     CheckpointEntry entry = makeEntry();
     entry.key.machineText = "cores=4 l1d=32K";
     entry.key.node = 1;
     entry.state = "tiny";
-    const std::string golden = "BDSCKPT 2\n"
-                               "hash 0123456789abcdef\n"
-                               "slug default\n"
-                               "machine_bytes 15\n"
-                               "cores=4 l1d=32K"
-                               "workload_bytes 6\n"
-                               "H-Sort"
-                               "node 1\n"
-                               "interval 7\n"
-                               "state_sum 41e843ecfccd719a\n"
-                               "state_bytes 4\n"
-                               "tiny"
-                               "END\n";
+    TraceRecorder slice;
+    bds::MicroOp op;
+    op.cls = bds::OpClass::Load;
+    op.mode = bds::Mode::Kernel;
+    op.ip = 0x401000;
+    op.addr = 0x7f0000000040ULL;
+    op.dependsOnPrevLoad = true;
+    slice.consume(2, op);
+    slice.recordDma(0x1000, 64);
+    entry.ops = slice.encode();
+    const std::string golden =
+        std::string("BDSCKPT 3\n"
+                    "hash 0123456789abcdef\n"
+                    "slug default\n"
+                    "machine_bytes 15\n"
+                    "cores=4 l1d=32K"
+                    "workload_bytes 6\n"
+                    "H-Sort"
+                    "node 1\n"
+                    "interval 7\n"
+                    "state_sum 41e843ecfccd719a\n"
+                    "state_bytes 4\n"
+                    "tiny"
+                    "ops_sum ab6bcedd6fd266b2\n"
+                    "ops_bytes 40\n")
+        + std::string("\x00\x10\x40\x00\x00\x00\x00\x00"
+                      "\x40\x00\x00\x00\x00\x7f\x00\x00"
+                      "\x02\x00\x01\x06"
+                      "\x00\x10\x00\x00\x00\x00\x00\x00"
+                      "\x40\x00\x00\x00\x00\x00\x00\x00"
+                      "\x00\x00\x00\x08",
+                      40)
+        + "END\n";
     EXPECT_EQ(serialized(entry), golden);
     const CheckpointEntry back =
         readCheckpoint(golden, "golden", entry.key, entry.interval);
     EXPECT_EQ(back.state, "tiny");
+    EXPECT_EQ(back.ops, entry.ops);
 }
 
 TEST(CheckpointContainer, TruncationAnywhereIsTypedIo)

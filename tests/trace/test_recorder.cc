@@ -1,5 +1,6 @@
 /** @file Tests for trace recording, serialization, and replay. */
 
+#include <cstring>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -8,9 +9,12 @@
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "fault/error.h"
 #include "trace/recorder.h"
 #include "trace/runtime.h"
 #include "uarch/system.h"
+
+#include "../mutator.h"
 
 namespace {
 
@@ -257,6 +261,78 @@ TEST(Recorder, ReplayIntoSameConfigIsExact)
     EXPECT_EQ(live.branchesMispredicted, again.branchesMispredicted);
     EXPECT_EQ(live.snoopHitM, again.snoopHitM);
     EXPECT_EQ(live.offcoreWb, again.offcoreWb);
+}
+
+TEST(Recorder, EncodeDecodeRoundTripsAndChecksEveryEvent)
+{
+    TraceRecorder rec;
+    MicroOp op;
+    op.cls = bds::OpClass::SseAlu;
+    op.mode = bds::Mode::Kernel;
+    op.ip = 0x401000;
+    op.taken = true;
+    rec.consume(3, op);
+    rec.recordDma(0x2000, 128);
+    const std::string bytes = rec.encode();
+    ASSERT_EQ(bytes.size(), 2 * TraceRecorder::kEventBytes);
+    EXPECT_EQ(TraceRecorder::decode(bytes, 4, "slice").encode(), bytes);
+
+    // Byte 16 of an event is its core, 17 the class, 18 the mode and
+    // 19 the flags; each out-of-range value is a typed Io error.
+    auto code = [](const std::string &b, unsigned cores) {
+        try {
+            TraceRecorder::decode(b, cores, "slice");
+        } catch (const bds::Error &e) {
+            return e.code();
+        }
+        return bds::ErrorCode::None;
+    };
+    EXPECT_EQ(code(bytes, 3), bds::ErrorCode::Io); // core 3 of 3
+    for (const auto &[at, value] :
+         {std::pair<std::size_t, char>{17, 6}, {18, 2}, {19, 16}}) {
+        std::string bad = bytes;
+        bad[at] = value;
+        EXPECT_EQ(code(bad, 4), bds::ErrorCode::Io) << "byte " << at;
+    }
+    EXPECT_EQ(code(bytes.substr(0, 30), 4), bds::ErrorCode::Io);
+    EXPECT_EQ(code("", 4), bds::ErrorCode::None);
+}
+
+TEST(TraceRecorderMutation, MutantsLoadOrRaiseTypedIo)
+{
+    // Seeded mutants of a saved trace: byte flips, truncation,
+    // splices and an inflated event count. Each loads or raises
+    // Error(Io) — never a crash, an untyped error or an allocation
+    // sized by the damaged count.
+    const std::string file = savedTraceBytes();
+    bds::Mutator mut(0x74726163ULL);
+    std::size_t loaded = 0, typed = 0;
+    constexpr int kMutants = 2000;
+    for (int i = 0; i < kMutants; ++i) {
+        std::string bytes = file;
+        const unsigned op = static_cast<unsigned>(mut.below(4));
+        if (op < 3) {
+            mut.mutate(bytes, op);
+        } else {
+            std::uint64_t count = 0;
+            std::memcpy(&count, bytes.data() + 12, sizeof count);
+            count = mut.inflated(count);
+            std::memcpy(bytes.data() + 12, &count, sizeof count);
+        }
+        std::stringstream in(bytes);
+        try {
+            TraceRecorder::load(in);
+            ++loaded;
+        } catch (const bds::Error &e) {
+            EXPECT_EQ(e.code(), bds::ErrorCode::Io) << "mutant " << i;
+            ++typed;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "mutant " << i << ": untyped " << e.what();
+        }
+    }
+    EXPECT_EQ(loaded + typed, static_cast<std::size_t>(kMutants));
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(typed, kMutants / 2u);
 }
 
 /** Replaying into a bigger L3 must not increase LLC misses. */
