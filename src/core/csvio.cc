@@ -90,16 +90,17 @@ readMetricsCsvFile(const std::string &path)
     return readMetricsCsv(in);
 }
 
-Matrix
-alignMetricTable(const MetricTable &table, const MetricSet &set)
+std::vector<std::size_t>
+metricColumnOrder(const std::vector<std::string> &columns,
+                  const MetricSet &set)
 {
     // Map column name -> position, rejecting duplicates outright: a
     // doubled header cell means the file is not what it claims.
     std::unordered_map<std::string, std::size_t> by_name;
-    for (std::size_t c = 0; c < table.columns.size(); ++c) {
-        auto [it, fresh] = by_name.emplace(table.columns[c], c);
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+        auto [it, fresh] = by_name.emplace(columns[c], c);
         if (!fresh)
-            BDS_FATAL("metric CSV lists column '" << table.columns[c]
+            BDS_FATAL("metric CSV lists column '" << columns[c]
                       << "' twice");
     }
 
@@ -118,10 +119,17 @@ alignMetricTable(const MetricTable &table, const MetricSet &set)
     }
     if (!missing.empty())
         BDS_FATAL("metric CSV lacks required metric column(s) "
-                  << missing << " (have " << table.columns.size()
+                  << missing << " (have " << columns.size()
                   << " columns); columns are matched by name, "
                   << "never by position");
+    return order;
+}
 
+Matrix
+alignMetricTable(const MetricTable &table, const MetricSet &set)
+{
+    const std::vector<std::size_t> order =
+        metricColumnOrder(table.columns, set);
     Matrix out(table.values.rows(), order.size());
     for (std::size_t r = 0; r < table.values.rows(); ++r)
         for (std::size_t c = 0; c < order.size(); ++c)

@@ -45,6 +45,15 @@ MetricTable readMetricsCsv(std::istream &in);
 MetricTable readMetricsCsvFile(const std::string &path);
 
 /**
+ * Positions of `set`'s metrics among the header `columns`, in set
+ * order. A duplicated column name, or a set metric with no column,
+ * is fatal with a diagnostic naming the offending columns.
+ */
+std::vector<std::size_t>
+metricColumnOrder(const std::vector<std::string> &columns,
+                  const MetricSet &set);
+
+/**
  * Align a loaded table's columns to `set` order by canonical name.
  *
  * Columns may appear in any order; columns outside the set are

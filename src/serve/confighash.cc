@@ -1,7 +1,5 @@
 #include "serve/confighash.h"
 
-#include <sstream>
-
 #include "uarch/machine.h"
 
 namespace bds {
@@ -12,36 +10,43 @@ canonicalRunConfig(const RunConfig &cfg)
     // Fixed field order, integers rendered in decimal, booleans as
     // 0/1 — never touch this rendering without bumping
     // kConfigHashSchemaVersion (the stability test pins the result).
-    std::ostringstream os;
-    os << "bds-runconfig-v" << kConfigHashSchemaVersion << '\n'
-       << "scale=" << cfg.scaleName << '\n'
-       << "seed=" << cfg.seed << '\n'
-       // The *resolved* geometry, not the spec string: equivalent
-       // spellings of one machine share a cell, and any override
-       // that actually changes the geometry changes the key.
-       << "machine="
-       << canonicalMachineText(resolveMachineSpec(cfg.machineSpec))
-       << '\n'
-       << "sampling.enabled=" << (cfg.sampling.enabled ? 1 : 0) << '\n'
-       << "sampling.interval_uops=" << cfg.sampling.intervalUops << '\n'
-       << "sampling.bbv_dims=" << cfg.sampling.bbvDims << '\n'
-       << "sampling.k_min=" << cfg.sampling.kMin << '\n'
-       << "sampling.k_max=" << cfg.sampling.kMax << '\n'
-       << "sampling.warmup_intervals=" << cfg.sampling.warmupIntervals
-       << '\n'
-       << "sampling.seed=" << cfg.sampling.seed << '\n'
-       << "recovery.policy="
-       << failPolicyName(cfg.fault.recovery.policy) << '\n'
-       << "recovery.max_retries=" << cfg.fault.recovery.maxRetries
-       << '\n'
-       << "recovery.timeout_ms=" << cfg.fault.recovery.timeoutMs << '\n'
-       << "fault.throw=" << cfg.fault.throwAt << '\n'
-       << "fault.stall=" << cfg.fault.stallAt << '\n'
-       << "fault.corrupt=" << cfg.fault.corruptAt << '\n'
-       << "fault.alloc=" << cfg.fault.allocAt << '\n'
-       << "fault.stall_ms=" << cfg.fault.stallMs << '\n'
-       << "fault.attempts=" << cfg.fault.attempts << '\n';
-    return os.str();
+    auto field = [](std::string &out, const char *key,
+                    const std::string &value) {
+        out += key;
+        out += '=';
+        out += value;
+        out += '\n';
+    };
+    using std::to_string;
+    std::string out =
+        "bds-runconfig-v" + to_string(kConfigHashSchemaVersion) + '\n';
+    field(out, "scale", cfg.scaleName);
+    field(out, "seed", to_string(cfg.seed));
+    // The *resolved* geometry, not the spec string: equivalent
+    // spellings of one machine share a cell, and any override that
+    // actually changes the geometry changes the key.
+    field(out, "machine",
+          canonicalMachineText(resolveMachineSpec(cfg.machineSpec)));
+    const SamplingOptions &smp = cfg.sampling;
+    field(out, "sampling.enabled", smp.enabled ? "1" : "0");
+    field(out, "sampling.interval_uops", to_string(smp.intervalUops));
+    field(out, "sampling.bbv_dims", to_string(smp.bbvDims));
+    field(out, "sampling.k_min", to_string(smp.kMin));
+    field(out, "sampling.k_max", to_string(smp.kMax));
+    field(out, "sampling.warmup_intervals",
+          to_string(smp.warmupIntervals));
+    field(out, "sampling.seed", to_string(smp.seed));
+    const RecoveryOptions &rec = cfg.fault.recovery;
+    field(out, "recovery.policy", failPolicyName(rec.policy));
+    field(out, "recovery.max_retries", to_string(rec.maxRetries));
+    field(out, "recovery.timeout_ms", to_string(rec.timeoutMs));
+    field(out, "fault.throw", cfg.fault.throwAt);
+    field(out, "fault.stall", cfg.fault.stallAt);
+    field(out, "fault.corrupt", cfg.fault.corruptAt);
+    field(out, "fault.alloc", cfg.fault.allocAt);
+    field(out, "fault.stall_ms", to_string(cfg.fault.stallMs));
+    field(out, "fault.attempts", to_string(cfg.fault.attempts));
+    return out;
 }
 
 std::uint64_t

@@ -1,14 +1,17 @@
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <ctime>
 #include <sstream>
 
 #include "ckpt/context.h"
+#include "common/table.h"
 #include "core/csvio.h"
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "metrics/schema.h"
 #include "metrics/set.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
@@ -20,7 +23,89 @@
 
 namespace bds {
 
+/**
+ * Everything a projected hit needs from one stored cell, parsed and
+ * formatted once: the table readMetricsCsv() reads from the entry's
+ * CSV, with every cell already rendered as writeMetricsCsv() renders
+ * it. Immutable once built; requests share it through a shared_ptr.
+ */
+struct ProjectionBasis
+{
+    /** Marks a workload or metric the entry has no row/column for. */
+    static constexpr std::size_t kAbsent = ~std::size_t(0);
+
+    /** The entry bytes this basis was built from. */
+    std::string csv;
+
+    /** Row labels, file order. */
+    std::vector<std::string> names;
+
+    /** First row labelled allWorkloads()[i], or kAbsent. */
+    std::vector<std::size_t> rowOfWorkload;
+
+    /** Header metric columns, file order. */
+    std::vector<std::string> columns;
+
+    /** Column of schema metric m, or kAbsent. */
+    std::vector<std::size_t> columnOfMetric;
+
+    /** fmtDouble(value, 6) of every cell, row-major. */
+    std::vector<std::string> cells;
+};
+
 namespace {
+
+/**
+ * Parse an entry's CSV into its projection basis. Raises exactly
+ * what the batch path raises on the same bytes: readMetricsCsv()'s
+ * parse errors, then metricColumnOrder()'s duplicated column.
+ */
+std::shared_ptr<const ProjectionBasis>
+buildBasis(const std::string &csv)
+{
+    std::istringstream in(csv);
+    MetricTable table = readMetricsCsv(in);
+    metricColumnOrder(table.columns, MetricSet::none());
+
+    auto basis = std::make_shared<ProjectionBasis>();
+    basis->csv = csv;
+    basis->names = std::move(table.names);
+    basis->columns = std::move(table.columns);
+    for (const WorkloadId &w : allWorkloads()) {
+        const auto it = std::find(basis->names.begin(),
+                                  basis->names.end(), w.name());
+        basis->rowOfWorkload.push_back(
+            it == basis->names.end()
+                ? ProjectionBasis::kAbsent
+                : static_cast<std::size_t>(it - basis->names.begin()));
+    }
+    for (std::size_t m = 0; m < kNumMetrics; ++m) {
+        const auto it = std::find(basis->columns.begin(),
+                                  basis->columns.end(), metricName(m));
+        basis->columnOfMetric.push_back(
+            it == basis->columns.end()
+                ? ProjectionBasis::kAbsent
+                : static_cast<std::size_t>(it - basis->columns.begin()));
+    }
+    basis->cells.reserve(table.values.rows() * table.values.cols());
+    for (std::size_t r = 0; r < table.values.rows(); ++r)
+        for (std::size_t c = 0; c < table.values.cols(); ++c)
+            basis->cells.push_back(fmtDouble(table.values(r, c), 6));
+    return basis;
+}
+
+/** The CSV header label of every schema metric. */
+const std::vector<std::string> &
+metricLabels()
+{
+    static const std::vector<std::string> labels = [] {
+        std::vector<std::string> out;
+        for (std::size_t m = 0; m < kNumMetrics; ++m)
+            out.push_back(csvEscape(metricName(m)));
+        return out;
+    }();
+    return labels;
+}
 
 /** Current wall-clock time as ISO-8601 UTC. */
 std::string
@@ -177,49 +262,83 @@ ServeEngine::computeCell(const RunConfig &cfg)
 }
 
 std::string
+ServeEngine::cellHash(const RequestRecord &req) const
+{
+    const auto key =
+        std::make_tuple(req.scale, req.seed, req.machine,
+                        (req.flags & kServeFlagSampled) != 0);
+    std::string hash;
+    if (!hashes_.find(key, &hash)) {
+        hash = runConfigHashHex(requestConfig(req));
+        hashes_.put(key, hash);
+    }
+    return hash;
+}
+
+std::string
 ServeEngine::projectPayload(const ResultEntry &entry,
-                            const RequestRecord &req)
+                            const RequestRecord &req) const
 {
     const bool all_rows = req.workloadMask == 0xffffffffu;
     if (all_rows && req.metricMask == 0)
         return entry.csv; // the byte-identical full-width fast path
 
-    std::istringstream in(entry.csv);
-    MetricTable table = readMetricsCsv(in);
-    MetricSet set =
-        req.metricMask
-            ? MetricSet::fromNames(metricNamesFromMask(req.metricMask))
-            : MetricSet::tableII();
-    Matrix aligned = alignMetricTable(table, set);
+    // A basis answers only for the exact bytes it was built from, so
+    // a rewritten entry under the same hash is never sliced stale.
+    std::shared_ptr<const ProjectionBasis> basis;
+    if (!bases_.find(entry.hashHex, &basis) || basis->csv != entry.csv) {
+        basis = buildBasis(entry.csv);
+        bases_.put(entry.hashHex, basis);
+    }
 
+    // Columns in schema order: the full Table II for mask 0.
+    std::vector<std::size_t> cols;
+    bool missing = false;
+    for (std::size_t m = 0; m < kNumMetrics; ++m)
+        if (req.metricMask == 0 || ((req.metricMask >> m) & 1u)) {
+            cols.push_back(m);
+            missing |= basis->columnOfMetric[m] == ProjectionBasis::kAbsent;
+        }
+    if (missing) // raises the batch path's own diagnostic
+        metricColumnOrder(
+            basis->columns,
+            req.metricMask ? MetricSet::fromNames(
+                                 metricNamesFromMask(req.metricMask))
+                           : MetricSet::tableII());
+
+    // Rows in allWorkloads() order; requested workloads missing from
+    // the entry (quarantined) are simply absent.
     std::vector<std::size_t> rows;
     if (all_rows) {
-        for (std::size_t i = 0; i < table.names.size(); ++i)
-            rows.push_back(i);
+        for (std::size_t r = 0; r < basis->names.size(); ++r)
+            rows.push_back(r);
     } else {
-        // Keep the cell's row order; requested workloads missing
-        // from the entry (quarantined) are simply absent.
-        for (const std::string &name :
-             workloadNamesFromMask(req.workloadMask))
-            for (std::size_t i = 0; i < table.names.size(); ++i)
-                if (table.names[i] == name) {
-                    rows.push_back(i);
-                    break;
-                }
+        for (std::size_t w = 0; w < basis->rowOfWorkload.size(); ++w)
+            if (((req.workloadMask >> w) & 1u)
+                && basis->rowOfWorkload[w] != ProjectionBasis::kAbsent)
+                rows.push_back(basis->rowOfWorkload[w]);
     }
 
-    PipelineResult res;
-    res.metrics = set;
-    res.metricLabels = set.names();
-    res.rawMetrics = Matrix(rows.size(), set.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        res.names.push_back(table.names[rows[r]]);
-        for (std::size_t c = 0; c < set.size(); ++c)
-            res.rawMetrics(r, c) = aligned(rows[r], c);
+    // The bytes writeMetricsCsv() emits for the selection.
+    const std::vector<std::string> &labels = metricLabels();
+    const std::size_t width = basis->columns.size();
+    std::string out;
+    out.reserve((rows.size() + 1) * (16 + 12 * cols.size()));
+    out += "workload";
+    for (std::size_t m : cols) {
+        out += ',';
+        out += labels[m];
     }
-    std::ostringstream csv;
-    writeMetricsCsv(csv, res);
-    return csv.str();
+    out += '\n';
+    for (std::size_t r : rows) {
+        out += basis->names[r];
+        for (std::size_t m : cols) {
+            out += ',';
+            out += basis->cells[r * width + basis->columnOfMetric[m]];
+        }
+        out += '\n';
+    }
+    return out;
 }
 
 ServeResponse
@@ -238,8 +357,7 @@ ServeEngine::handle(const RequestRecord &req)
         if (req.op != static_cast<std::uint32_t>(ServeOp::Characterize))
             BDS_RAISE(ErrorCode::InvalidConfig,
                       "unsupported request op " << req.op);
-        const RunConfig cfg = requestConfig(req);
-        resp.hashHex = runConfigHashHex(cfg);
+        resp.hashHex = cellHash(req);
 
         ComputedResult result;
         const bool bypass = base_.serve.bypassStore
@@ -247,13 +365,13 @@ ServeEngine::handle(const RequestRecord &req)
         if (bypass) {
             Tracer::global().counter("serve.bypass", 1);
             Gate::Slot slot(*gate_);
-            result = computeCell(cfg);
+            result = computeCell(requestConfig(req));
         } else {
             result = store_.getOrCompute(
                 resp.hashHex,
                 [&]() -> ComputedResult {
                     Gate::Slot slot(*gate_);
-                    return computeCell(cfg);
+                    return computeCell(requestConfig(req));
                 },
                 &resp.hit);
         }

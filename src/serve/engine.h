@@ -28,6 +28,14 @@
  * thundering herd, and clients get an honest retry signal. Cache
  * hits are never queued, never shed.
  *
+ * A store hit costs its verified disk read and little else: the
+ * request's cell hash is memoized per (scale, seed, machine,
+ * sampled), and a projected hit slices a per-cell projection basis
+ * (the entry's parsed rows, column index and formatted cells) built
+ * once per daemon, answering only while the entry's bytes equal the
+ * bytes the basis was built from. Both maps are bounded
+ * (kMemoCapacity); docs/SERVING.md "What a hit costs".
+ *
  * Trace counters: serve.requests, serve.hits, serve.misses,
  * serve.errors, serve.bypass, serve.shed; spans serve.request /
  * serve.compute.
@@ -37,19 +45,23 @@
 #define BDS_SERVE_ENGINE_H
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
 #include "fault/error.h"
 #include "obs/runconfig.h"
+#include "serve/memo.h"
 #include "serve/request.h"
 #include "serve/store.h"
 
 namespace bds {
 
 class Session;
+struct ProjectionBasis;
 
 /** What the engine answers one request with. */
 struct ServeResponse
@@ -139,6 +151,23 @@ class ServeEngine
      */
     RunConfig requestConfig(const RequestRecord &req) const;
 
+    /**
+     * The content address a request is served under:
+     * runConfigHashHex(requestConfig(req)), memoized per (scale,
+     * seed, machine, sampled). The masks and the bypass flag never
+     * change it. Raises like requestConfig() on an invalid record.
+     */
+    std::string cellHash(const RequestRecord &req) const;
+
+    /** Most projection bases, and most memoized hashes, held. */
+    static constexpr std::size_t kMemoCapacity = 32;
+
+    /** Projection bases held now (at most kMemoCapacity). */
+    std::size_t cachedBases() const { return bases_.size(); }
+
+    /** Memoized cell hashes held now (at most kMemoCapacity). */
+    std::size_t cachedHashes() const { return hashes_.size(); }
+
   private:
     /**
      * Run the sweep for `cfg`. Quarantine info travels in the
@@ -146,9 +175,13 @@ class ServeEngine
      */
     ComputedResult computeCell(const RunConfig &cfg);
 
-    /** Project an entry's CSV onto the request's rows/columns. */
-    static std::string projectPayload(const ResultEntry &entry,
-                                      const RequestRecord &req);
+    /**
+     * Project an entry's CSV onto the request's rows/columns: the
+     * bytes writeMetricsCsv() would emit for the selection, sliced
+     * from the entry's cached projection basis.
+     */
+    std::string projectPayload(const ResultEntry &entry,
+                               const RequestRecord &req) const;
 
     RunConfig base_;
     ResultStore store_;
@@ -157,6 +190,17 @@ class ServeEngine
 
     mutable std::mutex mutex_; ///< guards stats_ and session_ use
     ServeStats stats_;
+
+    /** Projection bases by entry hash. */
+    mutable BoundedMemo<std::string,
+                        std::shared_ptr<const ProjectionBasis>>
+        bases_{kMemoCapacity};
+
+    /** Cell hashes by (scale, seed, machine, sampled). */
+    mutable BoundedMemo<std::tuple<std::uint32_t, std::uint64_t,
+                                   std::uint32_t, bool>,
+                        std::string>
+        hashes_{kMemoCapacity};
 
     /** Counting semaphore bounding concurrent sweeps. */
     struct Gate;

@@ -1,10 +1,12 @@
 #include "serve/request.h"
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "metrics/schema.h"
-#include "obs/runconfig.h"
 #include "uarch/machine.h"
 #include "workloads/registry.h"
 
@@ -52,7 +54,12 @@ parseRequestUint(const std::string &what, const std::string &value)
         BDS_RAISE(ErrorCode::InvalidConfig,
                   what << " must be a non-negative integer, got '"
                        << value << "'");
-    return detail::parseUint(what, value);
+    errno = 0;
+    const std::uint64_t v = std::strtoull(value.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        BDS_RAISE(ErrorCode::InvalidConfig,
+                  what << " is out of range: '" << value << "'");
+    return v;
 }
 
 /** Workload-name list to mask; unknown names are InvalidConfig. */
@@ -336,8 +343,16 @@ loadRequestLog(const std::string &path)
     // exactly what every v1 request meant).
     const std::streamsize rec_bytes = static_cast<std::streamsize>(
         version == 1 ? kRequestRecordV1Bytes : sizeof(RequestRecord));
+    // The count is outside input: reserve no more records than the
+    // bytes after the header can hold, and let the read loop below
+    // reject an overstated count.
+    const std::streamoff header_end = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streamoff left = in.tellg() - header_end;
+    in.seekg(header_end);
     std::vector<RequestRecord> out;
-    out.reserve(count);
+    out.reserve(std::min<std::uint64_t>(
+        count, static_cast<std::uint64_t>(left) / rec_bytes));
     for (std::uint32_t i = 0; i < count; ++i) {
         RequestRecord req;
         in.read(reinterpret_cast<char *>(&req), rec_bytes);

@@ -1,6 +1,7 @@
 #include "uarch/machine.h"
 
 #include <cctype>
+#include <cstdio>
 #include <sstream>
 
 #include "fault/error.h"
@@ -330,28 +331,45 @@ canonicalMachineText(const NodeConfig &cfg)
     // fields, no newline: this line is folded into the serve result
     // hash (serve/confighash.cc), so changing the rendering is a
     // config-hash schema break.
-    auto cache = [](const CacheConfig &c) {
-        std::ostringstream os;
-        os << c.sizeBytes << '/' << c.assoc << '/' << c.lineBytes;
-        return os.str();
+    // Appended rather than streamed (the serve path hashes this per
+    // request); integers render as std::to_string and doubles as %g,
+    // exactly what a default-formatted ostream prints.
+    std::string out;
+    auto num = [&out](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", v);
+        out += buf;
     };
-    auto tlb = [](const TlbConfig &t) {
-        std::ostringstream os;
-        os << t.entries << '/' << t.assoc;
-        return os.str();
+    auto cache = [&out](const char *key, const CacheConfig &c) {
+        out += key;
+        out += std::to_string(c.sizeBytes) + '/' + std::to_string(c.assoc)
+            + '/' + std::to_string(c.lineBytes);
     };
-    std::ostringstream os;
-    os << "cores=" << cfg.numCores << " l1i=" << cache(cfg.l1i)
-       << " l1d=" << cache(cfg.l1d) << " l2=" << cache(cfg.l2)
-       << " l3=" << cache(cfg.l3) << " itlb=" << tlb(cfg.itlb)
-       << " dtlb=" << tlb(cfg.dtlb) << " stlb=" << tlb(cfg.stlb)
-       << " page=" << cfg.pageBytes << " lat=" << cfg.l2Latency << '/'
-       << cfg.l3Latency << '/' << cfg.memLatency << '/'
-       << cfg.c2cLatency << '/' << cfg.walkLatency << '/'
-       << cfg.stlbHitPenalty << " branch=" << cfg.branchMissPenalty
-       << " issue=" << cfg.issueWidth << " history=" << cfg.historyBits
-       << " lfb=" << cfg.lfbEntries;
-    return os.str();
+    auto tlb = [&out](const char *key, const TlbConfig &t) {
+        out += key;
+        out += std::to_string(t.entries) + '/' + std::to_string(t.assoc);
+    };
+    out += "cores=" + std::to_string(cfg.numCores);
+    cache(" l1i=", cfg.l1i);
+    cache(" l1d=", cfg.l1d);
+    cache(" l2=", cfg.l2);
+    cache(" l3=", cfg.l3);
+    tlb(" itlb=", cfg.itlb);
+    tlb(" dtlb=", cfg.dtlb);
+    tlb(" stlb=", cfg.stlb);
+    out += " page=" + std::to_string(cfg.pageBytes) + " lat=";
+    for (double lat : {cfg.l2Latency, cfg.l3Latency, cfg.memLatency,
+                       cfg.c2cLatency, cfg.walkLatency}) {
+        num(lat);
+        out += '/';
+    }
+    num(cfg.stlbHitPenalty);
+    out += " branch=";
+    num(cfg.branchMissPenalty);
+    out += " issue=" + std::to_string(cfg.issueWidth)
+        + " history=" + std::to_string(cfg.historyBits)
+        + " lfb=" + std::to_string(cfg.lfbEntries);
+    return out;
 }
 
 bool

@@ -1,12 +1,15 @@
 /** @file Tests for metric CSV import and its round trip. */
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "../mutator.h"
 #include "common/log.h"
 #include "core/csvio.h"
 #include "core/report.h"
+#include "metrics/schema.h"
 
 namespace {
 
@@ -157,6 +160,50 @@ TEST(CsvIo, RoundTripsThroughWriteMetricsCsv)
     for (std::size_t r = 0; r < 3; ++r)
         for (std::size_t c = 0; c < 3; ++c)
             EXPECT_NEAR(table.values(r, c), m(r, c), 1e-6);
+}
+
+TEST(CsvMutation, MutantsParseOrRaiseFatal)
+{
+    // A deterministic mutational fuzz of the metric CSV reader (and
+    // the column alignment every projection runs after it): fixed seed
+    // and budget. Each mutant parses or raises FatalError — never an
+    // untyped exception.
+    bds::Matrix m(4, bds::kNumMetrics);
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            m(r, c) = (static_cast<double>(r * 97 + c * 13) - 150.0) / 7.0;
+    bds::PipelineResult res;
+    res.names = {"H-Sort", "S-Grep", "I-Join", "M-Kmeans"};
+    res.rawMetrics = m;
+    std::ostringstream csv;
+    bds::writeMetricsCsv(csv, res);
+    // Plus a quoted label with an embedded comma and escaped quotes.
+    std::string file = csv.str() + "\"Q,\"\"x\"\"\"";
+    for (std::size_t c = 0; c < bds::kNumMetrics; ++c)
+        file += ",1.5";
+    file += "\r\n";
+
+    bds::Mutator mut(0x63737676ULL);
+    std::size_t parsed = 0, fatal = 0;
+    constexpr int kMutants = 2000;
+    for (int i = 0; i < kMutants; ++i) {
+        std::string bytes = file;
+        mut.mutate(bytes, static_cast<unsigned>(mut.below(3)));
+        const std::string what = "mutant " + std::to_string(i);
+        try {
+            std::istringstream in(bytes);
+            const bds::MetricTable table = readMetricsCsv(in);
+            bds::alignMetricTable(table, bds::MetricSet::tableII());
+            ++parsed;
+        } catch (const bds::FatalError &) {
+            ++fatal;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << what << ": untyped " << e.what();
+        }
+    }
+    EXPECT_EQ(parsed + fatal, static_cast<std::size_t>(kMutants));
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(fatal, 0u);
 }
 
 } // namespace

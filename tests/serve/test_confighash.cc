@@ -9,6 +9,7 @@
  */
 
 #include <set>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -172,6 +173,52 @@ TEST(ServeConfigHash, ResultRelevantKnobsEachChangeTheHash)
     RunConfig faulted = pinnedConfig();
     faulted.fault.throwAt = "H-Sort";
     EXPECT_NE(runConfigHashHex(faulted), base);
+}
+
+/** canonicalMachineText() as it was streamed before it appended. */
+std::string
+streamedMachineText(const NodeConfig &cfg)
+{
+    auto cache = [](const CacheConfig &c) {
+        std::ostringstream os;
+        os << c.sizeBytes << '/' << c.assoc << '/' << c.lineBytes;
+        return os.str();
+    };
+    auto tlb = [](const TlbConfig &t) {
+        std::ostringstream os;
+        os << t.entries << '/' << t.assoc;
+        return os.str();
+    };
+    std::ostringstream os;
+    os << "cores=" << cfg.numCores << " l1i=" << cache(cfg.l1i)
+       << " l1d=" << cache(cfg.l1d) << " l2=" << cache(cfg.l2)
+       << " l3=" << cache(cfg.l3) << " itlb=" << tlb(cfg.itlb)
+       << " dtlb=" << tlb(cfg.dtlb) << " stlb=" << tlb(cfg.stlb)
+       << " page=" << cfg.pageBytes << " lat=" << cfg.l2Latency << '/'
+       << cfg.l3Latency << '/' << cfg.memLatency << '/'
+       << cfg.c2cLatency << '/' << cfg.walkLatency << '/'
+       << cfg.stlbHitPenalty << " branch=" << cfg.branchMissPenalty
+       << " issue=" << cfg.issueWidth << " history=" << cfg.historyBits
+       << " lfb=" << cfg.lfbEntries;
+    return os.str();
+}
+
+TEST(ServeConfigHash, AppendedMachineTextMatchesTheStreamedOne)
+{
+    // The canonical text is appended rather than streamed for speed;
+    // it must stay byte-identical to the streamed rendering, doubles
+    // included, for every preset and for fractional overrides.
+    std::vector<NodeConfig> machines;
+    for (const MachinePreset &p : machinePresets())
+        machines.push_back(resolveMachineSpec(p.name));
+    NodeConfig odd = NodeConfig::defaultSim();
+    odd.l2Latency = 10.25;
+    odd.memLatency = 1234567.0;
+    odd.walkLatency = 0.000125;
+    odd.branchMissPenalty = 1e-7;
+    machines.push_back(odd);
+    for (const NodeConfig &m : machines)
+        EXPECT_EQ(canonicalMachineText(m), streamedMachineText(m));
 }
 
 TEST(ServeConfigHash, HexRenderingIsZeroPaddedLowercase)

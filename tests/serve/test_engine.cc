@@ -3,11 +3,15 @@
  * ServeEngine tests: the serving contract end to end, in process.
  * The expensive quick-scale sweep runs once in a shared fixture;
  * every case asserts against it — miss-then-hit behaviour,
- * byte-identity with the batch path's CSV, row/column projection,
- * cache bypass, per-request fault isolation (an injected failure is
- * an error response, never a dead engine), and the serve.* counters.
+ * byte-identity with the batch path's CSV, row/column projection
+ * (the sliced projection pinned byte for byte to the former
+ * parse-align-rewrite one, its bounded memos, and four threads on
+ * one engine), cache bypass, per-request fault isolation (an
+ * injected failure is an error response, never a dead engine), and
+ * the serve.* counters.
  */
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -19,13 +23,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/csvio.h"
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "fault/inject.h"
+#include "metrics/schema.h"
 #include "obs/trace.h"
 #include "serve/confighash.h"
 #include "serve/engine.h"
+#include "uarch/machine.h"
 #include "workloads/registry.h"
 
 namespace bds {
@@ -52,6 +59,133 @@ quickRequest(std::uint64_t seed = 42)
     req.scale = 0; // quick
     req.seed = seed;
     return req;
+}
+
+RequestRecord
+sampledRequest()
+{
+    RequestRecord req = quickRequest();
+    req.flags |= kServeFlagSampled;
+    return req;
+}
+
+/**
+ * The projection exactly as the engine computed it before projection
+ * bases: parse the entry, align its columns, re-emit the selection
+ * through writeMetricsCsv. The sliced projection is pinned to it.
+ */
+std::string
+oracleProjection(const std::string &csvBytes, const RequestRecord &req)
+{
+    const bool all_rows = req.workloadMask == 0xffffffffu;
+    if (all_rows && req.metricMask == 0)
+        return csvBytes;
+
+    std::istringstream in(csvBytes);
+    MetricTable table = readMetricsCsv(in);
+    MetricSet set =
+        req.metricMask
+            ? MetricSet::fromNames(metricNamesFromMask(req.metricMask))
+            : MetricSet::tableII();
+    Matrix aligned = alignMetricTable(table, set);
+
+    std::vector<std::size_t> rows;
+    if (all_rows) {
+        for (std::size_t i = 0; i < table.names.size(); ++i)
+            rows.push_back(i);
+    } else {
+        for (const std::string &name :
+             workloadNamesFromMask(req.workloadMask))
+            for (std::size_t i = 0; i < table.names.size(); ++i)
+                if (table.names[i] == name) {
+                    rows.push_back(i);
+                    break;
+                }
+    }
+
+    PipelineResult res;
+    res.metrics = set;
+    res.metricLabels = set.names();
+    res.rawMetrics = Matrix(rows.size(), set.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        res.names.push_back(table.names[rows[r]]);
+        for (std::size_t c = 0; c < set.size(); ++c)
+            res.rawMetrics(r, c) = aligned(rows[r], c);
+    }
+    std::ostringstream csv;
+    writeMetricsCsv(csv, res);
+    return csv.str();
+}
+
+/** The oracle's payload, or "error: " and the text it raised. */
+std::string
+oracleAnswer(const std::string &csvBytes, const RequestRecord &req)
+{
+    try {
+        return oracleProjection(csvBytes, req);
+    } catch (const FatalError &e) {
+        return std::string("error: ") + e.what();
+    }
+}
+
+/** The engine's payload, or "error: " and its message. */
+std::string
+engineAnswer(ServeEngine &engine, const RequestRecord &req)
+{
+    const ServeResponse resp = engine.handle(req);
+    return resp.ok ? resp.payload : "error: " + resp.message;
+}
+
+/** A seeded projection: random row and column masks, some extreme. */
+RequestRecord
+randomProjection(Pcg32 &rng, RequestRecord req)
+{
+    switch (rng.nextBounded(6)) {
+    case 0:
+        req.workloadMask = 0xffffffffu;
+        break;
+    case 1:
+        req.workloadMask = 1u << rng.nextBounded(32);
+        break;
+    default:
+        req.workloadMask = rng.next();
+        break;
+    }
+    const std::uint64_t all = (std::uint64_t{1} << kNumMetrics) - 1;
+    switch (rng.nextBounded(6)) {
+    case 0:
+        req.metricMask = 0;
+        break;
+    case 1:
+        req.metricMask = std::uint64_t{1} << rng.nextBounded(kNumMetrics);
+        break;
+    case 2:
+        // Bits past the schema, as a binary log may carry them.
+        req.metricMask = rng.next64();
+        break;
+    default:
+        req.metricMask = rng.next64() & all;
+        break;
+    }
+    return req;
+}
+
+/** Header plus the first `rows` data rows of a metric CSV. */
+std::string
+firstRows(const std::string &csv, std::size_t rows)
+{
+    std::size_t at = 0;
+    for (std::size_t i = 0; i <= rows; ++i)
+        at = csv.find('\n', at) + 1;
+    return csv.substr(0, at);
+}
+
+/** `csv` without the data row labelled `name`. */
+std::string
+withoutRow(const std::string &csv, const std::string &name)
+{
+    const std::size_t at = csv.find("\n" + name + ",") + 1;
+    return csv.substr(0, at) + csv.substr(csv.find('\n', at) + 1);
 }
 
 /** Wipe a cache directory created by a test (flat *.result files). */
@@ -98,7 +232,7 @@ class ServeEngineTest : public ::testing::Test
 
     static void TearDownTestSuite()
     {
-        wipeCache(*cfg_, engine_, {quickRequest(42)});
+        wipeCache(*cfg_, engine_, {quickRequest(42), sampledRequest()});
         delete engine_;
         delete cfg_;
         delete batchCsv_;
@@ -233,6 +367,226 @@ TEST_F(ServeEngineTest, CountersTrackRequestsHitsAndMisses)
         << events;
     EXPECT_NE(events.find("\"serve.errors\""), std::string::npos)
         << events;
+}
+
+/**
+ * Store `csv` as the entry a quick request with `seed` is served
+ * from (no sweep runs), returning that request.
+ */
+RequestRecord
+pokeEntry(ServeEngine &engine, std::uint64_t seed, const std::string &csv)
+{
+    const RequestRecord req = quickRequest(seed);
+    ResultEntry entry;
+    entry.hashHex = engine.cellHash(req);
+    entry.canonicalConfig = canonicalRunConfig(engine.requestConfig(req));
+    entry.csv = csv;
+    entry.manifestJson = "{}\n";
+    EXPECT_TRUE(engine.store().store(entry));
+    return req;
+}
+
+/** Remove the entries pokeEntry() stored for `seeds`. */
+void
+unpoke(ServeEngine &engine, const std::vector<std::uint64_t> &seeds)
+{
+    for (std::uint64_t seed : seeds)
+        std::remove(engine.store()
+                        .entryPath(engine.cellHash(quickRequest(seed)))
+                        .c_str());
+}
+
+TEST_F(ServeEngineTest, SlicedProjectionMatchesTheOracle)
+{
+    const std::string full = engine_->handle(quickRequest()).payload;
+    const ServeResponse sampledResp = engine_->handle(sampledRequest());
+    ASSERT_TRUE(sampledResp.ok) << sampledResp.message;
+    const std::string sampled = sampledResp.payload;
+    ASSERT_NE(full, sampled);
+
+    // A cell that lacks one workload, as a quarantined sweep would.
+    const std::string lacking = withoutRow(full, "H-Sort");
+    const RequestRecord lackingReq = pokeEntry(*engine_, 4242, lacking);
+
+    const std::uint64_t sseFp =
+        std::uint64_t{1} << metricIndexByName("SSE FP");
+    const std::uint32_t hSort = 1u << 0;
+    ASSERT_EQ(allWorkloads()[0].name(), "H-Sort");
+
+    struct Case
+    {
+        std::uint32_t rows;
+        std::uint64_t metrics;
+    };
+    const Case edges[] = {
+        {0xffffffffu, 0},       // the all/all fast path
+        {0x0000f00fu, 0},       // metric mask 0 with a row subset
+        {0xffffffffu, 1},       // a single metric, every row
+        {0x00000003u, sseFp},   // SSE FP
+        {hSort | 0x30u, sseFp | 1}, // a workload absent below
+        {0, 0},                 // no rows at all
+        {0x5u, std::uint64_t{1} << 60}, // only bits past the schema
+    };
+    auto check = [&](const std::string &csv, RequestRecord req) {
+        EXPECT_EQ(engineAnswer(*engine_, req), oracleAnswer(csv, req))
+            << formatRequestLine(req) << " mask " << req.metricMask;
+    };
+    for (const Case &c : edges)
+        for (RequestRecord req :
+             {quickRequest(), sampledRequest(), lackingReq}) {
+            req.workloadMask = c.rows;
+            req.metricMask = c.metrics;
+            const std::string &csv =
+                req.seed == 4242
+                    ? lacking
+                    : (req.flags & kServeFlagSampled ? sampled : full);
+            check(csv, req);
+        }
+
+    Pcg32 rng(0x70726f6aULL);
+    constexpr int kPairs = 2000;
+    for (int i = 0; i < kPairs; ++i) {
+        const int pick = i % 3;
+        const RequestRecord base =
+            pick == 0 ? quickRequest()
+                      : (pick == 1 ? sampledRequest() : lackingReq);
+        check(pick == 0 ? full : (pick == 1 ? sampled : lacking),
+              randomProjection(rng, base));
+    }
+    unpoke(*engine_, {4242});
+}
+
+TEST_F(ServeEngineTest, ProjectionErrorsMatchTheOracle)
+{
+    const std::string full = engine_->handle(quickRequest()).payload;
+    const std::string head = full.substr(0, full.find('\n'));
+
+    // A duplicated column: "LOAD" renamed onto its neighbour.
+    std::string dup = full;
+    const std::size_t second = head.find(",", head.find(",LOAD,") + 1);
+    dup.replace(second + 1, head.find(',', second + 1) - second - 1, "LOAD");
+    // A missing column: "ILP" renamed to something no schema knows.
+    std::string missing = full;
+    missing.replace(head.find(",ILP,") + 1, 3, "XYZ");
+
+    RequestRecord req = pokeEntry(*engine_, 4343, dup);
+    req.workloadMask = 0x3u;
+    const std::string dupAnswer = engineAnswer(*engine_, req);
+    EXPECT_EQ(dupAnswer, oracleAnswer(dup, req));
+    EXPECT_NE(dupAnswer.find("twice"), std::string::npos) << dupAnswer;
+
+    req = pokeEntry(*engine_, 4344, missing);
+    req.workloadMask = 0x3u;
+    req.metricMask = 0;
+    const std::string missAnswer = engineAnswer(*engine_, req);
+    EXPECT_EQ(missAnswer, oracleAnswer(missing, req));
+    EXPECT_NE(missAnswer.find("lacks"), std::string::npos) << missAnswer;
+    // A selection that avoids the missing column still answers.
+    req.metricMask = std::uint64_t{1} << metricIndexByName("LOAD");
+    EXPECT_EQ(engineAnswer(*engine_, req), oracleAnswer(missing, req));
+    unpoke(*engine_, {4343, 4344});
+}
+
+TEST_F(ServeEngineTest, RewrittenEntryNeverGetsAStaleBasis)
+{
+    const std::string full = engine_->handle(quickRequest()).payload;
+    const std::string before = firstRows(full, 6);
+    // Same hash, same length, different bytes: one digit changed.
+    std::string after = before;
+    const std::size_t digit = after.find_first_of("123456789",
+                                                  after.find('\n'));
+    after[digit] = after[digit] == '9' ? '8' : '9';
+
+    RequestRecord req = pokeEntry(*engine_, 4444, before);
+    req.workloadMask = 0x3fu;
+    req.metricMask = 0x1fu;
+    EXPECT_EQ(engineAnswer(*engine_, req), oracleAnswer(before, req));
+
+    pokeEntry(*engine_, 4444, after);
+    const std::string answer = engineAnswer(*engine_, req);
+    EXPECT_EQ(answer, oracleAnswer(after, req));
+    EXPECT_NE(answer, oracleAnswer(before, req));
+    unpoke(*engine_, {4444});
+}
+
+TEST_F(ServeEngineTest, BasesAndHashMemoStayWithinTheirBound)
+{
+    const std::string small =
+        firstRows(engine_->handle(quickRequest()).payload, 3);
+    const std::size_t cap = ServeEngine::kMemoCapacity;
+    std::vector<std::uint64_t> seeds;
+    for (std::uint64_t seed = 5000; seed < 5000 + 2 * cap; ++seed) {
+        RequestRecord req = pokeEntry(*engine_, seed, small);
+        seeds.push_back(seed);
+        req.workloadMask = 0x7u;
+        req.metricMask = 0x3u;
+        EXPECT_EQ(engineAnswer(*engine_, req), oracleAnswer(small, req));
+        EXPECT_LE(engine_->cachedBases(), cap);
+        EXPECT_LE(engine_->cachedHashes(), cap);
+    }
+    EXPECT_EQ(engine_->cachedBases(), cap);
+    EXPECT_EQ(engine_->cachedHashes(), cap);
+    // Evicted cells rebuild their basis and still answer exactly.
+    RequestRecord first = quickRequest(5000);
+    first.workloadMask = 0x5u;
+    EXPECT_EQ(engineAnswer(*engine_, first), oracleAnswer(small, first));
+    unpoke(*engine_, seeds);
+}
+
+TEST_F(ServeEngineTest, FourThreadsProjectOnOneEngine)
+{
+    const std::string full = engine_->handle(quickRequest()).payload;
+    Pcg32 rng(0x74687264ULL);
+    std::vector<RequestRecord> reqs;
+    std::vector<std::string> want;
+    for (int i = 0; i < 48; ++i) {
+        reqs.push_back(randomProjection(rng, quickRequest()));
+        want.push_back(oracleAnswer(full, reqs.back()));
+    }
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t k = 0; k < 3 * reqs.size(); ++k) {
+                const std::size_t i = (k * 7 + t * 13) % reqs.size();
+                if (engineAnswer(*engine_, reqs[i]) != want[i])
+                    ++wrong;
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST_F(ServeEngineTest, CellHashIsTheMemoizedConfigHash)
+{
+    Pcg32 rng(0x68617368ULL);
+    for (std::uint32_t scale = 0; scale < 3; ++scale)
+        for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{7},
+                                   std::uint64_t{42}, std::uint64_t{1} << 40})
+            for (std::uint32_t machine = 0;
+                 machine < machinePresets().size(); ++machine)
+                for (std::uint32_t sampled = 0; sampled < 2; ++sampled) {
+                    RequestRecord req = quickRequest(seed);
+                    req.scale = scale;
+                    req.machine = machine;
+                    if (sampled)
+                        req.flags |= kServeFlagSampled;
+                    const std::string want =
+                        runConfigHashHex(engine_->requestConfig(req));
+                    EXPECT_EQ(engine_->cellHash(req), want);
+                    // Masks and bypass never change the cell.
+                    RequestRecord varied = randomProjection(rng, req);
+                    varied.flags |= kServeFlagBypass;
+                    EXPECT_EQ(engine_->cellHash(varied), want);
+                    EXPECT_EQ(engine_->cellHash(req), want);
+                    EXPECT_LE(engine_->cachedHashes(),
+                              ServeEngine::kMemoCapacity);
+                }
+    // An invalid record raises, as requestConfig() does.
+    RequestRecord bad = quickRequest();
+    bad.scale = 9;
+    EXPECT_THROW(engine_->cellHash(bad), Error);
 }
 
 TEST(ServeEngineFault, InjectedFaultIsQuarantinedPerRequest)

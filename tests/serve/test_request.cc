@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/schema.h"
+#include "../mutator.h"
 #include "serve/request.h"
 
 namespace bds {
@@ -176,6 +178,66 @@ TEST(ServeRequest, MalformedLinesAreTypedErrors)
     }
 }
 
+TEST(ServeRequest, OutOfRangeSeedIsATypedError)
+{
+    // Regression (found by the line fuzz below): a seed past 2^64-1
+    // escaped as an untyped FatalError instead of Error(InvalidConfig).
+    try {
+        parseRequestLine("characterize seed=99999999999999999999");
+        FAIL() << "expected Error(InvalidConfig)";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidConfig);
+    }
+    EXPECT_EQ(parseRequestLine("characterize seed=18446744073709551615")
+                  .seed,
+              ~std::uint64_t(0));
+}
+
+TEST(RequestLineMutation, MutantsParseOrRaiseTypedErrors)
+{
+    // A deterministic mutational fuzz of the line protocol: fixed
+    // seed and budget. Each mutant parses or raises bds::Error —
+    // never an untyped exception.
+    const std::string line =
+        "characterize scale=standard seed=42 sampled=1 bypass=0 "
+        "machine=westmere workloads=H-Sort,S-Grep,M-Kmeans "
+        "metrics=LOAD,SSE_FP,ILP,L3_MISS";
+    Mutator mut(0x6c696e65ULL);
+    std::size_t parsed = 0, typed = 0;
+    constexpr int kMutants = 2000;
+    for (int i = 0; i < kMutants; ++i) {
+        const unsigned op = static_cast<unsigned>(mut.below(5));
+        std::string bytes = line;
+        if (op < 3) {
+            mut.mutate(bytes, op);
+        } else if (op == 3) {
+            mut.inflateField(bytes, {"seed="});
+        } else {
+            // Lengthen the seed past any 64-bit value.
+            bytes.insert(bytes.find("seed=") + 5,
+                         std::string(1 + mut.below(24), '9'));
+        }
+        const std::string what = "mutant " + std::to_string(i);
+        try {
+            const RequestRecord req = parseRequestLine(bytes);
+            // What parses renders back to a line that parses the same.
+            const RequestRecord again =
+                parseRequestLine(formatRequestLine(req));
+            EXPECT_EQ(std::memcmp(&req, &again, sizeof(req)), 0)
+                << what << ": " << bytes;
+            ++parsed;
+        } catch (const Error &) {
+            ++typed;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << what << " '" << bytes << "': untyped "
+                          << e.what();
+        }
+    }
+    EXPECT_EQ(parsed + typed, static_cast<std::size_t>(kMutants));
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(typed, 0u);
+}
+
 TEST(ServeRequest, MachineNamesRoundTrip)
 {
     EXPECT_EQ(serveMachineName(0), "default");
@@ -314,6 +376,81 @@ TEST(ServeRequest, LoadingHardensAgainstCorruption)
     // Missing file.
     std::remove(log.path().c_str());
     expectIo("missing file");
+}
+
+TEST(ServeRequest, OverstatedCountIsATypedErrorNotBadAlloc)
+{
+    // Regression: a bare 12-byte header declaring 0xFFFFFFFF records
+    // used to reserve() that many records before reading any and
+    // escaped as std::bad_alloc instead of Error(Io).
+    TempFile log("serve_req_overstated.bin");
+    {
+        const std::uint32_t header[3] = {kRequestLogMagic,
+                                         kRequestLogVersion, 0xFFFFFFFFu};
+        std::ofstream out(log.path(), std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(header), sizeof(header));
+    }
+    try {
+        loadRequestLog(log.path());
+        FAIL() << "expected Error(Io)";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Io);
+    }
+}
+
+TEST(RequestLogMutation, MutantsLoadOrRaiseTypedIo)
+{
+    // A deterministic mutational fuzz of the binary log loader. The
+    // records themselves are free-form integers, so a mutant either
+    // loads or is Error(Io) — never another code, never an untyped
+    // exception.
+    TempFile log("serve_req_mutant.bin");
+    std::vector<RequestRecord> reqs(4);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].seed = 40 + i;
+        reqs[i].flags = static_cast<std::uint32_t>(i & 3);
+    }
+    storeRequestLog(log.path(), reqs);
+    std::string file;
+    {
+        std::ifstream f(log.path(), std::ios::binary);
+        file.assign(std::istreambuf_iterator<char>(f),
+                    std::istreambuf_iterator<char>());
+    }
+    Mutator mut(0x72716c67ULL);
+    std::size_t parsed = 0, typed = 0;
+    constexpr int kMutants = 2000;
+    for (int i = 0; i < kMutants; ++i) {
+        const unsigned op = static_cast<unsigned>(mut.below(4));
+        std::string bytes = file;
+        if (op < 3) {
+            mut.mutate(bytes, op);
+        } else {
+            // Inflate the header's record count.
+            const std::uint32_t count = static_cast<std::uint32_t>(
+                mut.inflated(reqs.size()));
+            std::memcpy(&bytes[8], &count, sizeof(count));
+        }
+        {
+            std::ofstream out(log.path(),
+                              std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        const std::string what = "mutant " + std::to_string(i);
+        try {
+            loadRequestLog(log.path());
+            ++parsed;
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Io) << what << ": " << e.what();
+            ++typed;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << what << ": untyped " << e.what();
+        }
+    }
+    EXPECT_EQ(parsed + typed, static_cast<std::size_t>(kMutants));
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(typed, kMutants / 2u);
 }
 
 TEST(ServeRequest, WriterPatchesTheCountAfterEveryAppend)
