@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "common/table.h"
+#include "core/report.h"
 #include "stats/silhouette.h"
 #include "bench_common.h"
 

@@ -1,29 +1,34 @@
 /**
  * @file
- * Shared plumbing for the figure/table bench binaries.
+ * Shared plumbing for the bench binaries.
  *
  * Every paper-reproduction bench needs the same 32 x 45 metric
- * matrix. Simulating the whole suite takes minutes, so the first
- * bench to run caches the matrix as a CSV next to the working
- * directory and the rest load it. Delete the cache (or change
- * BDS_SCALE / BDS_SEED) to force re-simulation.
+ * matrix. The benches get it from the content-addressed result store
+ * bds_serve answers from (src/serve/store.h), keyed by the v2 config
+ * hash, which covers every knob that changes the matrix: scale, seed,
+ * machine, the sampling knobs, the fault knobs and the recovery
+ * policy. The first run of a configuration characterizes the suite
+ * and publishes the cell; every later run, and every bds_serve
+ * request for the same cell, reads it back. Point --serve-cache /
+ * BDS_SERVE_CACHE at an empty directory, or pass --serve-bypass, to
+ * force re-simulation.
  *
  * All configuration — scale, seed, threads, sampling, metric subset,
  * tracing and manifests — comes from bds::RunConfig (src/obs), the
  * single entry point that resolves BDS_* environment variables and
  * --flags. See src/obs/runconfig.h for the full knob list. The
  * matrix is bitwise identical for every BDS_THREADS value (see
- * docs/THREADING.md), so the cache stays valid across thread counts.
+ * docs/THREADING.md), so the thread count is not part of the key.
  *
  * A bench main is three lines of plumbing:
  *
  *   int main(int argc, char **argv) {
- *       bds::Session session(bdsbench::benchConfig("fig1", argc, argv));
+ *       bds::Session session(bdsbench::benchConfig("tool", argc, argv));
  *       auto res = bdsbench::characterizedPipeline(session);
  *       ... print the table/figure to stdout ...
  *   }
  *
- * The Session destructor writes the run manifest (fig1.manifest.json)
+ * The Session destructor writes the run manifest (tool.manifest.json)
  * and, when BDS_TRACE=1, the trace summary.
  */
 
@@ -31,25 +36,22 @@
 #define BDS_BENCH_COMMON_H
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/utsname.h>
 #endif
 
-#include "ckpt/context.h"
-#include "common/log.h"
 #include "core/csvio.h"
 #include "core/pipeline.h"
-#include "core/report.h"
 #include "obs/session.h"
-#include "sample/characterizer.h"
+#include "serve/engine.h"
+#include "serve/confighash.h"
+#include "serve/store.h"
 #include "uarch/machine.h"
-#include "workloads/registry.h"
 
 namespace bdsbench {
 
@@ -133,133 +135,82 @@ writeEnvironmentJson(std::ostream &os, const char *indent = "  ")
 }
 
 /**
- * Load a cached metric matrix, matching columns against `set` by
- * canonical name (any column order works; extra columns are
- * ignored). Returns false — after printing why — when the file is
- * absent, lacks a required metric column, or has the wrong row
- * count, so the caller re-simulates instead of misreading positions.
+ * The session's cell from the result store (--serve-cache /
+ * BDS_SERVE_CACHE, budget --store-max-bytes), keyed by
+ * runConfigHashHex(): a hit is a file read, a miss runs
+ * characterizeCell() — the compute bds_serve runs — and publishes
+ * the entry. --serve-bypass computes without touching the store, as
+ * the daemon does. A quarantined sweep is returned but never cached.
+ * The stage wall-clock, the sweep's failures and the entry path land
+ * on the session's manifest.
  */
-inline bool
-loadMetricsCsv(const std::string &path, std::vector<std::string> &names,
-               bds::Matrix &metrics,
-               const bds::MetricSet &set = bds::MetricSet::tableII())
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    try {
-        bds::MetricTable table = bds::readMetricsCsv(in);
-        if (table.names.size() != bds::allWorkloads().size()) {
-            std::cerr << "[bench] ignoring cache " << path << ": "
-                      << table.names.size() << " rows, expected "
-                      << bds::allWorkloads().size() << "\n";
-            return false;
-        }
-        metrics = bds::alignMetricTable(table, set);
-        names = std::move(table.names);
-        return true;
-    } catch (const bds::FatalError &e) {
-        // Stale or foreign file: say why, then re-simulate.
-        std::cerr << "[bench] ignoring cache " << path << ": "
-                  << e.what() << "\n";
-        return false;
-    }
-}
-
-/**
- * The cache file a configuration characterizes into. The default
- * machine keeps the legacy name (so seed-era caches stay warm and
- * the CI byte-identity gate compares like against like); any other
- * geometry gets its slug in the name, because a matrix simulated on
- * a different machine is a different matrix.
- */
-inline std::string
-metricsCachePath(const bds::RunConfig &cfg)
-{
-    std::string machine;
-    if (!bds::isDefaultMachineSpec(cfg.machineSpec))
-        machine = "_" + bds::machineSlug(cfg.machineSpec);
-    return "bds_metrics_" + cfg.scaleName + "_"
-        + std::to_string(cfg.seed) + machine
-        + (cfg.sampling.enabled ? "_sampled" : "") + ".csv";
-}
-
-/**
- * Characterize the 32 workloads (or load the cached matrix) and run
- * the paper's pipeline over it, under the session's configuration.
- * With sampling enabled the matrix comes from the sampled-simulation
- * path (src/sample) and is cached under a distinct name, so any
- * figure/table bench can run off sampled metrics side by side with
- * its full-run cache. The cache file and per-stage wall-clocks are
- * recorded on the session's manifest.
- */
-inline bds::PipelineResult
-characterizedPipeline(bds::Session &session)
+inline bds::ResultEntry
+characterizedEntry(bds::Session &session)
 {
     const bds::RunConfig &cfg = session.config();
-    std::string cache = metricsCachePath(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string hash = bds::runConfigHashHex(cfg);
 
-    std::vector<std::string> names;
-    bds::Matrix metrics;
-    auto acquire_start = std::chrono::steady_clock::now();
-    auto acquireSeconds = [acquire_start] {
-        return std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - acquire_start).count();
-    };
-    if (loadMetricsCsv(cache, names, metrics)) {
-        std::cerr << "[bench] loaded cached metrics from " << cache
-                  << '\n';
-        session.recordStage("load-cache", acquireSeconds());
-    } else {
+    bds::SweepReport report;
+    bool computed = false;
+    auto compute = [&] {
         std::cerr << "[bench] characterizing 32 workloads at scale '"
                   << cfg.scaleName << "' on "
                   << cfg.parallel.resolved() << " thread(s)"
                   << (cfg.sampling.enabled ? ", sampled" : "")
-                  << " (cache: " << cache << ")\n";
-        bds::WorkloadRunner runner =
-            bds::WorkloadRunner::fromRunConfig(cfg);
-        bds::SweepReport report;
-        if (cfg.sampling.enabled) {
-            bds::SampledCharacterizer sampler(runner, cfg.sampling);
-            // ckpt.enabled: replays restore representative-entry
-            // snapshots from the shared cache and write the missing
-            // ones, so a re-characterization of an unchanged config
-            // skips the functional warming (docs/CHECKPOINT.md).
-            sampler.setCheckpoints(bds::checkpointContextFor(cfg));
-            metrics = sampler.runAll(nullptr, &report);
-        } else {
-            bds::SweepTiming timing;
-            metrics = runner.runAll(nullptr, &timing, &report);
-            std::cerr << "[bench] characterized "
-                      << report.survivors.size() << " workloads in "
-                      << timing.totalSeconds << " s on "
-                      << timing.threads << " thread(s)\n";
-        }
-        session.recordSweep(report);
-        names = report.survivorNames();
-
-        if (report.allOk()) {
-            bds::PipelineResult tmp;
-            tmp.names = names;
-            tmp.rawMetrics = metrics;
-            std::ofstream out(cache);
-            bds::writeMetricsCsv(out, tmp);
-        } else {
-            // A quarantined sweep is incomplete by design — never let
-            // its shrunken matrix masquerade as the 32-row cache.
-            std::cerr << "[bench] not caching: "
-                      << (bds::allWorkloads().size() - names.size())
-                      << " workload(s) quarantined\n";
-            cache.clear();
-        }
-        session.recordStage("characterize", acquireSeconds());
+                  << " (cell " << hash << ")\n";
+        computed = true;
+        return bds::characterizeCell(cfg, &report);
+    };
+    bds::ComputedResult result;
+    std::string path;
+    if (cfg.serve.bypassStore) {
+        result = compute();
+    } else {
+        bds::ResultStore store(cfg.serve.storeDir,
+                               cfg.serve.maxStoreBytes);
+        bool hit = false;
+        result = store.getOrCompute(hash, compute, &hit);
+        if (result.cacheable && !store.storeDown())
+            path = store.entryPath(hash);
+        if (hit)
+            std::cerr << "[bench] loaded cell " << hash << " from "
+                      << store.dir() << '\n';
     }
-    if (!cache.empty())
-        session.noteArtifact(cache);
+    if (!result.cacheable)
+        // A quarantined sweep is incomplete by design — never let its
+        // shrunken matrix masquerade as the 32-row cell.
+        std::cerr << "[bench] not caching: "
+                  << result.quarantined.size()
+                  << " workload(s) quarantined\n";
 
+    session.recordSweep(report);
+    session.recordStage(computed ? "characterize" : "load-cache",
+                        std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+    if (!path.empty())
+        session.noteArtifact(path);
+    return std::move(result.entry);
+}
+
+/**
+ * Get the session's cell (characterizedEntry) and run the paper's
+ * pipeline over it. The analysis always reads the matrix back from
+ * the entry's CSV, so a fresh compute, a store hit and a served
+ * payload feed it the same 6-significant-digit values.
+ */
+inline bds::PipelineResult
+characterizedPipeline(bds::Session &session)
+{
+    const bds::ResultEntry entry = characterizedEntry(session);
     bds::StageTimer stage(session, "analyze");
-    return bds::runPipeline(metrics, names,
-                            bds::pipelineOptionsFor(cfg));
+    std::istringstream in(entry.csv);
+    bds::MetricTable table = bds::readMetricsCsv(in);
+    const bds::Matrix metrics =
+        bds::alignMetricTable(table, bds::MetricSet::tableII());
+    return bds::runPipeline(metrics, table.names,
+                            bds::pipelineOptionsFor(session.config()));
 }
 
 } // namespace bdsbench

@@ -16,8 +16,10 @@
  * relative deltas against the `default` geometry (the sensitivity
  * curves), and — when the full suite ran — which of the paper's
  * findings flip their verdict under that geometry. Everything lands
- * in BENCH_dse.json (schema bds-dse-v1) plus one metrics CSV per
- * preset, named like every other bench cache so reruns are warm.
+ * in BENCH_dse.json (schema bds-dse-v1). A full-suite sweep also
+ * publishes each preset's matrix to the result store (--serve-cache),
+ * keyed by that preset's config hash, so reruns are warm and `repro`
+ * and bds_serve answer the same cell from the same file.
  *
  * Flags on top of the common set (--scale/--seed/--threads/...):
  *   --dse-presets a,b,c    preset subset (default: whole registry;
@@ -51,7 +53,9 @@
 #include "fault/recover.h"
 #include "metrics/schema.h"
 #include "sample/capture.h"
+#include "serve/engine.h"
 #include "serve/confighash.h"
+#include "serve/store.h"
 #include "uarch/machine.h"
 #include "workloads/registry.h"
 #include "bench_common.h"
@@ -75,7 +79,7 @@ struct Cell
 struct PresetResult
 {
     const MachinePreset *preset = nullptr;
-    bool cached = false;     ///< metrics came from a warm CSV cache
+    bool cached = false;     ///< metrics came from the result store
     double seconds = 0.0;    ///< wall-clock of this preset's column
     Matrix metrics;          ///< survivors x 45
     std::vector<Cell> cells; ///< per selected workload (when computed)
@@ -182,7 +186,7 @@ runDse(int argc, char **argv)
             const MachinePreset *p = findMachinePreset(name);
             if (!p)
                 BDS_FATAL("unknown machine preset '" << name
-                          << "' (see table3_config for the registry)");
+                          << "' (`repro table3` lists the registry)");
             presets.push_back(p);
         }
     }
@@ -211,24 +215,34 @@ runDse(int argc, char **argv)
               << (full_mode ? "full detailed" : "sampled replay")
               << " cells\n";
 
-    // --- warm CSV caches (full suite only: the cache format is the
-    // 32-row matrix every bench shares) ------------------------------
+    // --- warm cells from the result store (full suite only: a cell
+    // is the 32-row matrix every bench and bds_serve share) ----------
     std::vector<PresetResult> results(presets.size());
     std::vector<std::string> names;
-    for (std::size_t p = 0; p < presets.size(); ++p) {
-        results[p].preset = presets[p];
-        if (!full_suite)
-            continue;
+    ResultStore store(cfg.serve.storeDir, cfg.serve.maxStoreBytes);
+    auto presetConfig = [&](std::size_t p) {
         RunConfig pcfg = cfg;
         pcfg.machineSpec = presets[p]->name;
-        std::vector<std::string> cached_names;
-        Matrix m;
-        if (bdsbench::loadMetricsCsv(bdsbench::metricsCachePath(pcfg),
-                                     cached_names, m)) {
-            results[p].cached = true;
-            results[p].metrics = m;
-            names = cached_names;
+        return pcfg;
+    };
+    for (std::size_t p = 0; p < presets.size(); ++p) {
+        results[p].preset = presets[p];
+        if (!full_suite || cfg.serve.bypassStore)
+            continue;
+        ResultEntry entry;
+        try {
+            if (!store.load(runConfigHashHex(presetConfig(p)), &entry))
+                continue;
+        } catch (const Error &e) {
+            std::cerr << "[dse] recomputing " << presets[p]->name
+                      << ": " << e.what() << '\n';
+            continue;
         }
+        std::istringstream in(entry.csv);
+        MetricTable table = readMetricsCsv(in);
+        results[p].cached = true;
+        results[p].metrics = alignMetricTable(table, MetricSet::tableII());
+        names = std::move(table.names);
     }
 
     // --- per-preset checkpoint contexts (--ckpt/--ckpt-dir). The
@@ -237,11 +251,8 @@ runDse(int argc, char **argv)
     // the same sweep) share one checkpoint stream in the common dir.
     std::vector<CheckpointContext> ckpts(presets.size());
     if (cfg.ckpt.enabled && !full_mode)
-        for (std::size_t p = 0; p < presets.size(); ++p) {
-            RunConfig pcfg = cfg;
-            pcfg.machineSpec = presets[p]->name;
-            ckpts[p] = checkpointContextFor(pcfg);
-        }
+        for (std::size_t p = 0; p < presets.size(); ++p)
+            ckpts[p] = checkpointContextFor(presetConfig(p));
 
     // --- group the uncached presets by core count: one capture per
     // (workload, core count), replayed across the group --------------
@@ -345,7 +356,7 @@ runDse(int argc, char **argv)
         for (std::size_t i : survivors)
             names.push_back(selected[i].name());
 
-    // --- assemble per-preset matrices, write caches -----------------
+    // --- assemble per-preset matrices, publish cells ----------------
     for (std::size_t p = 0; p < presets.size(); ++p) {
         PresetResult &res = results[p];
         if (res.cached)
@@ -361,16 +372,12 @@ runDse(int argc, char **argv)
         res.metrics = m;
         res.seconds = seconds;
         res.cells = cells[p];
-        if (full_suite && survivors.size() == all.size()) {
-            RunConfig pcfg = cfg;
-            pcfg.machineSpec = presets[p]->name;
-            PipelineResult tmp;
-            tmp.names = names;
-            tmp.rawMetrics = m;
-            std::string cache = bdsbench::metricsCachePath(pcfg);
-            std::ofstream out(cache);
-            writeMetricsCsv(out, tmp);
-            session.noteArtifact(cache);
+        if (full_suite && survivors.size() == all.size()
+            && !cfg.serve.bypassStore) {
+            const RunConfig pcfg = presetConfig(p);
+            if (store.store(makeResultEntry(pcfg, names, m, seconds)))
+                session.noteArtifact(
+                    store.entryPath(runConfigHashHex(pcfg)));
         }
     }
 
@@ -495,14 +502,12 @@ runDse(int argc, char **argv)
         os << (j ? ", " : "") << q(metricName(j));
     os << "],\n  \"presets\": [";
     for (std::size_t p = 0; p < presets.size(); ++p) {
-        RunConfig pcfg = cfg;
-        pcfg.machineSpec = presets[p]->name;
         os << (p ? ",\n    " : "\n    ") << "{\n"
            << "      \"name\": " << q(presets[p]->name) << ",\n"
            << "      \"summary\": " << q(presets[p]->summary) << ",\n"
            << "      \"geometry\": "
            << q(canonicalMachineText(presets[p]->config)) << ",\n"
-           << "      \"config_hash\": " << q(runConfigHashHex(pcfg))
+           << "      \"config_hash\": " << q(runConfigHashHex(presetConfig(p)))
            << ",\n"
            << "      \"cores\": " << presets[p]->config.numCores
            << ",\n"

@@ -26,7 +26,9 @@
 #include <iostream>
 
 #include "core/findings.h"
+#include "sample/characterizer.h"
 #include "sample/estimate.h"
+#include "workloads/registry.h"
 #include "bench_common.h"
 
 namespace {

@@ -194,8 +194,17 @@ class Parser
         skipWs();
         char c = peek();
         switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            // Bounded recursion: a deep run of brackets is a typed
+            // error, never a stack overflow.
+            if (++depth_ > kMaxJsonDepth)
+                fail("nesting deeper than "
+                     + std::to_string(kMaxJsonDepth) + " levels");
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"': return JsonValue::makeString(parseString());
           case 't':
             if (consumeLiteral("true"))
@@ -350,6 +359,7 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; ///< open arrays/objects around pos_
 };
 
 } // namespace

@@ -15,6 +15,7 @@
 #ifndef BDS_OBS_JSON_H
 #define BDS_OBS_JSON_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -83,8 +84,16 @@ class JsonValue
 };
 
 /**
+ * Deepest array/object nesting parseJson() accepts. Manifests and
+ * trace lines nest a few levels; the bound keeps the recursive
+ * parser's stack use fixed whatever bytes it is fed.
+ */
+constexpr std::size_t kMaxJsonDepth = 256;
+
+/**
  * Parse one JSON document from `text`. Trailing non-whitespace after
- * the document is fatal, as is any syntax error.
+ * the document is fatal, as is any syntax error or nesting deeper
+ * than kMaxJsonDepth.
  */
 JsonValue parseJson(const std::string &text);
 

@@ -41,7 +41,7 @@ struct RunManifest
     /** Manifest schema version (bumped on incompatible changes). */
     int manifestVersion = 1;
 
-    /** The binary that ran ("characterize_suite", "fig1_dendrogram"). */
+    /** The binary that ran ("characterize_suite", "repro"). */
     std::string tool;
 
     /** Library version string. */

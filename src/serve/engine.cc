@@ -121,6 +121,70 @@ isoNow()
 
 } // namespace
 
+ComputedResult
+characterizeCell(const RunConfig &cfg, SweepReport *report)
+{
+    // Everything — machine geometry included — flows from cfg;
+    // nothing is hard-coded here.
+    WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    Matrix metrics;
+    SweepReport local;
+    SweepReport &rep = report ? *report : local;
+    if (cfg.sampling.enabled) {
+        SampledCharacterizer sampler(runner, cfg.sampling);
+        // The checkpoint cache rides along: a recomputed cell (store
+        // bypassed, or a cell retired by a schema bump) still reuses
+        // the representative-entry snapshots keyed to its config.
+        sampler.setCheckpoints(checkpointContextFor(cfg));
+        metrics = sampler.runAll(nullptr, &rep);
+    } else {
+        metrics = runner.runAll(nullptr, nullptr, &rep);
+    }
+    const double seconds =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+
+    ComputedResult out;
+    out.cacheable = rep.allOk();
+    if (!out.cacheable)
+        out.quarantined = rep.quarantinedNames();
+    out.entry = makeResultEntry(cfg, rep.survivorNames(), metrics, seconds);
+    return out;
+}
+
+ResultEntry
+makeResultEntry(const RunConfig &cfg, const std::vector<std::string> &names,
+                const Matrix &metrics, double seconds)
+{
+    ResultEntry entry;
+    entry.hashHex = runConfigHashHex(cfg);
+    entry.canonicalConfig = canonicalRunConfig(cfg);
+    entry.names = names;
+
+    PipelineResult res;
+    res.names = names;
+    res.rawMetrics = metrics;
+    std::ostringstream csv;
+    writeMetricsCsv(csv, res);
+    entry.csv = csv.str();
+
+    std::ostringstream mf;
+    mf << "{\"tool\": \"" << jsonEscape(cfg.tool)
+       << "\", \"bds_version\": \"" << jsonEscape(bdsVersion())
+       << "\", \"created\": \"" << isoNow() << "\", \"hash\": \""
+       << entry.hashHex << "\", \"scale\": \"" << cfg.scaleName
+       << "\", \"seed\": " << cfg.seed << ", \"machine\": \""
+       << jsonEscape(cfg.machineSpec) << "\", \"sampled\": "
+       << (cfg.sampling.enabled ? "true" : "false")
+       << ", \"workloads\": " << names.size()
+       << ", \"compute_seconds\": " << jsonNumber(seconds) << "}\n";
+    entry.manifestJson = mf.str();
+    return entry;
+}
+
 /**
  * Counting semaphore bounding concurrent sweep computations, with a
  * bounded admission queue in front. Cache hits never take a slot, so
@@ -204,60 +268,13 @@ ComputedResult
 ServeEngine::computeCell(const RunConfig &cfg)
 {
     TraceSpan span("serve.compute");
-    // Everything — machine geometry included — flows from the
-    // request's RunConfig; nothing is hard-coded here.
-    WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    Matrix metrics;
     SweepReport report;
-    if (cfg.sampling.enabled) {
-        SampledCharacterizer sampler(runner, cfg.sampling);
-        // The checkpoint cache rides along: a recomputed cell (store
-        // bypassed, or a cell retired by a schema bump) still reuses
-        // the representative-entry snapshots keyed to its config.
-        sampler.setCheckpoints(checkpointContextFor(cfg));
-        metrics = sampler.runAll(nullptr, &report);
-    } else {
-        metrics = runner.runAll(nullptr, nullptr, &report);
-    }
-    const double seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-
-    ComputedResult out;
-    out.cacheable = report.allOk();
-    if (!report.allOk()) {
-        out.quarantined = report.quarantinedNames();
+    ComputedResult out = characterizeCell(cfg, &report);
+    if (!out.cacheable) {
         std::lock_guard<std::mutex> lock(mutex_);
         if (session_)
             session_->recordSweep(report);
     }
-    out.entry.hashHex = runConfigHashHex(cfg);
-    out.entry.canonicalConfig = canonicalRunConfig(cfg);
-    out.entry.names = report.survivorNames();
-
-    // Exactly the batch tools' CSV: full Table II columns by schema
-    // name, 6-significant-digit cells (core/report.cc).
-    PipelineResult res;
-    res.names = out.entry.names;
-    res.rawMetrics = metrics;
-    std::ostringstream csv;
-    writeMetricsCsv(csv, res);
-    out.entry.csv = csv.str();
-
-    std::ostringstream mf;
-    mf << "{\"tool\": \"" << jsonEscape(base_.tool)
-       << "\", \"bds_version\": \"" << jsonEscape(bdsVersion())
-       << "\", \"created\": \"" << isoNow() << "\", \"hash\": \""
-       << out.entry.hashHex << "\", \"scale\": \"" << cfg.scaleName
-       << "\", \"seed\": " << cfg.seed << ", \"machine\": \""
-       << jsonEscape(cfg.machineSpec) << "\", \"sampled\": "
-       << (cfg.sampling.enabled ? "true" : "false")
-       << ", \"workloads\": " << out.entry.names.size()
-       << ", \"compute_seconds\": " << jsonNumber(seconds) << "}\n";
-    out.entry.manifestJson = mf.str();
     return out;
 }
 

@@ -53,10 +53,12 @@
 
 #include "ckpt/checkpoint.h"
 #include "fault/error.h"
+#include "fault/status.h"
 #include "obs/runconfig.h"
 #include "serve/memo.h"
 #include "serve/request.h"
 #include "serve/store.h"
+#include "stats/matrix.h"
 
 namespace bds {
 
@@ -121,6 +123,28 @@ struct ServeStats
     CkptStats ckpt;
 };
 
+/**
+ * The one cell compute, shared by ServeEngine and the batch tools
+ * (bench/bench_common.h): characterize the full 32-workload suite
+ * under `cfg` — sampled when cfg.sampling.enabled, restoring and
+ * writing the checkpoints cfg.ckpt names — and render the store
+ * entry. A sweep that quarantined workloads comes back !cacheable
+ * with the survivors' rows. `report`, when given, receives the
+ * sweep's per-workload outcome.
+ */
+ComputedResult characterizeCell(const RunConfig &cfg,
+                                SweepReport *report = nullptr);
+
+/**
+ * The store entry of a characterized matrix: the key and canonical
+ * text of `cfg`, the CSV writeMetricsCsv() renders for `names` x
+ * `metrics`, and a mini manifest naming cfg.tool and the compute
+ * wall-clock. dse_sweep publishes its per-preset cells through it.
+ */
+ResultEntry makeResultEntry(const RunConfig &cfg,
+                            const std::vector<std::string> &names,
+                            const Matrix &metrics, double seconds);
+
 /** The transport-independent characterization service. */
 class ServeEngine
 {
@@ -170,8 +194,10 @@ class ServeEngine
 
   private:
     /**
-     * Run the sweep for `cfg`. Quarantine info travels in the
-     * returned ComputedResult so single-flight followers see it too.
+     * characterizeCell() under a serve.compute span,
+     * recording a quarantined sweep on the daemon's session.
+     * Quarantine info travels in the returned ComputedResult so
+     * single-flight followers see it too.
      */
     ComputedResult computeCell(const RunConfig &cfg);
 

@@ -39,13 +39,23 @@ parseSize(const std::string &key, const std::string &value)
                   "machine spec: '" << key << "=" << value
                                     << "' has no digits");
     std::uint64_t out = 0;
+    auto outOfRange = [&] {
+        BDS_RAISE(ErrorCode::InvalidConfig,
+                  "machine spec: '" << key << "=" << value
+                                    << "' is out of range");
+    };
     for (char c : digits) {
         if (!std::isdigit(static_cast<unsigned char>(c)))
             BDS_RAISE(ErrorCode::InvalidConfig,
                       "machine spec: '" << key << "=" << value
                                         << "' is not an integer");
-        out = out * 10 + static_cast<std::uint64_t>(c - '0');
+        const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
+        if (out > (UINT64_MAX - d) / 10)
+            outOfRange();
+        out = out * 10 + d;
     }
+    if (out > UINT64_MAX / mult)
+        outOfRange();
     return out * mult;
 }
 
@@ -177,7 +187,7 @@ machineByName(const std::string &name)
         BDS_RAISE(ErrorCode::UnknownName,
                   "unknown machine preset '"
                       << name
-                      << "' (bds_table3_config lists the registry)");
+                      << "' (`repro table3` lists the registry)");
     return p->config;
 }
 
@@ -378,14 +388,6 @@ isDefaultMachine(const NodeConfig &cfg)
     static const std::string def =
         canonicalMachineText(NodeConfig::defaultSim());
     return canonicalMachineText(cfg) == def;
-}
-
-bool
-isDefaultMachineSpec(const std::string &spec)
-{
-    if (spec.empty() || spec == "default")
-        return true; // fast path: no resolve, no validation throw
-    return isDefaultMachine(resolveMachineSpec(spec));
 }
 
 std::string

@@ -107,9 +107,6 @@ std::string canonicalMachineText(const NodeConfig &cfg);
 /** True when `cfg` is exactly the Table III simulation default. */
 bool isDefaultMachine(const NodeConfig &cfg);
 
-/** True when `spec` resolves to the default machine. */
-bool isDefaultMachineSpec(const std::string &spec);
-
 /**
  * Filesystem-safe slug of a spec ("westmere,l2=512k" ->
  * "westmere-l2-512k") for artifact names.

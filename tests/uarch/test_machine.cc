@@ -3,8 +3,10 @@
  * Machine-axis tests: the preset registry (stable order, valid
  * geometry, distinct canonical renderings), the spec grammar
  * (presets, overrides, suffixes, typed rejection of typos), the
- * construction-time geometry validator, and the canonical one-line
- * rendering the result store hashes.
+ * construction-time geometry validator, the canonical one-line
+ * rendering the result store hashes, and the spec parser as a fuzz
+ * target (seeded mutants resolve to a valid machine or raise a typed
+ * error).
  */
 
 #include <set>
@@ -14,6 +16,7 @@
 
 #include "fault/error.h"
 #include "uarch/machine.h"
+#include "../mutator.h"
 
 namespace bds {
 namespace {
@@ -72,9 +75,8 @@ TEST(Machine, WestmereIsThePaperMachine)
 TEST(Machine, SpecResolvesPresetsAndOverrides)
 {
     // Empty and "default" are the Table III default machine.
-    EXPECT_TRUE(isDefaultMachineSpec(""));
-    EXPECT_TRUE(isDefaultMachineSpec("default"));
     EXPECT_TRUE(isDefaultMachine(resolveMachineSpec("")));
+    EXPECT_TRUE(isDefaultMachine(resolveMachineSpec("default")));
 
     // Bare overrides apply to the default.
     NodeConfig big = resolveMachineSpec("l2=512k");
@@ -93,7 +95,7 @@ TEST(Machine, SpecResolvesPresetsAndOverrides)
               resolveMachineSpec("l1d_assoc=4").l1d.assoc);
 
     // A spec that spells out the default resolves to it exactly.
-    EXPECT_TRUE(isDefaultMachineSpec("cores=4,l2=256k"));
+    EXPECT_TRUE(isDefaultMachine(resolveMachineSpec("cores=4,l2=256k")));
 }
 
 TEST(Machine, SpecTyposAreTypedErrors)
@@ -185,6 +187,97 @@ TEST(Machine, DescribeMentionsTheHeadlineNumbers)
         describeMachine(NodeConfig::defaultSim());
     EXPECT_NE(text.find("4 cores"), std::string::npos) << text;
     EXPECT_NE(text.find("12M"), std::string::npos) << text;
+}
+
+TEST(Machine, OversizedSizesAreOutOfRangeNotWrapped)
+{
+    // Each of these used to wrap uint64_t silently (99999999999g
+    // resolved to a ~14 PB L3); every one is now a typed
+    // InvalidConfig naming the range.
+    for (const char *spec : {
+             "l3=99999999999g",          // digits fit, the suffix wraps
+             "l3=18446744073709551616",  // 2^64: the digits wrap
+             "l3=99999999999999999999",  // far past 2^64
+             "l2=18446744073709551615k", // UINT64_MAX, then the suffix
+             "westmere,l1d=17179869184g" // 2^34 GiB
+         }) {
+        try {
+            resolveMachineSpec(spec);
+            FAIL() << "expected InvalidConfig for: " << spec;
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::InvalidConfig) << spec;
+            EXPECT_NE(std::string(e.what()).find("out of range"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The largest value that fits is still a parse, left to the
+    // geometry validator to judge.
+    try {
+        resolveMachineSpec("l3=18446744073709551615");
+        FAIL() << "an L3 of 2^64-1 bytes is not a valid geometry";
+    } catch (const Error &e) {
+        EXPECT_EQ(std::string(e.what()).find("out of range"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Machine, UnknownPresetPointsAtTheRegistryListing)
+{
+    try {
+        machineByName("westmore");
+        FAIL() << "expected UnknownName";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::UnknownName);
+        EXPECT_NE(std::string(e.what()).find("repro table3"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(MachineSpecMutation, MutantsResolveValidOrRaiseTyped)
+{
+    // Fixed seed and budget: every run tries the same mutants of a
+    // preset-plus-overrides spec. Byte flips, truncation and splices,
+    // plus an appended override with an inflated size. A spec that
+    // resolves must be a valid geometry; one that does not must raise
+    // InvalidConfig or UnknownName, never anything else.
+    const std::string seed =
+        "westmere,cores=4,l2=512k,l3=24m,l3_assoc=16,line=64,"
+        "dtlb=64,history=12,lfb=10";
+    ASSERT_NO_THROW(validateMachineConfig(resolveMachineSpec(seed)));
+    const char *keys[] = {"cores", "l1d", "l2", "l3", "l2_assoc",
+                          "line", "itlb", "page", "history", "issue"};
+    const char *suffixes[] = {"", "k", "m", "g"};
+    Mutator mut(0x73706563ULL);
+    std::size_t resolved = 0;
+    constexpr int kMutants = 2000;
+    for (int i = 0; i < kMutants; ++i) {
+        std::string spec = seed;
+        const unsigned op = static_cast<unsigned>(mut.below(4));
+        if (op < 3)
+            mut.mutate(spec, op);
+        else
+            spec += std::string(",") + keys[mut.below(std::size(keys))]
+                + '='
+                + std::to_string(mut.inflated(mut.below(1u << 20)))
+                + suffixes[mut.below(std::size(suffixes))];
+        try {
+            const NodeConfig cfg = resolveMachineSpec(spec);
+            EXPECT_NO_THROW(validateMachineConfig(cfg)) << spec;
+            ++resolved;
+        } catch (const Error &e) {
+            EXPECT_TRUE(e.code() == ErrorCode::InvalidConfig
+                        || e.code() == ErrorCode::UnknownName)
+                << "mutant " << i << " (" << spec << "): " << e.what();
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "mutant " << i << " (" << spec
+                          << ") threw " << e.what();
+        }
+    }
+    EXPECT_GT(resolved, 0u);
+    EXPECT_LT(resolved, static_cast<std::size_t>(kMutants));
 }
 
 } // namespace
