@@ -38,6 +38,7 @@
 #include "common/table.h"
 #include "core/report.h"
 #include "metrics/schema.h"
+#include "obs/metrics.h"
 #include "sample/characterizer.h"
 #include "workloads/registry.h"
 #include "bench_common.h"
@@ -89,9 +90,9 @@ runPass(const std::string &name, const RunConfig &cfg,
     PassResult pass;
     pass.name = name;
 
-    // The delta accounting needs a clean slate: ckptStats() is
+    // The delta accounting needs a clean slate: the counters are
     // process-wide, and three passes share the process.
-    resetCkptStats();
+    counters::reset();
 
     WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
     SampledCharacterizer sampler(runner, cfg.sampling);

@@ -4,8 +4,9 @@
  * bds::SharedStore (fsync-before-rename publish, LRU byte budgets,
  * store-down degradation and self-healing), the cross-process
  * single-flight lease protocol (bds::Lease, acquireLease) and the
- * crash-rebuildable recency index (bds::StoreIndex), plus the
- * process-wide bds::storeStats() counters.
+ * crash-rebuildable recency index (bds::StoreIndex). Its traffic
+ * counters are the `store.*` rows of the counter registry
+ * (docs/OBSERVABILITY.md, "Counters").
  */
 
 #ifndef BDS_BDS_STORE_H

@@ -1,6 +1,5 @@
 #include "ckpt/checkpoint.h"
 
-#include <atomic>
 #include <bit>
 #include <limits>
 #include <sstream>
@@ -8,39 +7,13 @@
 
 #include "ckpt/state.h"
 #include "fault/error.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 #include "serve/confighash.h"
 #include "store/record.h"
 
 namespace bds {
 
 namespace {
-
-struct AtomicCkptStats
-{
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> writes{0};
-    std::atomic<std::uint64_t> fallbacks{0};
-    std::atomic<std::uint64_t> bytesRead{0};
-    std::atomic<std::uint64_t> bytesWritten{0};
-    /** Capture-record events, indexed by CaptureEvent. */
-    std::atomic<std::uint64_t> capture[4]{};
-};
-
-std::uint64_t
-captureCount(const AtomicCkptStats &g, CaptureEvent event)
-{
-    return g.capture[static_cast<std::size_t>(event)].load(
-        std::memory_order_relaxed);
-}
-
-AtomicCkptStats &
-globalCkptStats()
-{
-    static AtomicCkptStats stats;
-    return stats;
-}
 
 /** Filename-safe rendering of a workload name. */
 std::string
@@ -71,68 +44,18 @@ streamStem(const CheckpointKey &key)
 CkptStats
 ckptStats()
 {
-    const AtomicCkptStats &g = globalCkptStats();
     CkptStats s;
-    s.hits = g.hits.load(std::memory_order_relaxed);
-    s.misses = g.misses.load(std::memory_order_relaxed);
-    s.writes = g.writes.load(std::memory_order_relaxed);
-    s.fallbacks = g.fallbacks.load(std::memory_order_relaxed);
-    s.bytesRead = g.bytesRead.load(std::memory_order_relaxed);
-    s.bytesWritten = g.bytesWritten.load(std::memory_order_relaxed);
-    s.captureHits = captureCount(g, CaptureEvent::Hit);
-    s.captureMisses = captureCount(g, CaptureEvent::Miss);
-    s.captureWrites = captureCount(g, CaptureEvent::Write);
-    s.captureFallbacks = captureCount(g, CaptureEvent::Fallback);
+    s.hits = counters::value(Counter::CkptHits);
+    s.misses = counters::value(Counter::CkptMisses);
+    s.writes = counters::value(Counter::CkptWrites);
+    s.fallbacks = counters::value(Counter::CkptFallbacks);
+    s.bytesRead = counters::value(Counter::CkptBytesRead);
+    s.bytesWritten = counters::value(Counter::CkptBytesWritten);
+    s.captureHits = counters::value(Counter::CaptureHits);
+    s.captureMisses = counters::value(Counter::CaptureMisses);
+    s.captureWrites = counters::value(Counter::CaptureWrites);
+    s.captureFallbacks = counters::value(Counter::CaptureFallbacks);
     return s;
-}
-
-void
-resetCkptStats()
-{
-    AtomicCkptStats &g = globalCkptStats();
-    g.hits.store(0, std::memory_order_relaxed);
-    g.misses.store(0, std::memory_order_relaxed);
-    g.writes.store(0, std::memory_order_relaxed);
-    g.fallbacks.store(0, std::memory_order_relaxed);
-    g.bytesRead.store(0, std::memory_order_relaxed);
-    g.bytesWritten.store(0, std::memory_order_relaxed);
-    for (std::atomic<std::uint64_t> &c : g.capture)
-        c.store(0, std::memory_order_relaxed);
-}
-
-void
-noteCkptMiss()
-{
-    globalCkptStats().misses.fetch_add(1, std::memory_order_relaxed);
-    Tracer::global().counter("ckpt.misses", 1);
-}
-
-void
-noteCkptFallback()
-{
-    globalCkptStats().fallbacks.fetch_add(1, std::memory_order_relaxed);
-    Tracer::global().counter("ckpt.fallbacks", 1);
-}
-
-void
-noteCkptHits(std::uint64_t n, std::uint64_t bytes)
-{
-    AtomicCkptStats &g = globalCkptStats();
-    g.hits.fetch_add(n, std::memory_order_relaxed);
-    g.bytesRead.fetch_add(bytes, std::memory_order_relaxed);
-    Tracer::global().counter("ckpt.hits", n);
-    Tracer::global().counter("ckpt.bytes_read", bytes);
-}
-
-void
-noteCapture(CaptureEvent event)
-{
-    static const char *const kCounters[] = {
-        "capture.hits", "capture.misses", "capture.fallbacks",
-        "capture.writes"};
-    const auto i = static_cast<std::size_t>(event);
-    globalCkptStats().capture[i].fetch_add(1, std::memory_order_relaxed);
-    Tracer::global().counter(kCounters[i], 1);
 }
 
 std::uint64_t
@@ -325,7 +248,8 @@ CheckpointCache::load(const CheckpointKey &key, std::uint64_t interval,
     CheckpointEntry entry;
     if (!read(key, interval, &entry))
         return false;
-    noteCkptHits(1, entry.state.size());
+    counters::add(Counter::CkptHits);
+    counters::add(Counter::CkptBytesRead, entry.state.size());
     *state = std::move(entry.state);
     return true;
 }
@@ -353,11 +277,8 @@ CheckpointCache::store(const CheckpointKey &key, std::uint64_t interval,
                           writeCheckpoint(entry)))
         return;
     const std::uint64_t bytes = entry.state.size() + entry.ops.size();
-    AtomicCkptStats &g = globalCkptStats();
-    g.writes.fetch_add(1, std::memory_order_relaxed);
-    g.bytesWritten.fetch_add(bytes, std::memory_order_relaxed);
-    Tracer::global().counter("ckpt.writes", 1);
-    Tracer::global().counter("ckpt.bytes_written", bytes);
+    counters::add(Counter::CkptWrites);
+    counters::add(Counter::CkptBytesWritten, bytes);
 }
 
 std::string
@@ -378,7 +299,7 @@ CheckpointCache::storeCapture(const CheckpointKey &key,
                               const std::string &bytes) const
 {
     if (backend_.publish(captureName(key), bytes))
-        noteCapture(CaptureEvent::Write);
+        counters::add(Counter::CaptureWrites);
 }
 
 } // namespace bds

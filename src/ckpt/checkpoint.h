@@ -99,7 +99,12 @@ struct CheckpointEntry
     std::string ops;
 };
 
-/** Running process-wide checkpoint traffic counters. */
+/**
+ * A snapshot of the checkpoint and capture-record counters of the
+ * registry (obs/metrics.h), field by field. The registry is the one
+ * home of these counts; this struct stays because the wall-clock
+ * ledger and the bench/test pass deltas read its named fields.
+ */
 struct CkptStats
 {
     std::uint64_t hits = 0;      ///< checkpoints restored
@@ -116,15 +121,8 @@ struct CkptStats
     std::uint64_t captureFallbacks = 0;
 };
 
-/**
- * Snapshot of the process-wide counters. The serve `stats` verb and
- * `--stats-json` surface these; the same events are emitted as
- * `ckpt.*` trace counters as they happen.
- */
+/** The registry's current ckpt.* and capture.* values. */
 CkptStats ckptStats();
-
-/** Zero the process-wide counters (tests, bench passes). */
-void resetCkptStats();
 
 /**
  * Disk-backed checkpoint cache: one directory shared by the sampled
@@ -170,7 +168,7 @@ class CheckpointCache
     /**
      * Read and verify the whole entry of (key, interval) — state and
      * slice — into *entry without counting anything: the sampled
-     * replayer counts its hits (noteCkptHits) only once every
+     * replayer counts its hits (ckpt.hits) only once every
      * representative restored. Returns false when absent; raises as
      * load() does.
      */
@@ -248,25 +246,6 @@ std::string writeCheckpoint(const CheckpointEntry &entry);
 CheckpointEntry readCheckpoint(std::string bytes, const std::string &what,
                                const CheckpointKey &expected,
                                std::uint64_t expectedInterval);
-
-/** Count one miss / one fallback (replayer accounting helpers). */
-void noteCkptMiss();
-void noteCkptFallback();
-
-/** Count `n` restored entries holding `bytes` payload bytes in all. */
-void noteCkptHits(std::uint64_t n, std::uint64_t bytes);
-
-/** Capture-record traffic, counted apart from the entries. */
-enum class CaptureEvent
-{
-    Hit,      ///< a valid record replaced execute, profile and pick
-    Miss,     ///< absent: recaptured and written
-    Fallback, ///< present but corrupt or foreign: recaptured
-    Write,    ///< a record was published
-};
-
-/** Count one capture-record event (`capture.*` trace counters). */
-void noteCapture(CaptureEvent event);
 
 } // namespace bds
 

@@ -7,6 +7,7 @@
 
 #include "common/log.h"
 #include "fault/recover.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sample/interval.h"
 #include "serve/confighash.h"
@@ -185,13 +186,13 @@ captureWorkload(const WorkloadRunner &runner,
             if (ckpt->cache->loadCapture(key, &bytes)) {
                 readCaptureRecord(bytes, ckpt->cache->capturePath(key),
                                   key, cap);
-                noteCapture(CaptureEvent::Hit);
+                counters::add(Counter::CaptureHits);
                 return cap;
             }
-            noteCapture(CaptureEvent::Miss);
+            counters::add(Counter::CaptureMisses);
         } catch (const Error &e) {
             warn(std::string("capture record: ") + e.what());
-            noteCapture(CaptureEvent::Fallback);
+            counters::add(Counter::CaptureFallbacks);
         }
     }
 
@@ -273,8 +274,8 @@ replayCapture(const WorkloadCapture &cap, const NodeConfig &machine,
                 cap.picked, &stats);
         }
     }
-    Tracer::global().counter("sample.total_ops", stats.totalOps);
-    Tracer::global().counter("sample.detail_ops", stats.detailOps);
+    counters::add(Counter::SampleTotalOps, stats.totalOps);
+    counters::add(Counter::SampleDetailOps, stats.detailOps);
 
     // 5. Estimate: weighted counter reconstruction.
     SampleEstimate est;

@@ -7,6 +7,7 @@
 #include "ckpt/state.h"
 #include "common/log.h"
 #include "fault/error.h"
+#include "obs/metrics.h"
 
 namespace bds {
 
@@ -252,7 +253,8 @@ SampledReplayer::replaySlices(const PickResult &picked,
         detail += slice.size() - dma;
         bytes += entry.state.size() + entry.ops.size();
     }
-    noteCkptHits(picked.reps.size(), bytes);
+    counters::add(Counter::CkptHits, picked.reps.size());
+    counters::add(Counter::CkptBytesRead, bytes);
     stats.totalOps = picked.totalOps;
     stats.detailOps = detail;
     stats.skippedOps = picked.totalOps - detail;
@@ -326,21 +328,22 @@ SampledReplayer::replay(const StreamSource &drive,
             try {
                 have = ckptCache_->read(ckptKey_, r.interval, &entry);
                 if (!have) {
-                    noteCkptMiss();
+                    counters::add(Counter::CkptMisses);
                 } else {
                     // A slice that does not decode makes the entry
                     // as corrupt as a bad checksum does.
                     TraceRecorder::decode(
                         entry.ops, sys.numCores(),
                         ckptCache_->path(ckptKey_, r.interval));
-                    noteCkptHits(1,
-                                 entry.state.size() + entry.ops.size());
+                    counters::add(Counter::CkptHits);
+                    counters::add(Counter::CkptBytesRead,
+                                  entry.state.size() + entry.ops.size());
                 }
             } catch (const std::exception &e) {
                 // Corrupt/truncated/foreign entry: report, warm from
                 // zero, rewrite when its interval ends.
                 warn(std::string("checkpoint: ") + e.what());
-                noteCkptFallback();
+                counters::add(Counter::CkptFallbacks);
                 have = false;
             }
             if (have) {

@@ -15,6 +15,7 @@
 #include "metrics/set.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
+#include "obs/metrics.h"
 #include "obs/session.h"
 #include "obs/trace.h"
 #include "sample/characterizer.h"
@@ -361,12 +362,8 @@ ServeEngine::projectPayload(const ResultEntry &entry,
 ServeResponse
 ServeEngine::handle(const RequestRecord &req)
 {
-    Tracer::global().counter("serve.requests", 1);
+    counters::add(Counter::ServeRequests);
     TraceSpan span("serve.request");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.requests;
-    }
 
     ServeResponse resp;
     const auto t0 = std::chrono::steady_clock::now();
@@ -380,7 +377,7 @@ ServeEngine::handle(const RequestRecord &req)
         const bool bypass = base_.serve.bypassStore
             || (req.flags & kServeFlagBypass);
         if (bypass) {
-            Tracer::global().counter("serve.bypass", 1);
+            counters::add(Counter::ServeBypass);
             Gate::Slot slot(*gate_);
             result = computeCell(requestConfig(req));
         } else {
@@ -398,11 +395,8 @@ ServeEngine::handle(const RequestRecord &req)
     } catch (const Error &e) {
         resp.code = e.code();
         resp.message = e.what();
-        if (e.code() == ErrorCode::Overloaded) {
-            Tracer::global().counter("serve.shed", 1);
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.shed;
-        }
+        if (e.code() == ErrorCode::Overloaded)
+            counters::add(Counter::ServeShed);
     } catch (const FatalError &e) {
         resp.code = ErrorCode::InvalidConfig;
         resp.message = e.what();
@@ -414,34 +408,10 @@ ServeEngine::handle(const RequestRecord &req)
                        std::chrono::steady_clock::now() - t0)
                        .count();
 
-    Tracer::global().counter(resp.ok ? (resp.hit ? "serve.hits"
-                                                 : "serve.misses")
-                                     : "serve.errors",
-                             1);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!resp.ok)
-            ++stats_.errors;
-        else if (resp.hit)
-            ++stats_.hits;
-        else
-            ++stats_.misses;
-        if (resp.ok
-            && (base_.serve.bypassStore
-                || (req.flags & kServeFlagBypass)))
-            ++stats_.bypassed;
-    }
+    counters::add(resp.ok ? (resp.hit ? Counter::ServeHits
+                                      : Counter::ServeMisses)
+                          : Counter::ServeErrors);
     return resp;
-}
-
-ServeStats
-ServeEngine::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ServeStats out = stats_;
-    out.ckpt = ckptStats();
-    out.store = storeStats();
-    return out;
 }
 
 } // namespace bds

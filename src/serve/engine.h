@@ -16,9 +16,9 @@
  * ErrorCode, so one poisoned request can never take the daemon down
  * (the per-request quarantine contract). The engine holds no global
  * mutable state: concurrent requests share only the store (locked,
- * single-flight) and the process-wide observers (Tracer,
- * FaultInjector), which are armed once per process by the daemon's
- * Session, never per request.
+ * single-flight) and the process-wide observers (Tracer, the counter
+ * registry, FaultInjector), which are armed once per process by the
+ * daemon's Session, never per request.
  *
  * Overload shedding: a bounded admission queue sits ahead of the
  * in-flight gate. At most serve.maxQueue computes may be waiting for
@@ -36,8 +36,7 @@
  * bytes the basis was built from. Both maps are bounded
  * (kMemoCapacity); docs/SERVING.md "What a hit costs".
  *
- * Trace counters: serve.requests, serve.hits, serve.misses,
- * serve.errors, serve.bypass, serve.shed; spans serve.request /
+ * Counters (obs/metrics.h): the serve.* group; spans serve.request /
  * serve.compute.
  */
 
@@ -51,7 +50,6 @@
 #include <tuple>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
 #include "fault/error.h"
 #include "fault/status.h"
 #include "obs/runconfig.h"
@@ -97,32 +95,6 @@ struct ServeResponse
     double seconds = 0.0;
 };
 
-/** Monotonic counters the engine keeps next to the trace counters. */
-struct ServeStats
-{
-    std::uint64_t requests = 0; ///< requests handled
-    std::uint64_t hits = 0;     ///< answered from the store
-    std::uint64_t misses = 0;   ///< computed (and usually cached)
-    std::uint64_t errors = 0;   ///< answered with an error response
-    std::uint64_t bypassed = 0; ///< computed with the store bypassed
-    std::uint64_t shed = 0;     ///< shed by the admission queue
-
-    /**
-     * Shared-store traffic of this process (publishes, evictions,
-     * down/heal transitions, lease activity): populated from the
-     * process-wide storeStats() when the snapshot is taken.
-     */
-    StoreStats store;
-
-    /**
-     * Interval checkpoint traffic of this process's sampled replays
-     * (src/ckpt): populated from the process-wide ckptStats() when
-     * the snapshot is taken, so the `stats` verb and --stats-json
-     * show how much re-characterization the checkpoint cache saved.
-     */
-    CkptStats ckpt;
-};
-
 /**
  * The one cell compute, shared by ServeEngine and the batch tools
  * (bench/bench_common.h): characterize the full 32-workload suite
@@ -158,11 +130,12 @@ class ServeEngine
      */
     explicit ServeEngine(RunConfig base, Session *session = nullptr);
 
-    /** Answer one request. Thread-safe; never throws. */
+    /**
+     * Answer one request. Thread-safe; never throws. Counts into the
+     * process-wide serve.* counters (obs/metrics.h): a daemon holds
+     * one engine, so they are its counters.
+     */
     ServeResponse handle(const RequestRecord &req);
-
-    /** Counter snapshot. */
-    ServeStats stats() const;
 
     /** The store (tests poke entries directly). */
     ResultStore &store() { return store_; }
@@ -214,8 +187,7 @@ class ServeEngine
     Session *session_;
     unsigned maxInFlight_;
 
-    mutable std::mutex mutex_; ///< guards stats_ and session_ use
-    ServeStats stats_;
+    std::mutex mutex_; ///< guards session_ use
 
     /** Projection bases by entry hash. */
     mutable BoundedMemo<std::string,

@@ -25,9 +25,11 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/log.h"
+#include "obs/metrics.h"
 #include "obs/runconfig.h"
 #include "obs/session.h"
 #include "serve/server.h"
@@ -63,43 +65,33 @@ printUsage(std::ostream &os)
           "(src/obs/runconfig.h).\n";
 }
 
+/**
+ * Every registry counter as JSON: the top-level (serve) counters
+ * first, then one object per group, whose counters are contiguous.
+ */
 void
-writeStatsJson(const std::string &path, const bds::ServeStats &s)
+writeStatsJson(const std::string &path)
 {
     std::ofstream out(path, std::ios::trunc);
     if (!out)
         BDS_FATAL("cannot write --stats-json file '" << path << "'");
-    out << "{\n"
-        << "  \"requests\": " << s.requests << ",\n"
-        << "  \"hits\": " << s.hits << ",\n"
-        << "  \"misses\": " << s.misses << ",\n"
-        << "  \"errors\": " << s.errors << ",\n"
-        << "  \"bypassed\": " << s.bypassed << ",\n"
-        << "  \"shed\": " << s.shed << ",\n"
-        << "  \"store\": {\n"
-        << "    \"publishes\": " << s.store.publishes << ",\n"
-        << "    \"publish_skipped\": " << s.store.publishSkipped
-        << ",\n"
-        << "    \"evicted\": " << s.store.evicted << ",\n"
-        << "    \"evicted_bytes\": " << s.store.evictedBytes << ",\n"
-        << "    \"downs\": " << s.store.downs << ",\n"
-        << "    \"heals\": " << s.store.heals << ",\n"
-        << "    \"lease_acquires\": " << s.store.leaseAcquires
-        << ",\n"
-        << "    \"lease_waits\": " << s.store.leaseWaits << ",\n"
-        << "    \"lease_takeovers\": " << s.store.leaseTakeovers
-        << ",\n"
-        << "    \"index_rebuilds\": " << s.store.indexRebuilds << "\n"
-        << "  },\n"
-        << "  \"ckpt\": {\n"
-        << "    \"hits\": " << s.ckpt.hits << ",\n"
-        << "    \"misses\": " << s.ckpt.misses << ",\n"
-        << "    \"writes\": " << s.ckpt.writes << ",\n"
-        << "    \"fallbacks\": " << s.ckpt.fallbacks << ",\n"
-        << "    \"bytes_read\": " << s.ckpt.bytesRead << ",\n"
-        << "    \"bytes_written\": " << s.ckpt.bytesWritten << "\n"
-        << "  }\n"
-        << "}\n";
+    std::string_view open; // the group whose object is being written
+    const char *sep = "\n";
+    out << '{';
+    bds::counters::forEach([&](const bds::CounterDef &c,
+                               std::uint64_t v) {
+        const auto [group, key] = bds::counters::jsonField(c);
+        if (group != open) {
+            out << (open.empty() ? "" : "\n  }") << sep << "  \""
+                << group << "\": {";
+            open = group;
+            sep = "\n";
+        }
+        out << sep << (open.empty() ? "  \"" : "    \"") << key
+            << "\": " << v;
+        sep = ",\n";
+    });
+    out << (open.empty() ? "" : "\n  }") << "\n}\n";
 }
 
 } // namespace
@@ -164,19 +156,20 @@ main(int argc, char **argv)
             server.serveStream(std::cin, std::cout);
         }
 
-        const bds::ServeStats stats = server.engine().stats();
-        std::cerr << "bds_serve: requests=" << stats.requests
-                  << " hits=" << stats.hits
-                  << " misses=" << stats.misses
-                  << " errors=" << stats.errors
-                  << " bypassed=" << stats.bypassed
-                  << " shed=" << stats.shed << '\n';
+        using bds::Counter;
+        using bds::counters::value;
+        const std::uint64_t requests = value(Counter::ServeRequests);
+        const std::uint64_t errors = value(Counter::ServeErrors);
+        std::cerr << "bds_serve: requests=" << requests
+                  << " hits=" << value(Counter::ServeHits)
+                  << " misses=" << value(Counter::ServeMisses)
+                  << " errors=" << errors
+                  << " bypassed=" << value(Counter::ServeBypass)
+                  << " shed=" << value(Counter::ServeShed) << '\n';
         if (!stats_json.empty())
-            writeStatsJson(stats_json, stats);
+            writeStatsJson(stats_json);
         session.noteArtifact(server.engine().store().dir());
-        return stats.errors == stats.requests && stats.requests > 0
-            ? 2
-            : 0;
+        return errors == requests && requests > 0 ? 2 : 0;
     } catch (const bds::FatalError &e) {
         std::cerr << "bds_serve: " << e.what() << "\n";
         return 1;

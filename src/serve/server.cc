@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "common/log.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace bds {
@@ -143,27 +144,11 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
         return true;
     }
     if (verb == "stats") {
-        const ServeStats s = engine_.stats();
-        out << "stats requests=" << s.requests << " hits=" << s.hits
-            << " misses=" << s.misses << " errors=" << s.errors
-            << " bypassed=" << s.bypassed << " shed=" << s.shed
-            << " ckpt_hits=" << s.ckpt.hits
-            << " ckpt_misses=" << s.ckpt.misses
-            << " ckpt_writes=" << s.ckpt.writes
-            << " ckpt_fallbacks=" << s.ckpt.fallbacks
-            << " ckpt_bytes_read=" << s.ckpt.bytesRead
-            << " ckpt_bytes_written=" << s.ckpt.bytesWritten
-            << " store_publishes=" << s.store.publishes
-            << " store_publish_skipped=" << s.store.publishSkipped
-            << " store_evicted=" << s.store.evicted
-            << " store_evicted_bytes=" << s.store.evictedBytes
-            << " store_downs=" << s.store.downs
-            << " store_heals=" << s.store.heals
-            << " store_lease_acquires=" << s.store.leaseAcquires
-            << " store_lease_waits=" << s.store.leaseWaits
-            << " store_lease_takeovers=" << s.store.leaseTakeovers
-            << " store_index_rebuilds=" << s.store.indexRebuilds
-            << '\n';
+        out << "stats";
+        counters::forEach([&](const CounterDef &c, std::uint64_t v) {
+            out << ' ' << c.statsKey << '=' << v;
+        });
+        out << '\n';
         out.flush();
         return true;
     }

@@ -1,6 +1,5 @@
 #include "store/shared.h"
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -14,33 +13,12 @@
 
 #include "fault/error.h"
 #include "fault/inject.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 #include "store/record.h"
 
 namespace bds {
 
 namespace {
-
-struct AtomicStoreStats
-{
-    std::atomic<std::uint64_t> publishes{0};
-    std::atomic<std::uint64_t> publishSkipped{0};
-    std::atomic<std::uint64_t> evicted{0};
-    std::atomic<std::uint64_t> evictedBytes{0};
-    std::atomic<std::uint64_t> downs{0};
-    std::atomic<std::uint64_t> heals{0};
-    std::atomic<std::uint64_t> leaseAcquires{0};
-    std::atomic<std::uint64_t> leaseWaits{0};
-    std::atomic<std::uint64_t> leaseTakeovers{0};
-    std::atomic<std::uint64_t> indexRebuilds{0};
-};
-
-AtomicStoreStats &
-globalStoreStats()
-{
-    static AtomicStoreStats stats;
-    return stats;
-}
 
 bool
 endsWith(const std::string &s, const std::string &suffix)
@@ -75,41 +53,6 @@ trailingPid(const std::string &name)
 
 } // namespace
 
-StoreStats
-storeStats()
-{
-    const AtomicStoreStats &g = globalStoreStats();
-    StoreStats s;
-    s.publishes = g.publishes.load(std::memory_order_relaxed);
-    s.publishSkipped = g.publishSkipped.load(std::memory_order_relaxed);
-    s.evicted = g.evicted.load(std::memory_order_relaxed);
-    s.evictedBytes = g.evictedBytes.load(std::memory_order_relaxed);
-    s.downs = g.downs.load(std::memory_order_relaxed);
-    s.heals = g.heals.load(std::memory_order_relaxed);
-    s.leaseAcquires = g.leaseAcquires.load(std::memory_order_relaxed);
-    s.leaseWaits = g.leaseWaits.load(std::memory_order_relaxed);
-    s.leaseTakeovers =
-        g.leaseTakeovers.load(std::memory_order_relaxed);
-    s.indexRebuilds = g.indexRebuilds.load(std::memory_order_relaxed);
-    return s;
-}
-
-void
-resetStoreStats()
-{
-    AtomicStoreStats &g = globalStoreStats();
-    g.publishes.store(0, std::memory_order_relaxed);
-    g.publishSkipped.store(0, std::memory_order_relaxed);
-    g.evicted.store(0, std::memory_order_relaxed);
-    g.evictedBytes.store(0, std::memory_order_relaxed);
-    g.downs.store(0, std::memory_order_relaxed);
-    g.heals.store(0, std::memory_order_relaxed);
-    g.leaseAcquires.store(0, std::memory_order_relaxed);
-    g.leaseWaits.store(0, std::memory_order_relaxed);
-    g.leaseTakeovers.store(0, std::memory_order_relaxed);
-    g.indexRebuilds.store(0, std::memory_order_relaxed);
-}
-
 SharedStore::SharedStore(SharedStoreOptions opts)
     : opts_(std::move(opts)), indexPath_(opts_.dir + "/store.index")
 {
@@ -135,9 +78,7 @@ SharedStore::SharedStore(SharedStoreOptions opts)
             // A present-but-unreadable index means corruption (a
             // crash cannot tear it: it is only ever renamed into
             // place whole).
-            globalStoreStats().indexRebuilds.fetch_add(
-                1, std::memory_order_relaxed);
-            Tracer::global().counter("store.index_rebuild", 1);
+            counters::add(Counter::StoreIndexRebuild);
         }
         index_.save(indexPath_);
     }
@@ -170,8 +111,7 @@ SharedStore::enterDown(const std::string &what)
             return;
         down_ = true;
     }
-    globalStoreStats().downs.fetch_add(1, std::memory_order_relaxed);
-    Tracer::global().counter("store.down", 1);
+    counters::add(Counter::StoreDown);
     std::fprintf(stderr,
                  "bds: store '%s' degraded (computing without "
                  "caching): %s\n",
@@ -217,8 +157,7 @@ SharedStore::maybeHeal()
             return true;
         down_ = false;
     }
-    globalStoreStats().heals.fetch_add(1, std::memory_order_relaxed);
-    Tracer::global().counter("store.heal", 1);
+    counters::add(Counter::StoreHeal);
     std::fprintf(stderr, "bds: store '%s' healed (caching resumed)\n",
                  opts_.dir.c_str());
     return true;
@@ -247,9 +186,7 @@ bool
 SharedStore::publish(const std::string &name, const std::string &bytes)
 {
     if (!maybeHeal()) {
-        globalStoreStats().publishSkipped.fetch_add(
-            1, std::memory_order_relaxed);
-        Tracer::global().counter("store.publish_skipped", 1);
+        counters::add(Counter::StorePublishSkipped);
         return false;
     }
 
@@ -307,9 +244,7 @@ SharedStore::publish(const std::string &name, const std::string &bytes)
         return false;
     }
 
-    globalStoreStats().publishes.fetch_add(1,
-                                           std::memory_order_relaxed);
-    Tracer::global().counter("store.publish", 1);
+    counters::add(Counter::StorePublish);
     {
         std::lock_guard<std::mutex> lock(mu_);
         index_.touch(name, bytes.size());
@@ -333,7 +268,6 @@ SharedStore::singleFlight(const std::string &name)
 
     const std::string entry = entryPath(name);
     const std::string leasePath = entry + ".lease";
-    AtomicStoreStats &g = globalStoreStats();
     try {
         std::unique_ptr<Lease> lease =
             tryAcquireLease(leasePath, opts_.lease);
@@ -341,25 +275,19 @@ SharedStore::singleFlight(const std::string &name)
             // Someone else is computing: wait for their publish (the
             // entry appearing cancels the wait) or take over their
             // lease if they die or wedge.
-            g.leaseWaits.fetch_add(1, std::memory_order_relaxed);
-            Tracer::global().counter("store.lease_wait", 1);
+            counters::add(Counter::StoreLeaseWait);
             LeaseWaitStats ws;
             lease = acquireLease(
                 leasePath, opts_.lease,
                 [&entry]() { return fileExists(entry); }, &ws);
-            if (ws.takeovers) {
-                g.leaseTakeovers.fetch_add(ws.takeovers,
-                                           std::memory_order_relaxed);
-                Tracer::global().counter("store.lease_takeover",
-                                         ws.takeovers);
-            }
+            if (ws.takeovers)
+                counters::add(Counter::StoreLeaseTakeover, ws.takeovers);
             if (ws.canceled) {
                 ticket.entryAppeared = true;
                 return ticket;
             }
         }
-        g.leaseAcquires.fetch_add(1, std::memory_order_relaxed);
-        Tracer::global().counter("store.lease_acquire", 1);
+        counters::add(Counter::StoreLeaseAcquire);
         ticket.lease = std::move(lease);
         return ticket;
     } catch (const Error &e) {
@@ -441,7 +369,6 @@ SharedStore::enforceBudget()
     if (total <= opts_.maxBytes)
         return;
 
-    AtomicStoreStats &g = globalStoreStats();
     for (const IndexedEntry &victim : index_.lruOrder()) {
         if (total <= opts_.maxBytes)
             break;
@@ -451,11 +378,8 @@ SharedStore::enforceBudget()
         ::unlink(entryPath(victim.name).c_str());
         index_.erase(victim.name);
         total -= victim.bytes < total ? victim.bytes : total;
-        g.evicted.fetch_add(1, std::memory_order_relaxed);
-        g.evictedBytes.fetch_add(victim.bytes,
-                                 std::memory_order_relaxed);
-        Tracer::global().counter("store.evict", 1);
-        Tracer::global().counter("store.evict_bytes", victim.bytes);
+        counters::add(Counter::StoreEvict);
+        counters::add(Counter::StoreEvictBytes, victim.bytes);
     }
     index_.save(indexPath_);
 }

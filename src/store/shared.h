@@ -33,9 +33,9 @@
  * fail the corresponding step on demand; every degradation path in
  * this file is reachable from a test and from CI.
  *
- * All traffic is mirrored process-wide (storeStats()) and as
- * `store.*` trace counters, surfaced by the daemon's `stats` /
- * `stats-json` verbs.
+ * All traffic is counted in the process-wide counter registry
+ * (obs/metrics.h, the `store.*` counters), which the trace and the
+ * daemon's `stats` verb and `--stats-json` read.
  */
 
 #ifndef BDS_STORE_SHARED_H
@@ -52,30 +52,6 @@
 #include "store/lease.h"
 
 namespace bds {
-
-/** Running process-wide shared-store traffic counters. */
-struct StoreStats
-{
-    std::uint64_t publishes = 0;      ///< entries landed on disk
-    std::uint64_t publishSkipped = 0; ///< publishes dropped while down
-    std::uint64_t evicted = 0;        ///< entries evicted (LRU)
-    std::uint64_t evictedBytes = 0;   ///< bytes reclaimed by eviction
-    std::uint64_t downs = 0;          ///< up -> down transitions
-    std::uint64_t heals = 0;          ///< down -> up transitions
-    std::uint64_t leaseAcquires = 0;  ///< single-flight leaderships
-    std::uint64_t leaseWaits = 0;     ///< waits on another process
-    std::uint64_t leaseTakeovers = 0; ///< stale leases taken over
-    std::uint64_t indexRebuilds = 0;  ///< corrupt index rebuilt
-};
-
-/**
- * Snapshot of the process-wide counters (all SharedStore instances).
- * The same events are emitted as `store.*` trace counters.
- */
-StoreStats storeStats();
-
-/** Zero the process-wide counters (tests, bench passes). */
-void resetStoreStats();
 
 /** Configuration of one SharedStore. */
 struct SharedStoreOptions

@@ -7,6 +7,7 @@
 
 #include "common/log.h"
 #include "fault/recover.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stack/hadoop.h"
 #include "stack/spark.h"
@@ -412,13 +413,13 @@ WorkloadRunner::runAll(std::vector<WorkloadResult> *details,
         timeouts += r.code == ErrorCode::Timeout ? 1 : 0;
     }
     if (retries)
-        Tracer::global().counter("fault.retries", retries);
+        counters::add(Counter::FaultRetries, retries);
     if (retried_ok)
-        Tracer::global().counter("fault.retried_ok", retried_ok);
+        counters::add(Counter::FaultRetriedOk, retried_ok);
     if (timeouts)
-        Tracer::global().counter("fault.timeout", timeouts);
+        counters::add(Counter::FaultTimeout, timeouts);
     if (std::size_t dropped = rep.records.size() - rep.survivors.size())
-        Tracer::global().counter("fault.quarantined", dropped);
+        counters::add(Counter::FaultQuarantined, dropped);
 
     Matrix m(rep.survivors.size(), kNumMetrics);
     for (std::size_t row = 0; row < rep.survivors.size(); ++row)

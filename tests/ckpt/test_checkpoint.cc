@@ -15,6 +15,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "fault/error.h"
+#include "obs/metrics.h"
 #include "trace/recorder.h"
 
 namespace {
@@ -27,7 +28,6 @@ using bds::CkptStats;
 using bds::Error;
 using bds::ErrorCode;
 using bds::readCheckpoint;
-using bds::resetCkptStats;
 using bds::TraceRecorder;
 using bds::writeCheckpoint;
 
@@ -251,7 +251,7 @@ TEST(CheckpointCacheTest, StoreLoadRoundTripCountsTraffic)
     const CheckpointEntry entry = makeEntry();
     std::remove(cache.path(entry.key, entry.interval).c_str());
 
-    resetCkptStats();
+    bds::counters::reset();
     cache.store(entry.key, entry.interval, entry.state);
     std::string state;
     ASSERT_TRUE(cache.load(entry.key, entry.interval, &state));

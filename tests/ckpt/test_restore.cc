@@ -36,6 +36,7 @@
 #include "ckpt/state.h"
 #include "common/rng.h"
 #include "fault/error.h"
+#include "obs/metrics.h"
 #include "sample/capture.h"
 #include "sample/interval.h"
 #include "serve/confighash.h"
@@ -65,7 +66,6 @@ using bds::NodeConfig;
 using bds::PmcCounters;
 using bds::Region;
 using bds::replayCapture;
-using bds::resetCkptStats;
 using bds::resolveMachineSpec;
 using bds::RunConfig;
 using bds::SampledWorkloadResult;
@@ -201,7 +201,7 @@ TEST(ReplayCheckpointRestore, RestoredReplayIsBitwiseIdentical)
     ASSERT_TRUE(ctx.enabled());
 
     // Cold pass: nothing to restore, snapshots written.
-    resetCkptStats();
+    bds::counters::reset();
     const SampledWorkloadResult cold =
         replayCapture(cap, machine, cfg.sampling, &ctx);
     EXPECT_EQ(cold.stats.ckptRestores, 0u);
@@ -328,7 +328,7 @@ TEST(ReplayCheckpointRestore, CorruptCheckpointFallsBackWarmFromZero)
             ctx.cache->path(ctx.keyFor(id.name(), 0), interval);
         corrupt(ctx, path);
 
-        resetCkptStats();
+        bds::counters::reset();
         const SampledWorkloadResult fallback =
             replayCapture(cap, machine, cfg.sampling, &ctx);
         // The bad entry fell back (counted), the rest restored, the
@@ -344,7 +344,7 @@ TEST(ReplayCheckpointRestore, CorruptCheckpointFallsBackWarmFromZero)
 
         // The re-written entry is valid again: a final pass restores
         // all, with no fallback and less warming than the fallback.
-        resetCkptStats();
+        bds::counters::reset();
         const SampledWorkloadResult healed =
             replayCapture(cap, machine, cfg.sampling, &ctx);
         EXPECT_EQ(ckptStats().fallbacks, 0u);

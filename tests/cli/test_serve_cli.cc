@@ -14,6 +14,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,9 @@
 #include <unistd.h>
 
 #include <gtest/gtest.h>
+
+#include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace bds {
 namespace {
@@ -175,7 +181,11 @@ TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
               " store_evicted=0 store_evicted_bytes=0"
               " store_downs=0 store_heals=0"
               " store_lease_acquires=1 store_lease_waits=0"
-              " store_lease_takeovers=0 store_index_rebuilds=0");
+              " store_lease_takeovers=0 store_index_rebuilds=0"
+              " capture_hits=0 capture_misses=0 capture_writes=0"
+              " capture_fallbacks=0 sample_total_ops=0"
+              " sample_detail_ops=0 fault_retries=0 fault_retried_ok=0"
+              " fault_timeouts=0 fault_quarantined=0");
     EXPECT_EQ(frames[4].header, "bye");
 
     // A fresh daemon process answers warm from the on-disk store.
@@ -285,10 +295,73 @@ TEST(ServeCli, CheckpointTrafficTravelsTheStatsVerb)
         << stats;
     EXPECT_EQ(std::atol(field(stats, "ckpt_fallbacks").c_str()), 0)
         << stats;
+    // The capture records: the first request records all 32
+    // workloads, the second restores them (CI's warm capture.hits:32
+    // gate, seen from the daemon).
+    EXPECT_EQ(field(stats, "capture_misses"), "32") << stats;
+    EXPECT_EQ(field(stats, "capture_writes"), "32") << stats;
+    EXPECT_EQ(field(stats, "capture_hits"), "32") << stats;
+    EXPECT_EQ(field(stats, "capture_fallbacks"), "0") << stats;
     EXPECT_EQ(frames[3].header, "bye");
 
     std::system(("rm -rf '" + ckpt + "'").c_str());
     wipeCache(cache, "");
+}
+
+TEST(ServeCli, StatsVerbAndStatsJsonCarryEveryCounter)
+{
+    const std::string cache =
+        ::testing::TempDir() + "bds_serve_cli_parity_cache";
+    const std::string ckpt =
+        ::testing::TempDir() + "bds_serve_cli_parity_ckpt";
+    const std::string json =
+        ::testing::TempDir() + "bds_serve_cli_parity.json";
+    std::system(("rm -rf '" + cache + "' '" + ckpt + "'").c_str());
+
+    // A sampled, checkpointed cold request moves the serve, store,
+    // ckpt, capture and sample groups at once.
+    const std::string out = capture(serveCmd(
+        "characterize scale=quick seed=42 sampled=1\\nstats\\nquit\\n",
+        "",
+        "--serve-cache " + cache + " --ckpt --ckpt-dir " + ckpt
+            + " --stats-json " + json));
+    const std::vector<Frame> frames = parseFrames(out);
+    ASSERT_EQ(frames.size(), 3u) << out;
+    const std::string &stats = frames[1].header;
+    ASSERT_EQ(stats.rfind("stats ", 0), 0u) << stats;
+
+    std::map<std::string, std::string> line;
+    std::istringstream tokens(stats.substr(6));
+    for (std::string tok; tokens >> tok;) {
+        const std::size_t eq = tok.find('=');
+        ASSERT_NE(eq, std::string::npos) << tok;
+        line[tok.substr(0, eq)] = tok.substr(eq + 1);
+    }
+    EXPECT_EQ(line.size(), kNumCounters) << stats;
+
+    std::ifstream in(json);
+    std::stringstream text;
+    text << in.rdbuf();
+    const JsonValue doc = parseJson(text.str());
+    std::size_t leaves = 0;
+    for (const auto &[name, v] : doc.asObject())
+        leaves += v.isObject() ? v.asObject().size() : 1;
+    EXPECT_EQ(leaves, kNumCounters) << text.str();
+
+    for (const CounterDef &c : kCounters) {
+        const auto [group, key] = counters::jsonField(c);
+        const JsonValue &node = group.empty()
+            ? doc.at(std::string(key))
+            : doc.at(std::string(group)).at(std::string(key));
+        EXPECT_EQ(std::to_string(node.asUint()), line[c.statsKey])
+            << c.traceName;
+    }
+    EXPECT_EQ(line["misses"], "1");
+    EXPECT_EQ(line["capture_writes"], "32");
+    EXPECT_NE(line["sample_total_ops"], "0");
+
+    std::system(
+        ("rm -rf '" + cache + "' '" + ckpt + "' '" + json + "'").c_str());
 }
 
 /** Connect to a Unix socket with a read timeout; -1 on failure. */

@@ -29,6 +29,7 @@
 #include "core/report.h"
 #include "fault/inject.h"
 #include "metrics/schema.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/confighash.h"
 #include "serve/engine.h"
@@ -37,6 +38,8 @@
 
 namespace bds {
 namespace {
+
+using counters::value;
 
 /** The engine's base config: quick scale, cache under TempDir. */
 RunConfig
@@ -254,6 +257,9 @@ std::string *ServeEngineTest::batchCsv_ = nullptr;
 // this first one seeds the cache the later cases answer from.
 TEST_F(ServeEngineTest, MissComputesThenHitServesTheSameBytes)
 {
+    const std::uint64_t requests = value(Counter::ServeRequests);
+    const std::uint64_t hits = value(Counter::ServeHits);
+    const std::uint64_t misses = value(Counter::ServeMisses);
     const ServeResponse cold = engine_->handle(quickRequest());
     ASSERT_TRUE(cold.ok) << cold.message;
     EXPECT_FALSE(cold.hit);
@@ -265,10 +271,9 @@ TEST_F(ServeEngineTest, MissComputesThenHitServesTheSameBytes)
     EXPECT_TRUE(warm.hit);
     EXPECT_EQ(warm.payload, cold.payload);
 
-    const ServeStats stats = engine_->stats();
-    EXPECT_GE(stats.requests, 2u);
-    EXPECT_GE(stats.hits, 1u);
-    EXPECT_GE(stats.misses, 1u);
+    EXPECT_EQ(value(Counter::ServeRequests), requests + 2);
+    EXPECT_EQ(value(Counter::ServeHits), hits + 1);
+    EXPECT_EQ(value(Counter::ServeMisses), misses + 1);
 }
 
 TEST_F(ServeEngineTest, PayloadIsByteIdenticalToTheBatchPath)
@@ -321,12 +326,12 @@ TEST_F(ServeEngineTest, BypassComputesWithoutTouchingTheStore)
 {
     RequestRecord req = quickRequest();
     req.flags |= kServeFlagBypass;
-    const ServeStats before = engine_->stats();
+    const std::uint64_t bypassed = value(Counter::ServeBypass);
     const ServeResponse resp = engine_->handle(req);
     ASSERT_TRUE(resp.ok) << resp.message;
     EXPECT_FALSE(resp.hit);
     EXPECT_EQ(resp.payload, *batchCsv_);
-    EXPECT_EQ(engine_->stats().bypassed, before.bypassed + 1);
+    EXPECT_EQ(value(Counter::ServeBypass), bypassed + 1);
 }
 
 TEST_F(ServeEngineTest, InvalidRequestsAreErrorResponses)
@@ -643,7 +648,27 @@ TEST(ServeEngineOverload, QueueFullComputesAreShedWithTypedErrors)
     // The stalled sweep cannot finish before its 500 ms stall; at
     // 100 ms the slot is reliably busy.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::uint64_t bypassed = value(Counter::ServeBypass);
+    const std::uint64_t shedCount = value(Counter::ServeShed);
+    const std::uint64_t errors = value(Counter::ServeErrors);
+    std::ostringstream trace;
+    Tracer::global().enableStream(&trace);
     const ServeResponse shed = engine.handle(quickRequest(4));
+    Tracer::global().disable();
+    // The shed request is counted once in each of the registry and
+    // the trace: a bypass is counted where it is decided, before the
+    // admission queue sheds it.
+    EXPECT_EQ(value(Counter::ServeBypass), bypassed + 1);
+    EXPECT_EQ(value(Counter::ServeShed), shedCount + 1);
+    EXPECT_EQ(value(Counter::ServeErrors), errors + 1);
+    std::size_t bypassEvents = 0;
+    std::istringstream lines(trace.str());
+    for (std::string line; std::getline(lines, line);)
+        if (line.find("\"ev\":\"C\"") != std::string::npos
+            && line.find("\"name\":\"serve.bypass\",\"delta\":1}")
+                != std::string::npos)
+            ++bypassEvents;
+    EXPECT_EQ(bypassEvents, 1u) << trace.str();
     slow.join();
     FaultInjector::global().disarm();
 
@@ -652,9 +677,6 @@ TEST(ServeEngineOverload, QueueFullComputesAreShedWithTypedErrors)
     EXPECT_EQ(std::string(errorCodeName(shed.code)), "overloaded");
     EXPECT_NE(shed.message.find("max_queue=0"), std::string::npos)
         << shed.message;
-    const ServeStats stats = engine.stats();
-    EXPECT_EQ(stats.shed, 1u);
-    EXPECT_EQ(stats.errors, 1u);
 
     // Shedding is load control, not a latch: the engine answers the
     // next request once the storm passes.
@@ -670,6 +692,7 @@ TEST(ServeEngineFault, FailFastInjectionIsAnErrorResponse)
     FaultInjector::global().arm(cfg.fault);
     ServeEngine engine(cfg);
 
+    const std::uint64_t errors = value(Counter::ServeErrors);
     const ServeResponse resp = engine.handle(quickRequest(7));
     FaultInjector::global().disarm();
 
@@ -678,7 +701,7 @@ TEST(ServeEngineFault, FailFastInjectionIsAnErrorResponse)
     // Nothing cached, engine still alive.
     ResultEntry out;
     EXPECT_FALSE(engine.store().load(resp.hashHex, &out));
-    EXPECT_EQ(engine.stats().errors, 1u);
+    EXPECT_EQ(value(Counter::ServeErrors), errors + 1);
 
     wipeCache(cfg, &engine, {});
 }

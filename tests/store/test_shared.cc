@@ -26,10 +26,13 @@
 
 #include "fault/error.h"
 #include "fault/inject.h"
+#include "obs/metrics.h"
 #include "store/shared.h"
 
 namespace bds {
 namespace {
+
+using counters::value;
 
 /** Disarm the global injector when a test scope ends. */
 struct DisarmGuard
@@ -115,19 +118,19 @@ TEST(SharedStore, UncreatableDirectoryOpensDownNotThrowing)
     const std::string block = freshDir("bds_shared_blocker");
     { std::ofstream f(block, std::ios::trunc); f << "x"; }
 
-    const StoreStats before = storeStats();
+    const std::uint64_t downs = value(Counter::StoreDown);
+    const std::uint64_t skipped = value(Counter::StorePublishSkipped);
     SharedStoreOptions opts = testOpts(block + "/sub");
     // Keep the store down for the whole test: no instant re-probes.
     opts.healProbeMs = 60000;
     SharedStore store(opts);
     EXPECT_TRUE(store.down());
-    EXPECT_EQ(storeStats().downs, before.downs + 1);
+    EXPECT_EQ(value(Counter::StoreDown), downs + 1);
 
     std::string bytes;
     EXPECT_FALSE(store.read("a.ent", &bytes));
     EXPECT_FALSE(store.publish("a.ent", kPayload));
-    EXPECT_EQ(storeStats().publishSkipped,
-              before.publishSkipped + 1);
+    EXPECT_EQ(value(Counter::StorePublishSkipped), skipped + 1);
 
     // Single-flight while down: no lease, no wait — uncoordinated.
     FlightTicket ticket = store.singleFlight("a.ent");
@@ -142,16 +145,17 @@ TEST(SharedStore, BudgetEvictsLeastRecentlyUsedFirst)
     SharedStore store(
         testOpts(freshDir("bds_shared_lru"), 250));
 
-    const StoreStats before = storeStats();
+    const std::uint64_t evicted = value(Counter::StoreEvict);
+    const std::uint64_t evictedBytes = value(Counter::StoreEvictBytes);
     ASSERT_TRUE(store.publish("a.ent", kPayload));
     ASSERT_TRUE(store.publish("b.ent", kPayload));
     ASSERT_TRUE(store.publish("c.ent", kPayload));
     EXPECT_FALSE(fileExists(store.entryPath("a.ent"))); // LRU victim
     EXPECT_TRUE(fileExists(store.entryPath("b.ent")));
     EXPECT_TRUE(fileExists(store.entryPath("c.ent")));
-    EXPECT_EQ(storeStats().evicted, before.evicted + 1);
-    EXPECT_EQ(storeStats().evictedBytes,
-              before.evictedBytes + kPayload.size());
+    EXPECT_EQ(value(Counter::StoreEvict), evicted + 1);
+    EXPECT_EQ(value(Counter::StoreEvictBytes),
+              evictedBytes + kPayload.size());
 
     // A read refreshes recency: after touching b, the next eviction
     // victim is c, not b. The hit also bumps b's mtime, so other
@@ -218,9 +222,9 @@ TEST(SharedStore, CorruptIndexIsRebuiltFromTheDirectoryAtOpen)
         f << "definitely not an index\n\x01\x02";
     }
 
-    const StoreStats before = storeStats();
+    const std::uint64_t rebuilds = value(Counter::StoreIndexRebuild);
     SharedStore store(testOpts(dir, 150));
-    EXPECT_EQ(storeStats().indexRebuilds, before.indexRebuilds + 1);
+    EXPECT_EQ(value(Counter::StoreIndexRebuild), rebuilds + 1);
     // The open's own budget pass used the rebuilt recency: the aged
     // entry was the victim.
     EXPECT_FALSE(fileExists(store.entryPath("old.ent")));
@@ -302,17 +306,18 @@ TEST(SharedStore, InjectedEnospcDegradesThenHeals)
     fault.attempts = 1; // exactly one fire, then the disk "recovers"
     FaultInjector::global().arm(fault);
 
-    const StoreStats before = storeStats();
+    const std::uint64_t downs = value(Counter::StoreDown);
+    const std::uint64_t heals = value(Counter::StoreHeal);
     EXPECT_FALSE(store.publish("a.ent", kPayload));
     EXPECT_TRUE(store.down());
-    EXPECT_EQ(storeStats().downs, before.downs + 1);
+    EXPECT_EQ(value(Counter::StoreDown), downs + 1);
     EXPECT_FALSE(fileExists(store.entryPath("a.ent")));
 
     // The injector's fire budget is spent: the next operation's heal
     // probe succeeds and the publish lands. Self-healing, no restart.
     EXPECT_TRUE(store.publish("a.ent", kPayload));
     EXPECT_FALSE(store.down());
-    EXPECT_EQ(storeStats().heals, before.heals + 1);
+    EXPECT_EQ(value(Counter::StoreHeal), heals + 1);
     std::string bytes;
     EXPECT_TRUE(store.read("a.ent", &bytes));
     EXPECT_EQ(bytes, kPayload);
