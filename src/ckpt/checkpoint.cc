@@ -1,6 +1,5 @@
 #include "ckpt/checkpoint.h"
 
-#include <bit>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -56,34 +55,6 @@ ckptStats()
     s.captureWrites = counters::value(Counter::CaptureWrites);
     s.captureFallbacks = counters::value(Counter::CaptureFallbacks);
     return s;
-}
-
-std::uint64_t
-stateChecksum(std::string_view bytes)
-{
-    constexpr std::uint64_t kPrime = 0x100000001b3ULL; // FNV-1a 64
-    constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
-    constexpr int kRot = 29;
-    // Four independent multiply chains over 32-byte blocks, so the
-    // CPU overlaps their latencies; the rotate feeds each product's
-    // high bits back into the low ones. Every step is a bijection of
-    // the running state for a fixed input word (xor, multiply by an
-    // odd constant, rotate), so a change confined to one word or one
-    // tail byte always changes the result.
-    std::uint64_t lane[4] = {kBasis, kBasis + 1, kBasis + 2,
-                             kBasis + 3};
-    const char *p = bytes.data();
-    const char *const end = p + bytes.size();
-    for (; end - p >= 32; p += 32)
-        for (int i = 0; i < 4; ++i)
-            lane[i] = std::rotl((lane[i] ^ loadLe64(p + 8 * i)) * kPrime,
-                                kRot);
-    std::uint64_t h = kBasis;
-    for (std::uint64_t l : lane)
-        h = std::rotl((h ^ l) * kPrime, kRot);
-    for (; p < end; ++p)
-        h = (h ^ static_cast<unsigned char>(*p)) * kPrime;
-    return (h ^ bytes.size()) * kPrime;
 }
 
 std::string

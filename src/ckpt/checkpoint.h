@@ -222,16 +222,6 @@ class CheckpointCache
     mutable SharedStore backend_;
 };
 
-/**
- * The container's state-payload checksum: an FNV-style hash that
- * consumes 64-bit little-endian words on four independent lanes (then
- * the sub-32-byte tail byte by byte), so it runs at memory speed
- * instead of one multiply latency per byte. Any single changed word
- * or tail byte changes the result. Not a config hash: fnv1a64 keys
- * the stores and stays byte-serial.
- */
-std::uint64_t stateChecksum(std::string_view bytes);
-
 /** Serialize a checkpoint to the on-disk format. */
 std::string writeCheckpoint(const CheckpointEntry &entry);
 

@@ -77,6 +77,10 @@ runPipeline(const Matrix &metrics, const std::vector<std::string> &names,
     {
         TraceSpan stage("pipeline.zscore");
         res.z = zscore(res.rawMetrics);
+        if (!res.z.constantColumns.empty())
+            warn("pipeline: "
+                 + std::to_string(res.z.constantColumns.size())
+                 + " zero-variance metric column(s) mapped to zero");
     }
     {
         TraceSpan stage("pipeline.pca");

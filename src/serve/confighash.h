@@ -63,7 +63,11 @@ std::uint64_t runConfigHash(const RunConfig &cfg);
 /** runConfigHash() as 16 lowercase hex digits (the store key). */
 std::string runConfigHashHex(const RunConfig &cfg);
 
-/** FNV-1a 64-bit of an arbitrary byte string (payload checksums). */
+/**
+ * FNV-1a 64-bit of an arbitrary byte string: the config hashes and
+ * the pinned CSV digests. Store payloads are checksummed with the
+ * word-wise stateChecksum() (store/record.h) instead.
+ */
 std::uint64_t fnv1a64(const std::string &bytes);
 
 /** A std::uint64_t as 16 lowercase hex digits. */

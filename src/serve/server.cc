@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -37,10 +36,11 @@ chomp(std::string line)
 std::string
 firstToken(const std::string &line)
 {
-    std::istringstream ss(line);
-    std::string tok;
-    ss >> tok;
-    return tok;
+    constexpr const char *kSpace = " \t\n\v\f\r";
+    const std::size_t b = line.find_first_not_of(kSpace);
+    if (b == std::string::npos)
+        return {};
+    return line.substr(b, line.find_first_of(kSpace, b) - b);
 }
 
 /**
@@ -102,31 +102,28 @@ ServeServer::mirrorPayload(const std::string &payload)
 }
 
 void
-ServeServer::writeResponse(std::ostream &out, std::uint64_t id,
-                           const ServeResponse &resp)
+appendResponse(std::string &out, std::uint64_t id,
+               const ServeResponse &resp)
 {
     if (resp.ok) {
-        out << "ok id=" << id << " hash=" << resp.hashHex
-            << " hit=" << (resp.hit ? 1 : 0)
-            << " bytes=" << resp.payload.size();
-        if (!resp.quarantined.empty()) {
-            out << " quarantined=";
-            for (std::size_t i = 0; i < resp.quarantined.size(); ++i)
-                out << (i ? "," : "") << resp.quarantined[i];
-        }
-        out << '\n' << resp.payload;
+        out += "ok id=" + std::to_string(id) + " hash=" + resp.hashHex
+            + (resp.hit ? " hit=1" : " hit=0")
+            + " bytes=" + std::to_string(resp.payload.size());
+        for (std::size_t i = 0; i < resp.quarantined.size(); ++i)
+            out += (i ? "," : " quarantined=") + resp.quarantined[i];
+        out += '\n';
+        out += resp.payload;
     } else {
         // Keep the error line one line: the message may carry
         // multi-word diagnostics but never newlines by construction.
-        out << "err id=" << id << " code=" << errorCodeName(resp.code)
-            << " msg=" << resp.message << '\n';
+        out += "err id=" + std::to_string(id) + " code="
+            + errorCodeName(resp.code) + " msg=" + resp.message + '\n';
     }
-    out.flush();
 }
 
 bool
 ServeServer::handleLine(const std::string &raw, std::uint64_t id,
-                        std::ostream &out)
+                        std::string &out)
 {
     const std::string line = chomp(raw);
     const std::string verb = firstToken(line);
@@ -134,22 +131,22 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
     if (verb.empty())
         return true; // blank line: keep the connection open
     if (verb == "quit") {
-        out << "bye\n";
-        out.flush();
+        out += "bye\n";
         return false;
     }
     if (verb == "ping") {
-        out << "pong\n";
-        out.flush();
+        out += "pong\n";
         return true;
     }
     if (verb == "stats") {
-        out << "stats";
+        out += "stats";
         counters::forEach([&](const CounterDef &c, std::uint64_t v) {
-            out << ' ' << c.statsKey << '=' << v;
+            out += ' ';
+            out += c.statsKey;
+            out += '=';
+            out += std::to_string(v);
         });
-        out << '\n';
-        out.flush();
+        out += '\n';
         return true;
     }
 
@@ -176,7 +173,7 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
         resp.code = ErrorCode::InvalidConfig;
         resp.message = e.what();
     }
-    writeResponse(out, id, resp);
+    appendResponse(out, id, resp);
     return true;
 }
 
@@ -184,10 +181,15 @@ void
 ServeServer::serveStream(std::istream &in, std::ostream &out)
 {
     std::string line;
+    std::string response;
     std::uint64_t id = 0;
-    while (std::getline(in, line))
-        if (!handleLine(line, id++, out))
+    while (std::getline(in, line)) {
+        response.clear();
+        const bool open = handleLine(line, id++, response);
+        out << response << std::flush;
+        if (!open)
             break;
+    }
 }
 
 void
@@ -248,7 +250,10 @@ ServeServer::serveSocket(const std::string &path)
         // lived daemon never accumulates unreaped thread handles.
         std::thread([this, client, fd, roster] {
             // Stream-ify the fd: read whole lines, answer framed.
+            // One response buffer per connection, reused for every
+            // request and sent as-is.
             std::string buf;
+            std::string out;
             char chunk[4096];
             bool open = true;
             bool quit = false; // explicit quit verb, not a dead peer
@@ -264,18 +269,17 @@ ServeServer::serveSocket(const std::string &path)
                        && (nl = buf.find('\n')) != std::string::npos) {
                     const std::string line = buf.substr(0, nl);
                     buf.erase(0, nl + 1);
-                    std::ostringstream out;
+                    out.clear();
                     quit = !handleLine(line, id++, out);
                     open = !quit;
-                    const std::string bytes = out.str();
                     std::size_t off = 0;
-                    while (off < bytes.size()) {
+                    while (off < out.size()) {
                         // MSG_NOSIGNAL: a client that closed its
                         // socket mid-response is EPIPE here, not a
                         // SIGPIPE that kills the daemon.
                         const ssize_t w = ::send(
-                            client, bytes.data() + off,
-                            bytes.size() - off, MSG_NOSIGNAL);
+                            client, out.data() + off,
+                            out.size() - off, MSG_NOSIGNAL);
                         if (w <= 0) {
                             // Dead peer: drop this client only; the
                             // daemon keeps serving everyone else.

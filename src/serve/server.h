@@ -58,6 +58,13 @@ struct ReplaySummary
     std::vector<double> latencies;
 };
 
+/**
+ * Append one response to `out` in the framed format above; `id` is
+ * the per-connection request index.
+ */
+void appendResponse(std::string &out, std::uint64_t id,
+                    const ServeResponse &resp);
+
 /** The daemon: transports around one ServeEngine. */
 class ServeServer
 {
@@ -101,15 +108,12 @@ class ServeServer
 
   private:
     /**
-     * Handle one protocol line; returns false when the connection
-     * should close (quit). `id` is the per-connection request index.
+     * Handle one protocol line, appending its response to `out`;
+     * returns false when the connection should close (quit). `id` is
+     * the per-connection request index.
      */
     bool handleLine(const std::string &line, std::uint64_t id,
-                    std::ostream &out);
-
-    /** Write one response in the framed format. */
-    static void writeResponse(std::ostream &out, std::uint64_t id,
-                              const ServeResponse &resp);
+                    std::string &out);
 
     /** Mirror a payload to the payload dir (if configured). */
     void mirrorPayload(const std::string &payload);

@@ -21,7 +21,7 @@ writeResultEntry(const ResultEntry &entry)
     for (const std::string &name : entry.names)
         out += name + '\n';
     appendSized(out, "manifest", entry.manifestJson);
-    appendField(out, "csv_fnv", toHex64(fnv1a64(entry.csv)));
+    appendField(out, "csv_sum", toHex64(stateChecksum(entry.csv)));
     appendSized(out, "csv", entry.csv);
     out += "END\n";
     return out;
@@ -41,15 +41,16 @@ readResultEntry(std::string_view bytes, const std::string &what)
     for (std::uint64_t i = 0; i < names; ++i)
         entry.names.emplace_back(in.line());
     entry.manifestJson = std::string(in.sized("manifest"));
-    const std::string_view declared_fnv = in.field("csv_fnv");
-    if (declared_fnv.size() != 16)
-        BDS_RAISE(ErrorCode::Io, what << ": malformed csv_fnv line");
-    entry.csv = std::string(in.sized("csv"));
-    if (toHex64(fnv1a64(entry.csv)) != declared_fnv)
+    const std::string_view declared_sum = in.field("csv_sum");
+    if (declared_sum.size() != 16)
+        BDS_RAISE(ErrorCode::Io, what << ": malformed csv_sum line");
+    const std::string_view csv = in.sized("csv");
+    if (toHex64(stateChecksum(csv)) != declared_sum)
         BDS_RAISE(ErrorCode::Io,
                   what << ": csv payload checksum mismatch "
                        << "(corrupt entry)");
     in.end();
+    entry.csv = std::string(csv);
     return entry;
 }
 

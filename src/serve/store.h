@@ -9,7 +9,7 @@
  * write it (byte-identical responses are the contract), the row
  * labels, the canonical configuration text that hashed to the key
  * (audit trail + collision tripwire), and a per-request mini
- * manifest. The payload carries an FNV checksum; loading verifies
+ * manifest. The payload carries a checksum; loading verifies
  * magic, version, byte counts, the checksum and the END sentinel, so
  * a corrupt or truncated entry is a typed Io error the serving layer
  * converts into a transparent recompute (the same hardening idiom as
@@ -47,14 +47,17 @@
 namespace bds {
 
 /**
- * Version of the on-disk entry layout. v2 retires every v1 entry:
+ * Version of the on-disk entry layout. v2 retired every v1 entry:
  * v1 cells were keyed by a config hash that could not distinguish
  * machine geometries, so replaying them against v2 keys could alias
- * results across machines. A v1 entry on disk is a typed Io error
- * from readResultEntry(), which getOrCompute() treats like any other
- * corrupt entry — recompute and overwrite, never crash.
+ * results across machines. v3 replaced the byte-serial FNV-1a
+ * `csv_fnv` line with `csv_sum`, the word-wise stateChecksum() every
+ * store file shares. An entry of any other version on disk is a
+ * typed Io error from readResultEntry(), which getOrCompute() treats
+ * like any other corrupt entry — recompute and overwrite, never
+ * crash.
  */
-constexpr unsigned kResultStoreVersion = 2;
+constexpr unsigned kResultStoreVersion = 3;
 
 /** One cached characterization cell. */
 struct ResultEntry

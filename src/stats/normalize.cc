@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/log.h"
 #include "fault/error.h"
 
 namespace bds {
@@ -38,9 +37,6 @@ zscore(const Matrix &data, double eps)
             res.normalized(r, c) =
                 (data(r, c) - res.means[c]) / res.stddevs[c];
     }
-    if (!res.constantColumns.empty())
-        warn("zscore: " + std::to_string(res.constantColumns.size())
-             + " zero-variance column(s) mapped to zero");
     return res;
 }
 

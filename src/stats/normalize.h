@@ -39,6 +39,11 @@ struct ZScoreResult
  *
  * @param data Rows are observations (workloads), columns are metrics.
  * @param eps Stddevs below eps mark the column as constant (output 0).
+ *
+ * Silent: constant columns are reported in constantColumns only, and
+ * the caller decides whether they deserve a warning (the metric
+ * matrix does; the picker's interval features are constant by
+ * construction).
  */
 ZScoreResult zscore(const Matrix &data, double eps = 1e-12);
 

@@ -173,6 +173,13 @@ acquireLease(const std::string &path, const LeaseOptions &opts,
     Clock::time_point watchStart{};
 
     for (;;) {
+        // Before every create: a holder that published and released
+        // (or died after publishing) since the last look must end the
+        // wait, not hand this caller a lease it does not need.
+        if (cancel && cancel()) {
+            st.canceled = true;
+            return nullptr;
+        }
         std::unique_ptr<Lease> lease = tryAcquireLease(path, opts);
         if (lease)
             return lease;
@@ -216,11 +223,6 @@ acquireLease(const std::string &path, const LeaseOptions &opts,
             // compete for the create again.
             watching = false;
             continue;
-        }
-
-        if (cancel && cancel()) {
-            st.canceled = true;
-            return nullptr;
         }
 
         ++st.waits;

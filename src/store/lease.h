@@ -140,10 +140,11 @@ struct LeaseWaitStats
 
 /**
  * Acquire the lease at `path`, waiting out (or deterministically
- * taking over) any current holder. `cancel` is polled between
- * backoff sleeps; when it returns true the wait ends with a null
- * lease and stats->canceled set — the caller's result appeared and
- * the lease is moot. Filesystem failures are Error(Io).
+ * taking over) any current holder. `cancel` is polled before every
+ * create attempt, the first and each one after a backoff sleep or a
+ * takeover; when it returns true the wait ends with a null lease and
+ * stats->canceled set — the caller's result appeared and the lease
+ * is moot. Filesystem failures are Error(Io).
  */
 std::unique_ptr<Lease> acquireLease(const std::string &path,
                                     const LeaseOptions &opts,

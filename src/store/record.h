@@ -5,10 +5,11 @@
  * (BDSINDEX) and leases (BDSLEASE). Each is a "<MAGIC> <version>"
  * line, "<key> <value>" lines, sized fields ("<key>_bytes N\n" then
  * N raw bytes) and, except leases, an "END" line (docs/STORAGE.md
- * §6). Writers append with appendField()/appendSized(), parsers walk
- * the bytes with RecordCursor, whole files come in through
- * readFile(), and the index and lease heartbeats land through
- * replaceFile(). SharedStore::publish() stays the durable writer.
+ * §6). Writers append with appendField()/appendSized(), payloads
+ * carry one checksum (stateChecksum()), parsers walk the bytes with
+ * RecordCursor, whole files come in through readFile(), and the index
+ * and lease heartbeats land through replaceFile().
+ * SharedStore::publish() stays the durable writer.
  */
 
 #ifndef BDS_STORE_RECORD_H
@@ -34,6 +35,18 @@ void appendSized(std::string &out, std::string_view key,
 
 /** Parse all of `v` as a non-negative decimal; false on anything else. */
 bool parseDecimal(std::string_view v, std::uint64_t *n);
+
+/**
+ * The one payload checksum of every store file: checkpoint
+ * `state_sum`/`ops_sum`, the capture record's `sum` and a result
+ * entry's `csv_sum`. An FNV-style hash that consumes 64-bit
+ * little-endian words on four independent lanes (then the sub-32-byte
+ * tail byte by byte), so it runs at memory speed instead of one
+ * multiply latency per byte. Any single changed word or tail byte
+ * changes the result. Not a config hash: fnv1a64 keys the stores and
+ * stays byte-serial.
+ */
+std::uint64_t stateChecksum(std::string_view bytes);
 
 /**
  * A cursor over a record's bytes. Every read is bounds-checked and

@@ -40,6 +40,7 @@
 #include "sample/capture.h"
 #include "sample/interval.h"
 #include "serve/confighash.h"
+#include "store/record.h"
 #include "trace/memlayout.h"
 #include "trace/recorder.h"
 #include "trace/runtime.h"
@@ -175,6 +176,9 @@ TEST(SystemStateRestore, GeometryGuardRejectsForeignPayload)
 /** fnv1a64 of the quick/42 cold pass's payloads (first workload). */
 const char *const kColdPayloadDigest = "d4952f4f89906430";
 
+/** stateChecksum() of the same bytes. */
+const char *const kColdPayloadSum = "789116d1977abd75";
+
 TEST(ReplayCheckpointRestore, RestoredReplayIsBitwiseIdentical)
 {
     const std::string dir =
@@ -223,6 +227,11 @@ TEST(ReplayCheckpointRestore, RestoredReplayIsBitwiseIdentical)
     }
     EXPECT_EQ(machine.numCores, 4u);
     EXPECT_EQ(bds::toHex64(bds::fnv1a64(written)), kColdPayloadDigest);
+    // The store's one payload checksum, pinned on the same real
+    // payload: every store file verifies with it, so a change to it
+    // would turn every checkpoint, capture record and result entry
+    // on disk into a corrupt one.
+    EXPECT_EQ(bds::toHex64(bds::stateChecksum(written)), kColdPayloadSum);
 
     // Warm pass: every representative restores, no warming replayed.
     const SampledWorkloadResult warm =

@@ -56,10 +56,18 @@ TEST(Robustness, ExactlyConstantColumns)
         for (std::size_t c = 2; c < 5; ++c)
             m(r, c) = rng.nextGaussian();
     }
+    ::testing::internal::CaptureStderr();
     auto res = runPipeline(m, labels(6));
+    const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(res.z.constantColumns.size(), 2u);
     for (double v : res.pca.eigenvalues)
         EXPECT_TRUE(std::isfinite(v));
+    // The metric matrix is where a constant column deserves a
+    // warning: exactly one line for the whole matrix.
+    const std::string want =
+        "[bds:warn] pipeline: 2 zero-variance metric column(s) mapped "
+        "to zero\n";
+    EXPECT_EQ(err, want);
 }
 
 TEST(Robustness, SingleMetricColumn)

@@ -224,6 +224,22 @@ TEST(RepresentativePicker, DeterministicForSameSeed)
     EXPECT_EQ(a.k, b.k);
 }
 
+TEST(RepresentativePicker, ConstantFeatureColumnsPickSilently)
+{
+    // Interval features such as a per-uop count that never varies
+    // are constant by construction; picking over them must not warn.
+    PickFixture fx;
+    for (std::size_t i = 0; i < fx.features.rows(); ++i)
+        fx.features(i, 2) = 1.0;
+    SamplingOptions opts;
+    opts.kMax = 4;
+    RepresentativePicker picker(opts);
+    ::testing::internal::CaptureStderr();
+    const PickResult res = picker.pick(fx.features, fx.intervals, 7);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+    EXPECT_FALSE(res.reps.empty());
+}
+
 TEST(RepresentativePicker, TinyStreamsGoFullDetail)
 {
     Matrix features(1, 3);

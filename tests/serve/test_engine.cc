@@ -33,6 +33,7 @@
 #include "obs/trace.h"
 #include "serve/confighash.h"
 #include "serve/engine.h"
+#include "store/record.h"
 #include "uarch/machine.h"
 #include "workloads/registry.h"
 
@@ -281,6 +282,39 @@ TEST_F(ServeEngineTest, PayloadIsByteIdenticalToTheBatchPath)
     const ServeResponse resp = engine_->handle(quickRequest());
     ASSERT_TRUE(resp.ok) << resp.message;
     EXPECT_EQ(resp.payload, *batchCsv_);
+}
+
+TEST_F(ServeEngineTest, EveryFlippedCsvByteOfARealEntryIsTypedIo)
+{
+    // The quick/42 entry the first case stored, byte for byte as it
+    // sits on disk. Inverting any one CSV byte, every position
+    // including the sub-32-byte tail the checksum folds in bytewise,
+    // must fail the csv_sum check as a typed Io error.
+    ASSERT_TRUE(engine_->handle(quickRequest()).ok);
+    const std::string hash =
+        runConfigHashHex(engine_->requestConfig(quickRequest()));
+    std::string bytes;
+    ASSERT_TRUE(readFile(engine_->store().entryPath(hash), &bytes));
+    const std::string csv = readResultEntry(bytes, "quick/42").csv;
+    ASSERT_EQ(csv, *batchCsv_);
+    EXPECT_NE(csv.size() % 32, 0u); // there is a tail to cover
+    const std::string field =
+        "csv_bytes " + std::to_string(csv.size()) + "\n";
+    const std::size_t begin = bytes.find(field) + field.size();
+    ASSERT_EQ(bytes.compare(begin, csv.size(), csv), 0);
+
+    std::size_t typedIo = 0;
+    for (std::size_t i = 0; i < csv.size(); ++i) {
+        bytes[begin + i] = static_cast<char>(~bytes[begin + i]);
+        try {
+            readResultEntry(bytes, "flipped");
+            ADD_FAILURE() << "flipped csv byte " << i << " parsed";
+        } catch (const Error &e) {
+            typedIo += e.code() == ErrorCode::Io;
+        }
+        bytes[begin + i] = static_cast<char>(~bytes[begin + i]);
+    }
+    EXPECT_EQ(typedIo, csv.size());
 }
 
 TEST_F(ServeEngineTest, ProjectionSelectsRowsAndColumns)

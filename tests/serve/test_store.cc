@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include "fault/error.h"
+#include "serve/confighash.h"
 #include "serve/store.h"
+#include "store/record.h"
 
 #include "../mutator.h"
 
@@ -86,7 +88,7 @@ TEST(ServeStore, WriterBytesArePinned)
 {
     // The on-disk entry, byte for byte; the same text must parse, so
     // entries already on disk stay readable.
-    const std::string golden = "BDSRESULT 2\n"
+    const std::string golden = "BDSRESULT 3\n"
                                "hash 00000000000000aa\n"
                                "config_bytes 29\n"
                                "bds-runconfig-v1\nscale=quick\n"
@@ -95,7 +97,7 @@ TEST(ServeStore, WriterBytesArePinned)
                                "S-Grep\n"
                                "manifest_bytes 17\n"
                                "{\"tool\": \"test\"}\n"
-                               "csv_fnv 21b341aa58542bdb\n"
+                               "csv_sum f2096f08bbee2195\n"
                                "csv_bytes 46\n"
                                "workload,LOAD\nH-Sort,0.375196\n"
                                "S-Grep,0.179149\n"
@@ -220,67 +222,88 @@ TEST(ServeStore, CorruptEntriesAreTypedIoErrors)
     // corrupt-entry recovery.
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "BDSRESULT 2\nhash 00000000000000aa\n"
+        out << "BDSRESULT 3\nhash 00000000000000aa\n"
             << "config_bytes 18446744073709551615\n";
     }
     expectIo("implausible declared size");
 }
 
-TEST(ServeStore, VersionOneEntriesAreRejectedAndRecomputed)
+/**
+ * A retired entry layout: v1 (keyed before the machine-geometry
+ * axis) or v2 (byte-serial FNV-1a `csv_fnv` over the CSV), with the
+ * body a writer of that version produced.
+ */
+std::string
+retiredEntry(const ResultEntry &entry, unsigned version)
+{
+    std::string bytes = writeResultEntry(entry);
+    const std::string v3 = "BDSRESULT 3\n";
+    EXPECT_EQ(bytes.rfind(v3, 0), 0u);
+    bytes.replace(0, v3.size(),
+                  "BDSRESULT " + std::to_string(version) + "\n");
+    const std::string sum = "csv_sum " + toHex64(stateChecksum(entry.csv));
+    const std::size_t at = bytes.find(sum);
+    EXPECT_NE(at, std::string::npos);
+    bytes.replace(at, sum.size(),
+                  "csv_fnv " + toHex64(fnv1a64(entry.csv)));
+    return bytes;
+}
+
+TEST(ServeStore, RetiredVersionsAreRejectedAndRecomputedOnce)
 {
     // Store format v1 predates the machine-geometry axis: its cells
     // were keyed by confighash schema v1 and say nothing about what
-    // machine produced them. A v1 entry on disk must be a typed Io
-    // error from load, and getOrCompute must recompute and overwrite
-    // it transparently — never serve it.
-    StoreDir tmp("bds_store_v1");
-    ResultStore store(tmp.dir());
-    const ResultEntry good = sampleEntry("00000000000000aa");
-    store.store(good);
+    // machine produced them. v2 checksummed the CSV byte-serially.
+    // Either on disk must be a typed Io error from load, and
+    // getOrCompute must recompute and overwrite it transparently with
+    // a v3 entry, exactly once — never serve it.
+    for (unsigned version : {1u, 2u}) {
+        SCOPED_TRACE("BDSRESULT " + std::to_string(version));
+        StoreDir tmp("bds_store_v" + std::to_string(version));
+        ResultStore store(tmp.dir());
+        const ResultEntry good = sampleEntry("00000000000000aa");
+        const std::string path = store.entryPath(good.hashHex);
+        ASSERT_TRUE(store.store(good));
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << retiredEntry(good, version);
+        }
 
-    // Rewrite the entry with a v1 header, leaving the body intact.
-    const std::string path = store.entryPath(good.hashHex);
-    {
-        std::ifstream f(path, std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(f)),
-                          std::istreambuf_iterator<char>());
-        const std::string v2 = "BDSRESULT 2\n";
-        ASSERT_EQ(bytes.rfind(v2, 0), 0u);
-        bytes.replace(0, v2.size(), "BDSRESULT 1\n");
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << bytes;
-    }
+        ResultEntry out;
+        try {
+            store.load(good.hashHex, &out);
+            FAIL() << "expected Error(Io) for a retired entry";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Io);
+            EXPECT_NE(std::string(e.what()).find("version"),
+                      std::string::npos)
+                << e.what();
+        }
 
-    ResultEntry out;
-    try {
-        store.load(good.hashHex, &out);
-        FAIL() << "expected Error(Io) for a v1 entry";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.code(), ErrorCode::Io);
-        EXPECT_NE(std::string(e.what()).find("version"),
-                  std::string::npos)
-            << e.what();
-    }
-
-    int computes = 0;
-    bool hit = true;
-    ComputedResult got = store.getOrCompute(
-        good.hashHex,
-        [&] {
+        int computes = 0;
+        auto compute = [&] {
             ++computes;
             ComputedResult r;
             r.entry = good;
             return r;
-        },
-        &hit);
-    EXPECT_EQ(computes, 1);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(got.entry.csv, good.csv);
+        };
+        bool hit = true;
+        ComputedResult got = store.getOrCompute(good.hashHex, compute, &hit);
+        EXPECT_EQ(computes, 1);
+        EXPECT_FALSE(hit);
+        EXPECT_EQ(got.entry.csv, good.csv);
 
-    // The v2 recompute replaced the v1 file.
-    ResultEntry reloaded;
-    ASSERT_TRUE(store.load(good.hashHex, &reloaded));
-    EXPECT_EQ(reloaded.csv, good.csv);
+        // The recompute rewrote the file as v3, so the next request
+        // is a hit and computes nothing.
+        std::ifstream f(path, std::ios::binary);
+        const std::string bytes((std::istreambuf_iterator<char>(f)),
+                                std::istreambuf_iterator<char>());
+        EXPECT_EQ(bytes, writeResultEntry(good));
+        got = store.getOrCompute(good.hashHex, compute, &hit);
+        EXPECT_EQ(computes, 1);
+        EXPECT_TRUE(hit);
+        EXPECT_EQ(got.entry.csv, good.csv);
+    }
 }
 
 TEST(ServeStore, GetOrComputeRecomputesCorruptEntriesTransparently)

@@ -6,6 +6,7 @@
  * (a live pid whose heartbeat counter stops advancing).
  */
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -252,6 +253,83 @@ TEST(StoreLease, CancelEndsTheWaitWithoutALease)
     EXPECT_TRUE(stats.canceled);
     EXPECT_EQ(stats.takeovers, 0u);
     held->release();
+}
+
+TEST(StoreLease, HolderThatPublishesBetweenPollsEndsTheWait)
+{
+    const std::string path = leasePath("bds_lease_publish");
+    std::remove(path.c_str());
+
+    std::unique_ptr<Lease> held = tryAcquireLease(path, fastOpts());
+    ASSERT_TRUE(held);
+
+    // One long poll sleep, so the holder's publish and release land
+    // inside it: the first poll sees nothing, the create fails on the
+    // live holder, and by the next poll the lease path is free and
+    // the result is on disk. The wait must end canceled, not with a
+    // lease the caller would only give back.
+    LeaseOptions opts = fastOpts();
+    opts.staleMs = 60000;
+    opts.pollMinMs = 500;
+    opts.pollMaxMs = 500;
+    std::atomic<bool> published{false};
+    std::atomic<int> polls{0};
+    std::thread holder;
+    LeaseWaitStats stats;
+    std::unique_ptr<Lease> lease;
+    EXPECT_NO_THROW(lease = acquireLease(
+                        path, opts,
+                        [&] {
+                            if (++polls == 1)
+                                holder = std::thread([&] {
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(100));
+                                    published = true;
+                                    held->release();
+                                });
+                            return published.load();
+                        },
+                        &stats));
+    if (holder.joinable())
+        holder.join();
+    EXPECT_FALSE(lease);
+    EXPECT_TRUE(stats.canceled);
+    EXPECT_EQ(stats.takeovers, 0u);
+    EXPECT_EQ(polls.load(), 2);
+    LeaseProbe probe;
+    EXPECT_FALSE(readLease(path, &probe)); // nobody took it
+}
+
+TEST(StoreLease, HolderThatDiedAfterPublishingEndsTheWait)
+{
+    const std::string path = leasePath("bds_lease_died_published");
+    std::remove(path.c_str());
+
+    // A holder that published and then died without releasing: its
+    // lease still names a vanished pid. The takeover frees the path,
+    // and the poll before the next create sees the published result.
+    {
+        std::ofstream f(path, std::ios::trunc);
+        f << "BDSLEASE 1\npid " << deadPid() << "\nbeat 7\n";
+    }
+    bool published = false;
+    int polls = 0;
+    LeaseWaitStats stats;
+    std::unique_ptr<Lease> lease = acquireLease(
+        path, fastOpts(),
+        [&] {
+            ++polls;
+            const bool seen = published;
+            published = true; // lands just after the first look
+            return seen;
+        },
+        &stats);
+    EXPECT_FALSE(lease);
+    EXPECT_TRUE(stats.canceled);
+    EXPECT_EQ(stats.takeovers, 1u);
+    EXPECT_EQ(polls, 2);
+    LeaseProbe probe;
+    EXPECT_FALSE(readLease(path, &probe));
 }
 
 TEST(StoreLease, ReleaseAfterForeignTakeoverIsHarmless)

@@ -420,7 +420,7 @@ TEST(SharedStore, TwoProcessesSingleFlightOneCompute)
     // with the published entry instead of a license to recompute.
     SharedStore store(opts);
     FlightTicket ticket = store.singleFlight("cell.ent");
-    EXPECT_TRUE(ticket.entryAppeared || ticket.lease);
+    EXPECT_TRUE(ticket.entryAppeared && !ticket.lease);
 
     std::string bytes;
     EXPECT_TRUE(store.read("cell.ent", &bytes));
