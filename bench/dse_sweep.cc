@@ -28,10 +28,12 @@
  *   --dse-full             full detailed simulation per cell
  *   --dse-out PATH         artifact path (default BENCH_dse.json)
  *
- * The sweep runs under the fault layer: each workload's capture +
- * replays execute inside guardedRun with the session's recovery
- * policy, so an injected fault quarantines one workload row across
- * every preset instead of killing the sweep.
+ * The sweep runs through guardedSweep (workloads/registry.h), the
+ * one sweep every route shares: each workload's capture + replays
+ * run under the session's recovery policy, so an injected fault
+ * quarantines one workload row across every preset instead of
+ * killing the sweep, counts its fault.* events and lands in the run
+ * manifest.
  */
 
 #include <algorithm>
@@ -46,11 +48,9 @@
 #include <vector>
 
 #include "ckpt/context.h"
-#include "common/parallel.h"
 #include "common/table.h"
 #include "core/findings.h"
 #include "core/report.h"
-#include "fault/recover.h"
 #include "metrics/schema.h"
 #include "sample/capture.h"
 #include "serve/engine.h"
@@ -261,97 +261,69 @@ runDse(int argc, char **argv)
         if (!results[p].cached)
             groups[presets[p]->config.numCores].push_back(p);
 
+    // One runner per core-count group; the capture only reads the
+    // geometry's core count, so the group leader's config serves
+    // every preset in the group.
+    std::map<unsigned, WorkloadRunner> runners;
+    for (const auto &[cores, members] : groups)
+        runners.emplace(cores,
+                        WorkloadRunner(presets[members.front()]->config,
+                                       ScaleProfile::byName(cfg.scaleName),
+                                       cfg.seed));
+
     std::vector<std::vector<Cell>> cells(
         presets.size(), std::vector<Cell>(selected.size()));
-    std::vector<RunRecord> records(selected.size());
-    if (!groups.empty()) {
-        // One runner per core-count group; the capture only reads the
-        // geometry's core count, so the group leader's config serves
-        // every preset in the group.
-        std::map<unsigned, WorkloadRunner> runners;
-        for (const auto &[cores, members] : groups) {
-            WorkloadRunner r(presets[members.front()]->config,
-                             ScaleProfile::byName(cfg.scaleName),
-                             cfg.seed);
-            runners.emplace(cores, std::move(r));
-        }
-
-        auto t0 = std::chrono::steady_clock::now();
-        parallelFor(selected.size(), cfg.parallel, [&](std::size_t i) {
+    auto t0 = std::chrono::steady_clock::now();
+    const SweepReport report = guardedSweep(
+        selected, cfg.fault.recovery,
+        cfg.parallel.resolvedFor(selected.size()),
+        [&](std::size_t i, const AttemptContext &) {
+            if (groups.empty())
+                return; // every preset came from the store
             const WorkloadId id = selected[i];
-            records[i] = guardedRun(
-                id.name(), cfg.fault.recovery,
-                [&](const AttemptContext &) {
-                    // Same injection sites as the sweep layers this
-                    // driver bypasses (SampledCharacterizer::run),
-                    // so the CI fault matrix exercises DSE cells too;
-                    // corruption injection lives inside replayCapture.
-                    FaultInjector::global().maybeThrow(id.name());
-                    FaultInjector::global().maybeStall(id.name());
-                    for (const auto &[cores, members] : groups) {
-                        const WorkloadRunner &runner =
-                            runners.at(cores);
-                        WorkloadCapture cap;
-                        if (!full_mode)
-                            cap = captureWorkload(runner,
-                                                  cfg.sampling, id, 0);
-                        for (std::size_t p : members) {
-                            auto c0 =
-                                std::chrono::steady_clock::now();
-                            Cell &cell = cells[p][i];
-                            if (full_mode) {
-                                WorkloadRunner detailed(
-                                    presets[p]->config,
-                                    ScaleProfile::byName(
-                                        cfg.scaleName),
-                                    cfg.seed);
-                                cell.metrics =
-                                    detailed.run(id).metrics;
-                            } else {
-                                SampledWorkloadResult r =
-                                    replayCapture(
-                                        cap, presets[p]->config,
-                                        cfg.sampling,
-                                        ckpts[p].enabled()
-                                            ? &ckpts[p]
-                                            : nullptr);
-                                cell.metrics = r.metrics;
-                                cell.stats = r.stats;
-                                cell.intervals = r.numIntervals;
-                                cell.k = r.k;
-                                cell.reps = r.numReps;
-                            }
-                            cell.seconds =
-                                std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now()
-                                    - c0).count();
-                        }
+            // Same injection sites as the sweep layers this driver
+            // bypasses (SampledCharacterizer::run), so the CI fault
+            // matrix exercises DSE cells too; corruption injection
+            // lives inside replayCapture.
+            FaultInjector::global().maybeThrow(id.name());
+            FaultInjector::global().maybeStall(id.name());
+            for (const auto &[cores, members] : groups) {
+                const WorkloadRunner &runner = runners.at(cores);
+                WorkloadCapture cap;
+                if (!full_mode)
+                    cap = captureWorkload(runner, cfg.sampling, id, 0);
+                for (std::size_t p : members) {
+                    auto c0 = std::chrono::steady_clock::now();
+                    Cell &cell = cells[p][i];
+                    if (full_mode) {
+                        WorkloadRunner detailed(
+                            presets[p]->config,
+                            ScaleProfile::byName(cfg.scaleName),
+                            cfg.seed);
+                        cell.metrics = detailed.run(id).metrics;
+                    } else {
+                        SampledWorkloadResult r = replayCapture(
+                            cap, presets[p]->config, cfg.sampling,
+                            ckpts[p].enabled() ? &ckpts[p] : nullptr);
+                        cell.metrics = r.metrics;
+                        cell.stats = r.stats;
+                        cell.intervals = r.numIntervals;
+                        cell.k = r.k;
+                        cell.reps = r.numReps;
                     }
-                });
+                    cell.seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - c0).count();
+                }
+            }
         });
-        double sweep_seconds = std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0).count();
-        std::cerr << "[dse] swept "
-                  << groups.size() << " core-count group(s) in "
-                  << sweep_seconds << " s\n";
-    }
-
-    // --- settle failures in workload order (runAll's contract) ------
-    std::vector<std::size_t> survivors;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-        if (groups.empty() || runStatusOk(records[i].status)) {
-            survivors.push_back(i);
-            continue;
-        }
-        if (cfg.fault.recovery.policy == FailPolicy::FailFast)
-            BDS_RAISE(records[i].code,
-                      "workload " << selected[i].name()
-                      << " failed in the DSE sweep: "
-                      << records[i].message);
-        records[i].status = RunStatus::Quarantined;
-        std::cerr << "[dse] quarantined " << selected[i].name()
-                  << " (" << records[i].message << ")\n";
-    }
+    session.recordSweep(report);
+    const std::vector<std::size_t> &survivors = report.survivors;
+    if (!groups.empty())
+        std::cerr << "[dse] swept " << groups.size()
+                  << " core-count group(s) in "
+                  << std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0).count()
+                  << " s\n";
     if (names.empty())
         for (std::size_t i : survivors)
             names.push_back(selected[i].name());
@@ -361,21 +333,15 @@ runDse(int argc, char **argv)
         PresetResult &res = results[p];
         if (res.cached)
             continue;
-        Matrix m(survivors.size(), kNumMetrics);
-        double seconds = 0.0;
-        for (std::size_t r = 0; r < survivors.size(); ++r) {
-            const Cell &cell = cells[p][survivors[r]];
-            m.setRow(r, std::vector<double>(cell.metrics.begin(),
-                                            cell.metrics.end()));
-            seconds += cell.seconds;
-        }
-        res.metrics = m;
-        res.seconds = seconds;
+        res.metrics = survivorMatrix(cells[p], report);
+        for (std::size_t i : survivors)
+            res.seconds += cells[p][i].seconds;
         res.cells = cells[p];
         if (full_suite && survivors.size() == all.size()
             && !cfg.serve.bypassStore) {
             const RunConfig pcfg = presetConfig(p);
-            if (store.store(makeResultEntry(pcfg, names, m, seconds)))
+            if (store.store(makeResultEntry(pcfg, names, res.metrics,
+                                            res.seconds)))
                 session.noteArtifact(
                     store.entryPath(runConfigHashHex(pcfg)));
         }
@@ -537,8 +503,8 @@ runDse(int argc, char **argv)
                 os << (first ? "\n        " : ",\n        ")
                    << "{\"name\": " << q(selected[i].name())
                    << ", \"status\": "
-                   << q(runStatusName(records[i].status))
-                   << ", \"attempts\": " << records[i].attempts
+                   << q(runStatusName(report.records[i].status))
+                   << ", \"attempts\": " << report.records[i].attempts
                    << ", \"seconds\": " << cell.seconds
                    << ", \"total_ops\": " << cell.stats.totalOps
                    << ", \"detail_ops\": " << cell.stats.detailOps

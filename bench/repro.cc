@@ -1,8 +1,8 @@
 /**
  * @file
- * The paper's tables and figures from one driver:
+ * The paper's tables, figures and findings scorecard from one driver:
  *
- *   repro <table1..table5|fig1..fig6|all|csv> [RunConfig flags]
+ *   repro <table1..table5|fig1..fig6|scorecard|all|csv> [RunConfig flags]
  *
  * `repro` alone lists the subcommands. Tables I–III need no matrix;
  * every other subcommand reads the configuration's 32 x 45 matrix
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/table.h"
+#include "core/findings.h"
 #include "core/report.h"
 #include "uarch/config.h"
 #include "workloads/registry.h"
@@ -213,6 +214,18 @@ const Artifact kArtifacts[] = {
     // its K (the BIC-selected clustering is in table4).
     {"fig6", "Figure 6: Kiviat view of the representatives", nullptr,
      [](const PipelineResult &res) { writeKiviatReport(std::cout, res, 7); }},
+    // Known deviations are documented in EXPERIMENTS.md; a failed
+    // finding still exits 0 so `all` runs to completion.
+    {"scorecard", "Every encoded paper claim, PASS/FAIL", nullptr,
+     [](const PipelineResult &res) {
+         std::cout << "Reproduction scorecard — paper claims vs this "
+                      "run\n\n";
+         std::size_t failed = writeFindingsReport(
+             std::cout, evaluatePaperFindings(res));
+         std::cout << (failed == 0 ? "\nall findings reproduced\n"
+                                   : "\nsee EXPERIMENTS.md for the "
+                                     "documented deviations\n");
+     }},
 };
 
 void
@@ -220,10 +233,10 @@ usage()
 {
     std::cerr << "usage: repro <subcommand> [options]\n\n";
     for (const Artifact &a : kArtifacts)
-        std::cerr << "  " << a.name << std::string(8 - std::strlen(a.name), ' ')
+        std::cerr << "  " << a.name << std::string(10 - std::strlen(a.name), ' ')
            << a.title << '\n';
-    std::cerr << "  all     every one of the above\n"
-          "  csv     the 32 x 45 metric matrix as CSV\n\n"
+    std::cerr << "  all       every one of the above\n"
+          "  csv       the 32 x 45 metric matrix as CSV\n\n"
           "The matrix comes from the result store; options are the "
           "common RunConfig\nflags (src/obs/runconfig.h): --scale, "
           "--seed, --machine, --sampled,\n--serve-cache DIR, "

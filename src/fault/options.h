@@ -1,8 +1,8 @@
 /**
  * @file
  * Knobs for the fault-tolerance layer: the recovery policy applied
- * by the sweep drivers (WorkloadRunner, SampledCharacterizer) and
- * the deterministic fault-injection spec.
+ * by the one sweep every route runs (guardedSweep in
+ * workloads/registry.h) and the deterministic fault-injection spec.
  *
  * Kept dependency-free (strings and integers only) so RunConfig can
  * embed a FaultOptions without bds_obs linking bds_fault's

@@ -1,7 +1,7 @@
 /**
  * @file
- * guardedRun(): the shared failure-isolation driver of the sweep
- * layers (WorkloadRunner::runAll, SampledCharacterizer::runAll).
+ * guardedRun(): the failure-isolation driver behind guardedSweep()
+ * (workloads/registry.h), the one sweep every route runs.
  *
  * One call runs one workload's attempt loop: execute the body under
  * an installed AttemptScope (watchdog deadline + attempt index),

@@ -369,7 +369,7 @@ RunConfig::describe() const
         os << " sampled(interval=" << sampling.intervalUops
            << ",kmax=" << sampling.kMax
            << ",warmup=" << sampling.warmupIntervals << ")";
-    if (fault.recovery.policy != FailPolicy::FailFast
+    if (fault.recovery.policy == FailPolicy::Quarantine
         || fault.recovery.maxRetries > 0
         || fault.recovery.timeoutMs > 0)
         os << " recovery("

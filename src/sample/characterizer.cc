@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/log.h"
-#include "fault/recover.h"
 #include "obs/trace.h"
 #include "sample/capture.h"
 
@@ -79,44 +78,15 @@ SampledCharacterizer::runAll(
 {
     TraceSpan span("sampler.runAll");
     auto ids = allWorkloads();
-
-    // One pool task per workload into a preallocated slot; each task
-    // derives every seed from the workload identity, so the matrix is
-    // bitwise identical for every thread count. guardedRun isolates
-    // failures per slot; policy is settled after the loop, in
-    // allWorkloads() order, exactly as in WorkloadRunner::runAll.
-    const RecoveryOptions &rec = runner_.recovery();
-    unsigned threads = runner_.parallel().resolvedFor(ids.size());
     std::vector<SampledWorkloadResult> slots(ids.size());
-    std::vector<RunRecord> records(ids.size());
-    parallelFor(ids.size(), threads, [&](std::size_t i) {
-        inform("sampling workload " + ids[i].name());
-        records[i] = guardedRun(
-            ids[i].name(), rec, [&](const AttemptContext &) {
-                slots[i] = run(ids[i]);
-            });
-    });
-
-    SweepReport rep;
-    rep.policy = rec.policy;
-    rep.records = std::move(records);
-    if (rec.policy == FailPolicy::FailFast) {
-        for (const RunRecord &r : rep.records)
-            if (!runStatusOk(r.status))
-                throw Error(r.code, r.message);
-    } else {
-        for (RunRecord &r : rep.records)
-            if (!runStatusOk(r.status))
-                r.status = RunStatus::Quarantined;
-    }
-    for (std::size_t i = 0; i < rep.records.size(); ++i)
-        if (runStatusOk(rep.records[i].status))
-            rep.survivors.push_back(i);
-
-    Matrix m(rep.survivors.size(), kNumMetrics);
-    for (std::size_t row = 0; row < rep.survivors.size(); ++row)
-        for (std::size_t j = 0; j < kNumMetrics; ++j)
-            m(row, j) = slots[rep.survivors[row]].metrics[j];
+    SweepReport rep = guardedSweep(
+        ids, runner_.recovery(),
+        runner_.parallel().resolvedFor(ids.size()),
+        [&](std::size_t i, const AttemptContext &) {
+            inform("sampling workload " + ids[i].name());
+            slots[i] = run(ids[i]);
+        });
+    Matrix m = survivorMatrix(slots, rep);
 
     if (details)
         for (std::size_t i : rep.survivors)

@@ -5,10 +5,11 @@
  * and the 32-workload sweep that produces a sampled 32 x 45 metric
  * matrix.
  *
- * The sweep mirrors WorkloadRunner::runAll's determinism contract:
- * one preallocated slot per workload, per-workload derived seeds, a
- * serial clustering sweep inside each task — so the sampled matrix is
- * bitwise identical for every thread count.
+ * The sweep runs through the same guardedSweep() as
+ * WorkloadRunner::runAll: one preallocated slot per workload,
+ * per-workload derived seeds, a serial clustering sweep inside each
+ * task — so the sampled matrix is bitwise identical for every thread
+ * count.
  */
 
 #ifndef BDS_SAMPLE_CHARACTERIZER_H
@@ -56,11 +57,9 @@ class SampledCharacterizer
     SampledWorkloadResult run(const WorkloadId &id) const;
 
     /**
-     * Sample all 32 workloads under the runner's recovery policy
-     * (WorkloadRunner::setRecovery), mirroring the full path's
-     * failure isolation: every workload is attempted, failures are
-     * settled after the sweep in allWorkloads() order (fail-fast
-     * rethrow of the lowest-index failure, or quarantine row drop).
+     * Sample all 32 workloads through guardedSweep() under the
+     * runner's recovery policy (WorkloadRunner::setRecovery): the
+     * full path's failure isolation, settle and fault.* counters.
      * @param details Optional per-workload result sink, rows
      *        parallel to the returned matrix.
      * @param report Optional sink for the per-workload RunRecords

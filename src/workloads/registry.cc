@@ -353,44 +353,23 @@ WorkloadRunner::runOnNode(const WorkloadId &id,
     return res;
 }
 
-Matrix
-WorkloadRunner::runAll(std::vector<WorkloadResult> *details,
-                       SweepTiming *timing,
-                       SweepReport *report) const
+SweepReport
+guardedSweep(const std::vector<WorkloadId> &ids,
+             const RecoveryOptions &rec, unsigned threads,
+             const std::function<void(std::size_t,
+                                      const AttemptContext &)> &body)
 {
-    TraceSpan span("runner.runAll");
-    auto start = std::chrono::steady_clock::now();
-    auto ids = allWorkloads();
-
-    // One pool task per workload, each writing its preallocated
-    // result slot. Workload simulations are seeded per algorithm and
-    // per node (never from shared state), so the slot contents —
-    // and therefore the matrix assembled below in allWorkloads()
-    // order — are bitwise identical for every thread count. When the
-    // sweep itself is parallel the per-node fan-out stays serial so
-    // the machine is never oversubscribed.
-    //
-    // guardedRun isolates every failure inside its slot, so a
-    // throwing workload never abandons the rest of the sweep; policy
-    // is settled below, after all slots finish, in allWorkloads()
-    // order — the outcome is the same at any thread count.
-    unsigned sweep_threads = parallel_.resolvedFor(ids.size());
-    unsigned node_threads = sweep_threads > 1
-        ? 1 : parallel_.resolvedFor(nodes_);
-    std::vector<WorkloadResult> slots(ids.size());
     std::vector<RunRecord> records(ids.size());
-    parallelFor(ids.size(), sweep_threads, [&](std::size_t i) {
-        inform("running workload " + ids[i].name());
+    parallelFor(ids.size(), threads, [&](std::size_t i) {
         records[i] = guardedRun(
-            ids[i].name(), recovery_, [&](const AttemptContext &ctx) {
-                slots[i] = runWithThreads(ids[i], node_threads, ctx);
-            });
+            ids[i].name(), rec,
+            [&](const AttemptContext &ctx) { body(i, ctx); });
     });
 
     SweepReport rep;
-    rep.policy = recovery_.policy;
+    rep.policy = rec.policy;
     rep.records = std::move(records);
-    if (recovery_.policy == FailPolicy::FailFast) {
+    if (rec.policy == FailPolicy::FailFast) {
         for (const RunRecord &r : rep.records)
             if (!runStatusOk(r.status))
                 throw Error(r.code, r.message);
@@ -420,11 +399,33 @@ WorkloadRunner::runAll(std::vector<WorkloadResult> *details,
         counters::add(Counter::FaultTimeout, timeouts);
     if (std::size_t dropped = rep.records.size() - rep.survivors.size())
         counters::add(Counter::FaultQuarantined, dropped);
+    return rep;
+}
 
-    Matrix m(rep.survivors.size(), kNumMetrics);
-    for (std::size_t row = 0; row < rep.survivors.size(); ++row)
-        for (std::size_t j = 0; j < kNumMetrics; ++j)
-            m(row, j) = slots[rep.survivors[row]].metrics[j];
+Matrix
+WorkloadRunner::runAll(std::vector<WorkloadResult> *details,
+                       SweepTiming *timing,
+                       SweepReport *report) const
+{
+    TraceSpan span("runner.runAll");
+    auto start = std::chrono::steady_clock::now();
+    auto ids = allWorkloads();
+
+    // Each workload writes its preallocated slot, so the matrix is
+    // bitwise identical for every thread count. When the sweep itself
+    // is parallel the per-node fan-out stays serial so the machine is
+    // never oversubscribed.
+    unsigned sweep_threads = parallel_.resolvedFor(ids.size());
+    unsigned node_threads = sweep_threads > 1
+        ? 1 : parallel_.resolvedFor(nodes_);
+    std::vector<WorkloadResult> slots(ids.size());
+    SweepReport rep = guardedSweep(
+        ids, recovery_, sweep_threads,
+        [&](std::size_t i, const AttemptContext &ctx) {
+            inform("running workload " + ids[i].name());
+            slots[i] = runWithThreads(ids[i], node_threads, ctx);
+        });
+    Matrix m = survivorMatrix(slots, rep);
 
     if (timing) {
         timing->perWorkloadSeconds.clear();

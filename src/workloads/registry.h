@@ -9,6 +9,7 @@
 #ifndef BDS_WORKLOADS_REGISTRY_H
 #define BDS_WORKLOADS_REGISTRY_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,43 @@ struct WorkloadResult
     MetricVector metrics; ///< the 45 Table II metrics
     double wallSeconds = 0.0; ///< host wall-clock spent simulating
 };
+
+/**
+ * The one guarded sweep every route runs (the full runAll, the
+ * sampled runAll, the DSE driver): one pool task per workload, each
+ * calling `body(i, ctx)` under guardedRun, which retries it up to
+ * rec.maxRetries times and turns any failure into its RunRecord, so
+ * a failure never abandons the remaining slots. The policy is
+ * settled afterwards in list order, so the outcome is the same at
+ * any thread count: under fail-fast the lowest-index failure is
+ * rethrown as a typed bds::Error; under quarantine the failed
+ * records are marked Quarantined. The fault.* counters are then
+ * added, each only when nonzero, so clean traces stay unchanged.
+ * @param body Writes slot i; it must derive every seed from the
+ *        workload and ctx.attempt (never from shared state).
+ * @return One record per id, in list order, and the survivor set.
+ */
+SweepReport guardedSweep(
+    const std::vector<WorkloadId> &ids, const RecoveryOptions &rec,
+    unsigned threads,
+    const std::function<void(std::size_t, const AttemptContext &)>
+        &body);
+
+/**
+ * The survivors x 45 matrix of a settled sweep: row r is
+ * slots[report.survivors[r]].metrics.
+ */
+template <typename Slot>
+Matrix
+survivorMatrix(const std::vector<Slot> &slots,
+               const SweepReport &report)
+{
+    Matrix m(report.survivors.size(), kNumMetrics);
+    for (std::size_t row = 0; row < report.survivors.size(); ++row)
+        for (std::size_t j = 0; j < kNumMetrics; ++j)
+            m(row, j) = slots[report.survivors[row]].metrics[j];
+    return m;
+}
 
 /** Wall-clock accounting for one runAll() sweep. */
 struct SweepTiming
@@ -202,11 +240,8 @@ class WorkloadRunner
                                   unsigned attempt) const;
 
     /**
-     * Run all 32 workloads, one pool task per workload, under the
-     * recovery policy (setRecovery). Every workload is attempted —
-     * a failure never abandons the remaining slots — and failures
-     * are settled afterwards in allWorkloads() order, so the outcome
-     * is deterministic at any thread count: under fail-fast the
+     * Run all 32 workloads through guardedSweep() under the
+     * recovery policy (setRecovery): under fail-fast the
      * lowest-index failure is rethrown as a typed bds::Error; under
      * quarantine the failed rows are dropped and the survivors kept.
      * @param details Optional sink for the per-workload results,

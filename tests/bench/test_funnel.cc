@@ -12,6 +12,8 @@
  *    same hash and with the same bytes.
  *  - The cell dse_sweep publishes for the default preset is the file
  *    the funnel reads, and equals a direct compute of that config.
+ *  - A quarantined dse_sweep drops the failed workload from every
+ *    preset and records it in the run manifest, like every driver.
  */
 
 #include <cstdio>
@@ -19,10 +21,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/report.h"
+#include "obs/json.h"
+#include "obs/manifest.h"
 #include "serve/engine.h"
 #include "bench_common.h"
 
@@ -190,6 +195,47 @@ TEST(BenchFunnel, DsePublishedDefaultCellIsTheFileTheFunnelReads)
     // The capture/replay seam: the DSE's replayed default cell equals
     // the monolithic sampled compute of the same config.
     EXPECT_EQ(f.entry.csv, characterizeCell(cfg).entry.csv);
+}
+
+TEST(BenchFunnel, DseQuarantineDropsTheRowAndRecordsIt)
+{
+    const std::string base = freshStore("dse_quarantine");
+    const std::string json = base + ".json";
+    const std::string manifest = base + ".manifest.json";
+    const std::string cmd =
+        std::string("env -u BDS_SAMPLE_INTERVAL -u BDS_SAMPLE_BBV "
+                    "-u BDS_SAMPLE_KMAX -u BDS_SAMPLE_WARMUP "
+                    "-u BDS_SAMPLE_SEED -u BDS_MACHINE -u BDS_CKPT "
+                    "-u BDS_CKPT_DIR -u BDS_RETRIES -u BDS_FAULT_ATTEMPTS "
+                    "BDS_FAIL_POLICY=quarantine BDS_FAULT_THROW=H-Grep ")
+        + BDS_DSE_SWEEP_BIN
+        + " --scale quick --seed 42 --dse-presets default,l1-16k"
+          " --dse-workloads H-Sort,H-Grep,S-Union --serve-bypass"
+          " --manifest " + manifest + " --dse-out " + json
+        + " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+
+    const JsonValue dse = parseJson(slurp(json));
+    std::remove(json.c_str());
+    std::vector<std::string> rows;
+    for (const JsonValue &w : dse.at("workloads").asArray())
+        rows.push_back(w.asString());
+    EXPECT_EQ(rows, (std::vector<std::string>{"H-Sort", "S-Union"}));
+    const std::vector<JsonValue> &presets = dse.at("presets").asArray();
+    ASSERT_EQ(presets.size(), 2u);
+    for (const JsonValue &p : presets) {
+        std::vector<std::string> cells;
+        for (const JsonValue &c : p.at("cells").asArray())
+            cells.push_back(c.at("name").asString());
+        EXPECT_EQ(cells, rows) << p.at("name").asString();
+    }
+
+    const RunManifest m = readRunManifestFile(manifest);
+    std::remove(manifest.c_str());
+    EXPECT_EQ(m.quarantined, (std::vector<std::string>{"H-Grep"}));
+    ASSERT_EQ(m.failures.size(), 1u);
+    EXPECT_EQ(m.failures.front().name, "H-Grep");
+    EXPECT_EQ(m.failures.front().code, ErrorCode::InjectedFault);
 }
 
 } // namespace

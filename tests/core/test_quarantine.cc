@@ -5,6 +5,10 @@
  * the survivors' metric rows are bitwise identical to the same rows
  * of a clean sweep — a failure never perturbs its neighbours — and
  * the contract holds at every thread count.
+ *
+ * Every case runs over both sweep routes, the full runAll and the
+ * sampled runAll, which share one guarded sweep (guardedSweep): the
+ * same records, the same settle and the same fault.* counter deltas.
  */
 
 #include <algorithm>
@@ -15,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "fault/inject.h"
+#include "obs/metrics.h"
+#include "sample/characterizer.h"
 #include "workloads/registry.h"
 
 namespace bds {
@@ -24,9 +30,63 @@ namespace {
 const char *const kVictims = "H-Grep,S-Union,H-Bayes";
 constexpr std::size_t kNumVictims = 3;
 
-/** Quick-scale sweep; arms the injector when `inject` is set. */
+/** The sweep routes that share the guarded sweep. */
+enum class Route
+{
+    Full,
+    Sampled,
+};
+
+const Route kRoutes[] = {Route::Full, Route::Sampled};
+
+const char *
+routeName(Route route)
+{
+    return route == Route::Full ? "full" : "sampled";
+}
+
+/** Run the route's 32-workload sweep on `runner`. */
+Matrix
+runSweep(Route route, const WorkloadRunner &runner, SweepReport *report)
+{
+    if (route == Route::Full)
+        return runner.runAll(nullptr, nullptr, report);
+    SampledCharacterizer sampler(runner, SamplingOptions{});
+    return sampler.runAll(nullptr, report);
+}
+
+/** The fault.* counters one sweep adds. */
+struct FaultDeltas
+{
+    std::uint64_t quarantined = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t retriedOk = 0;
+};
+
+/** Counter snapshot; subtract two to get a sweep's deltas. */
+FaultDeltas
+faultCounters()
+{
+    FaultDeltas d;
+    d.quarantined = counters::value(Counter::FaultQuarantined);
+    d.retries = counters::value(Counter::FaultRetries);
+    d.retriedOk = counters::value(Counter::FaultRetriedOk);
+    return d;
+}
+
+/** Expect the counters moved by exactly `want` since `before`. */
+void
+expectDeltas(const FaultDeltas &before, const FaultDeltas &want)
+{
+    const FaultDeltas now = faultCounters();
+    EXPECT_EQ(now.quarantined - before.quarantined, want.quarantined);
+    EXPECT_EQ(now.retries - before.retries, want.retries);
+    EXPECT_EQ(now.retriedOk - before.retriedOk, want.retriedOk);
+}
+
+/** Quick-scale quarantine sweep; arms the injector when `inject`. */
 SweepReport
-sweep(unsigned threads, bool inject, Matrix *matrix)
+sweep(Route route, unsigned threads, bool inject, Matrix *matrix)
 {
     if (inject) {
         FaultOptions opts;
@@ -40,7 +100,7 @@ sweep(unsigned threads, bool inject, Matrix *matrix)
     rec.policy = FailPolicy::Quarantine;
     runner.setRecovery(rec);
     SweepReport report;
-    *matrix = runner.runAll(nullptr, nullptr, &report);
+    *matrix = runSweep(route, runner, &report);
     FaultInjector::global().disarm();
     return report;
 }
@@ -52,11 +112,16 @@ class QuarantineIsolation : public ::testing::Test
 
     /** Survivor rows must equal the clean run's rows for the same
      *  workloads, bit for bit. */
-    void expectSurvivorRowsMatchClean(unsigned threads)
+    void expectSurvivorRowsMatchClean(Route route, unsigned threads)
     {
+        SCOPED_TRACE(routeName(route));
         Matrix clean, survived;
-        SweepReport clean_report = sweep(threads, false, &clean);
-        SweepReport report = sweep(threads, true, &survived);
+        FaultDeltas before = faultCounters();
+        SweepReport clean_report = sweep(route, threads, false, &clean);
+        expectDeltas(before, {});
+        before = faultCounters();
+        SweepReport report = sweep(route, threads, true, &survived);
+        expectDeltas(before, {kNumVictims, 0, 0});
 
         std::vector<WorkloadId> all = allWorkloads();
         ASSERT_EQ(clean.rows(), all.size());
@@ -87,79 +152,98 @@ class QuarantineIsolation : public ::testing::Test
 
 TEST_F(QuarantineIsolation, SurvivorRowsBitwiseIdenticalSerial)
 {
-    expectSurvivorRowsMatchClean(1);
+    for (Route route : kRoutes)
+        expectSurvivorRowsMatchClean(route, 1);
 }
 
 TEST_F(QuarantineIsolation, SurvivorRowsBitwiseIdenticalParallel)
 {
-    expectSurvivorRowsMatchClean(4);
+    for (Route route : kRoutes)
+        expectSurvivorRowsMatchClean(route, 4);
 }
 
 TEST_F(QuarantineIsolation, RecordsNameEveryVictimWithItsCause)
 {
-    Matrix m;
-    SweepReport report = sweep(2, true, &m);
-    ASSERT_EQ(report.records.size(), allWorkloads().size());
-    std::size_t quarantined = 0;
-    for (const RunRecord &r : report.records)
-        if (r.status == RunStatus::Quarantined) {
-            ++quarantined;
-            EXPECT_EQ(r.code, ErrorCode::InjectedFault) << r.name;
-            EXPECT_EQ(r.attempts, 1u) << r.name;
-        } else {
-            EXPECT_EQ(r.status, RunStatus::Ok) << r.name;
-        }
-    EXPECT_EQ(quarantined, kNumVictims);
+    for (Route route : kRoutes) {
+        SCOPED_TRACE(routeName(route));
+        Matrix m;
+        const FaultDeltas before = faultCounters();
+        SweepReport report = sweep(route, 2, true, &m);
+        expectDeltas(before, {kNumVictims, 0, 0});
+        ASSERT_EQ(report.records.size(), allWorkloads().size());
+        std::size_t quarantined = 0;
+        for (const RunRecord &r : report.records)
+            if (r.status == RunStatus::Quarantined) {
+                ++quarantined;
+                EXPECT_EQ(r.code, ErrorCode::InjectedFault) << r.name;
+                EXPECT_EQ(r.attempts, 1u) << r.name;
+            } else {
+                EXPECT_EQ(r.status, RunStatus::Ok) << r.name;
+            }
+        EXPECT_EQ(quarantined, kNumVictims);
+    }
 }
 
 TEST_F(QuarantineIsolation, RetriesHealAnAttemptGatedFault)
 {
-    // Injection limited to attempt 0 + one retry: every victim heals
-    // and the sweep is whole again.
-    FaultOptions opts;
-    opts.throwAt = kVictims;
-    opts.attempts = 1;
-    FaultInjector::global().arm(opts);
-    WorkloadRunner runner(NodeConfig::defaultSim(),
-                          ScaleProfile::quick(), 42);
-    RecoveryOptions rec;
-    rec.policy = FailPolicy::Quarantine;
-    rec.maxRetries = 1;
-    runner.setRecovery(rec);
-    SweepReport report;
-    Matrix m = runner.runAll(nullptr, nullptr, &report);
-    FaultInjector::global().disarm();
+    for (Route route : kRoutes) {
+        SCOPED_TRACE(routeName(route));
+        // Injection limited to attempt 0 + one retry: every victim
+        // heals and the sweep is whole again.
+        FaultOptions opts;
+        opts.throwAt = kVictims;
+        opts.attempts = 1;
+        FaultInjector::global().arm(opts);
+        WorkloadRunner runner(NodeConfig::defaultSim(),
+                              ScaleProfile::quick(), 42);
+        RecoveryOptions rec;
+        rec.policy = FailPolicy::Quarantine;
+        rec.maxRetries = 1;
+        runner.setRecovery(rec);
+        SweepReport report;
+        const FaultDeltas before = faultCounters();
+        Matrix m = runSweep(route, runner, &report);
+        FaultInjector::global().disarm();
+        expectDeltas(before, {0, kNumVictims, kNumVictims});
 
-    EXPECT_TRUE(report.allOk());
-    EXPECT_EQ(m.rows(), allWorkloads().size());
-    std::size_t retried = 0;
-    for (const RunRecord &r : report.records)
-        if (r.status == RunStatus::RetriedOk) {
-            ++retried;
-            EXPECT_EQ(r.attempts, 2u) << r.name;
-        }
-    EXPECT_EQ(retried, kNumVictims);
+        EXPECT_TRUE(report.allOk());
+        EXPECT_EQ(m.rows(), allWorkloads().size());
+        std::size_t retried = 0;
+        for (const RunRecord &r : report.records)
+            if (r.status == RunStatus::RetriedOk) {
+                ++retried;
+                EXPECT_EQ(r.attempts, 2u) << r.name;
+            }
+        EXPECT_EQ(retried, kNumVictims);
+    }
 }
 
 TEST_F(QuarantineIsolation, FailFastRethrowsTheLowestIndexedFailure)
 {
-    FaultOptions opts;
-    opts.throwAt = kVictims;
-    FaultInjector::global().arm(opts);
-    WorkloadRunner runner(NodeConfig::defaultSim(),
-                          ScaleProfile::quick(), 42);
-    // Default policy is FailFast; H-Grep is the earliest victim in
-    // allWorkloads() order, so the rethrown error must name it.
-    try {
-        runner.runAll();
-        FAIL() << "fail-fast sweep did not throw";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.code(), ErrorCode::InjectedFault);
-        EXPECT_NE(std::string(e.what()).find("H-Grep"),
-                  std::string::npos)
-            << e.what();
+    for (Route route : kRoutes) {
+        SCOPED_TRACE(routeName(route));
+        FaultOptions opts;
+        opts.throwAt = kVictims;
+        FaultInjector::global().arm(opts);
+        WorkloadRunner runner(NodeConfig::defaultSim(),
+                              ScaleProfile::quick(), 42);
+        // Default policy is FailFast; H-Grep is the earliest victim
+        // in allWorkloads() order, so the rethrown error must name
+        // it. The rethrow comes before any fault.* counter is added.
+        const FaultDeltas before = faultCounters();
+        try {
+            SweepReport report;
+            runSweep(route, runner, &report);
+            ADD_FAILURE() << "fail-fast sweep did not throw";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::InjectedFault);
+            EXPECT_NE(std::string(e.what()).find("H-Grep"),
+                      std::string::npos)
+                << e.what();
+        }
+        FaultInjector::global().disarm();
+        expectDeltas(before, {});
     }
-    FaultInjector::global().disarm();
 }
 
 } // namespace
