@@ -11,7 +11,8 @@
  *   cold       checkpointing on, cache typically empty — replays
  *              warm from zero and write representative snapshots
  *   warm       checkpointing on, cache populated — replays restore
- *              the snapshots and jump the warming entirely
+ *              the snapshots and feed them their slices: no stream,
+ *              no warming
  *
  * The three passes must produce byte-identical metric CSVs (the
  * restore-identity contract; the bench exits 1 if they differ), and

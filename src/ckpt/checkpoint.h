@@ -4,13 +4,12 @@
  *
  * A checkpoint captures the full SystemModel state at the entry of
  * one sampled representative interval — after the replayer has
- * unfrozen and zeroed the counters — so a later run can jump
- * straight there instead of functionally warming every preceding
- * interval (docs/CHECKPOINT.md; the SESC `*_chpt.conf` idiom). The
- * entry also carries the interval's detail slice, so that run need
- * not re-execute the stream at all, and each stream's directory
- * holds one capture record of its picks beside the entries
- * (sample/capture.h).
+ * unfrozen and zeroed the counters — plus the interval's detail
+ * slice, so a later run whose every representative has an entry
+ * restores each one and replays its slice instead of re-executing
+ * and functionally warming the stream (docs/CHECKPOINT.md; the SESC
+ * `*_chpt.conf` idiom). Each stream's directory holds one capture
+ * record of its picks beside the entries (sample/capture.h).
  *
  * Keying: a checkpoint is only valid for the exact op stream and
  * machine that produced it, so the key is the v2 runConfigHash (which
@@ -30,7 +29,7 @@
  * (replays warm from zero, nothing crashes); every load verifies
  * magic, version, key fields and the payload checksum, and any
  * violation is a typed Error(Io) / Error(InvalidConfig) the replayer
- * converts into a transparent warm-from-zero fallback.
+ * converts into a counted fallback: that pass simulates from zero.
  */
 
 #ifndef BDS_CKPT_CHECKPOINT_H
@@ -93,8 +92,9 @@ struct CheckpointEntry
      * The representative's detail slice, in TraceRecorder::encode()
      * bytes: every op and DMA fill the model received from the
      * interval's first op up to the next interval's first op. Empty
-     * when the entry carries none (it then restores, but the replay
-     * must re-execute the stream).
+     * when the entry carries none; the sampled replayer never
+     * restores such an entry (it counts a miss, simulates from zero
+     * and rewrites the entry with its slice).
      */
     std::string ops;
 };
@@ -108,7 +108,8 @@ struct CheckpointEntry
 struct CkptStats
 {
     std::uint64_t hits = 0;      ///< checkpoints restored
-    std::uint64_t misses = 0;    ///< absent (written on cold passes)
+    std::uint64_t misses = 0;    ///< not restored, not bad: absent,
+                                 ///< slice-less, or beside a bad one
     std::uint64_t writes = 0;    ///< checkpoints persisted
     std::uint64_t fallbacks = 0; ///< present but corrupt/mismatched
     std::uint64_t bytesRead = 0;
@@ -157,10 +158,10 @@ class CheckpointCache
      * Load the state payload for (key, interval) into *state.
      * Returns false when absent. Raises Error(Io) on a corrupt,
      * truncated or foreign-version entry and Error(InvalidConfig)
-     * when the entry belongs to a different machine or key — callers
-     * catch and fall back to warming from zero. Counts a hit (and
-     * bytes read) on success; the caller accounts misses/fallbacks,
-     * which are a per-replay policy.
+     * when the entry belongs to a different machine or key. Counts a
+     * hit (and bytes read) on success. The sampled replayer reads
+     * whole entries with read(); this state-only view serves the
+     * wall-clock ledger's checkpoint-layer probe.
      */
     bool load(const CheckpointKey &key, std::uint64_t interval,
               std::string *state) const;
@@ -181,8 +182,8 @@ class CheckpointCache
      * the cache (counted, warned) instead of failing the replay —
      * the checkpoint is an accelerator, not a correctness input.
      * Counts a write and the payload bytes when the publish lands.
-     * The entry carries no slice, so it restores but never lets a
-     * replay skip re-executing the stream.
+     * The entry carries no slice, so the sampled replayer never
+     * restores it.
      */
     void store(const CheckpointKey &key, std::uint64_t interval,
                const std::string &state) const;

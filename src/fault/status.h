@@ -56,9 +56,6 @@ struct RunRecord
 /** Everything a fault-tolerant sweep reports about itself. */
 struct SweepReport
 {
-    /** The policy the sweep ran under. */
-    FailPolicy policy = FailPolicy::FailFast;
-
     /** One record per workload, in sweep (allWorkloads) order. */
     std::vector<RunRecord> records;
 

@@ -124,13 +124,13 @@ void readCaptureRecord(std::string_view bytes, const std::string &what,
  * than the capture was executed on, or when the stream must run and
  * the capture has neither a trace nor a runner.
  *
- * `ckpt` (optional) attaches the run's checkpoint context: the
- * replay restores representative-entry snapshots when present and
- * writes them, with their detail slices, when absent; when every
- * representative's entry carries a slice, nothing is re-executed
- * (docs/CHECKPOINT.md). Ignored on retry attempts — attempt-salted
- * data seeds change the op stream, so a retry's intervals must never
- * alias attempt 0's checkpoints.
+ * `ckpt` (optional) attaches the run's checkpoint context: when
+ * every representative's entry verifies and carries a slice, the
+ * replay restores them and re-executes nothing; otherwise it
+ * simulates from zero, restoring nothing, and writes every entry
+ * with its slice (docs/CHECKPOINT.md). Ignored on retry attempts —
+ * attempt-salted data seeds change the op stream, so a retry's
+ * intervals must never alias attempt 0's checkpoints.
  */
 SampledWorkloadResult replayCapture(const WorkloadCapture &cap,
                                     const NodeConfig &machine,

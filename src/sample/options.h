@@ -47,12 +47,13 @@ struct SamplingOptions
 
     /**
      * Functional-warming window: how many intervals before each
-     * representative are replayed counter-frozen. 0 means "warm
-     * everything" — every non-representative interval is replayed in
-     * the freeze mode, so microarchitectural state at each
-     * representative is exactly the full run's (most accurate, least
-     * wall-clock saving). W > 0 fast-forwards intervals outside the
-     * window entirely (their DMA events still apply).
+     * representative are replayed counter-frozen. 0 warms every
+     * interval before the last representative in the freeze mode, so
+     * microarchitectural state at each representative is exactly the
+     * full run's (most accurate, least wall-clock saving). W > 0
+     * fast-forwards intervals outside the window entirely (their DMA
+     * events still apply). Either way the intervals after the last
+     * representative are never replayed: nothing there is observed.
      */
     unsigned warmupIntervals = 0;
 

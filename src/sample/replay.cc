@@ -1,7 +1,5 @@
 #include "sample/replay.h"
 
-#include <algorithm>
-#include <map>
 #include <optional>
 
 #include "ckpt/state.h"
@@ -17,38 +15,57 @@ namespace {
 enum class IntervalMode : std::uint8_t
 {
     Skip,   ///< fast-forward (DMA only)
-    Jump,   ///< checkpoint-covered: no ops, no DMA
     Warm,   ///< counter-frozen functional warming
     Detail, ///< live counters, snapshot at the end
+    Tail,   ///< after the last representative: no ops, no DMA
 };
 
-/** Checkpoint traffic of one replay: the probed payloads + cache. */
-struct CkptPlan
+/**
+ * The per-interval plan, a pure function of the picks and the warmup
+ * window: representatives run in detail; with a bounded window W only
+ * the W intervals before each representative are warmed and the rest
+ * are skipped, while W == 0 warms all the others. The plan ends with
+ * the last representative: nothing after it is observed, so the sink
+ * drops the tail's ops and DMA (IntervalMode::Tail).
+ */
+std::vector<IntervalMode>
+replayPlan(const PickResult &picked, unsigned warmup_intervals)
 {
-    const CheckpointCache *cache = nullptr;
-    const CheckpointKey *key = nullptr;
-
-    /** State payloads restored at detail-interval entry, by interval. */
-    std::map<std::size_t, std::string> payloads;
-};
+    if (picked.reps.empty())
+        return {};
+    std::vector<IntervalMode> plan(
+        picked.reps.back().interval + 1,
+        warmup_intervals == 0 ? IntervalMode::Warm : IntervalMode::Skip);
+    for (const Representative &r : picked.reps) {
+        plan[r.interval] = IntervalMode::Detail;
+        if (warmup_intervals == 0)
+            continue;
+        const std::size_t lo = r.interval > warmup_intervals
+            ? r.interval - warmup_intervals : 0;
+        for (std::size_t i = lo; i < r.interval; ++i)
+            if (plan[i] == IntervalMode::Skip)
+                plan[i] = IntervalMode::Warm;
+    }
+    return plan;
+}
 
 /**
  * Routes a stream through the system according to the per-interval
  * plan, toggling the freeze mode and snapshotting counters at
  * interval boundaries. An ExecTarget, so the stack engines can drive
  * it directly; reports the system's core count for their sharding.
+ * With a checkpoint cache it also writes each representative's entry:
+ * the state at detail entry plus the slice of events that follow.
  */
 class PlanSink : public ExecTarget
 {
   public:
     PlanSink(SystemModel &sys, std::uint64_t interval_uops,
              const std::vector<IntervalMode> &plan,
-             const std::vector<int> &rep_of,
              std::vector<PmcCounters> &snaps, SampledReplayStats &stats,
-             CkptPlan *ckpt)
+             const CheckpointCache *cache, const CheckpointKey &key)
         : sys_(sys), intervalUops_(interval_uops), plan_(plan),
-          repOf_(rep_of), snaps_(snaps), stats_(stats), ckpt_(ckpt),
-          tailMode_(ckpt ? IntervalMode::Jump : IntervalMode::Warm)
+          snaps_(snaps), stats_(stats), cache_(cache), key_(key)
     {
         enterInterval(0);
         left_ = intervalUops_;
@@ -67,7 +84,7 @@ class PlanSink : public ExecTarget
         ++stats_.totalOps;
         switch (mode_) {
           case IntervalMode::Skip:
-          case IntervalMode::Jump:
+          case IntervalMode::Tail:
             ++stats_.skippedOps;
             return;
           case IntervalMode::Warm:
@@ -82,15 +99,10 @@ class PlanSink : public ExecTarget
 
     unsigned numCores() const override { return sys_.numCores(); }
 
-    /**
-     * DMA events reach the node in every mode except Jump: a jumped
-     * range ends at a restored checkpoint whose snapshot already
-     * embodies the range's DMA effects (or at the end of the stream,
-     * after which nothing is observed).
-     */
+    /** DMA events reach the node in every mode but the tail's. */
     void dmaFill(std::uint64_t addr, std::uint64_t bytes) override
     {
-        if (mode_ != IntervalMode::Jump)
+        if (mode_ != IntervalMode::Tail)
             sys_.dmaFill(addr, bytes);
     }
 
@@ -105,7 +117,8 @@ class PlanSink : public ExecTarget
     void enterInterval(std::size_t interval)
     {
         current_ = interval;
-        mode_ = interval < plan_.size() ? plan_[interval] : tailMode_;
+        mode_ = interval < plan_.size() ? plan_[interval]
+                                        : IntervalMode::Tail;
         if (mode_ != IntervalMode::Detail) {
             sys_.setCounterFreeze(true);
             return;
@@ -115,51 +128,30 @@ class PlanSink : public ExecTarget
         // exactly what detail replay starts from.
         sys_.setCounterFreeze(false);
         sys_.resetCounters();
-        if (!ckpt_)
+        if (!cache_)
             return;
-        auto it = ckpt_->payloads.find(interval);
-        if (it != ckpt_->payloads.end()) {
-            // The probe already validated container checksum, version
-            // and machine text; equal machine text implies every
-            // geometry guard below matches, so a loadState failure
-            // here would be a program bug, not an input — let the
-            // typed error propagate.
-            StateSource src(it->second,
-                            ckpt_->cache->path(*ckpt_->key, interval));
-            sys_.loadState(src);
-            src.finish();
-            ++stats_.ckptRestores;
-        } else {
-            // Snapshot now; the entry is written when the interval
-            // ends, with the slice of events the model received.
-            StateSink sink;
-            sys_.saveState(sink);
-            entryState_ = sink.take();
-            slice_.clear();
-            sys_.attachRecorder(&slice_);
-        }
+        // Snapshot now; the entry is written when the interval ends,
+        // with the slice of events the model received.
+        StateSink sink;
+        sys_.saveState(sink);
+        entryState_ = sink.take();
+        slice_.clear();
+        sys_.attachRecorder(&slice_);
     }
 
     void leaveInterval()
     {
         if (mode_ != IntervalMode::Detail)
             return;
-        if (current_ < repOf_.size() && repOf_[current_] >= 0)
-            snaps_[static_cast<std::size_t>(repOf_[current_])] =
-                sys_.aggregateCounters();
-        if (entryState_.empty())
+        // Representatives ascend (picker contract), so detail
+        // intervals end in picked.reps order.
+        snaps_[nextRep_++] = sys_.aggregateCounters();
+        if (!cache_)
             return;
         sys_.attachRecorder(nullptr);
-        try {
-            ckpt_->cache->store(*ckpt_->key, current_, entryState_,
-                                slice_);
-            ++stats_.ckptWrites;
-        } catch (const Error &e) {
-            // A full disk must degrade the cache, not the run.
-            warn(std::string("checkpoint: cannot store interval "
-                             "snapshot: ")
-                 + e.what());
-        }
+        // Never throws: a full disk degrades the cache, not the run.
+        cache_->store(key_, current_, entryState_, slice_);
+        ++stats_.ckptWrites;
         entryState_.clear();
         slice_.clear();
     }
@@ -167,17 +159,17 @@ class PlanSink : public ExecTarget
     SystemModel &sys_;
     std::uint64_t intervalUops_;
     const std::vector<IntervalMode> &plan_;
-    const std::vector<int> &repOf_;
     std::vector<PmcCounters> &snaps_;
     SampledReplayStats &stats_;
-    CkptPlan *ckpt_;
-    IntervalMode tailMode_;
+    const CheckpointCache *cache_;
+    const CheckpointKey &key_;
 
     std::uint64_t left_ = 0; ///< uops left in the current interval
     std::size_t current_ = 0;
     IntervalMode mode_ = IntervalMode::Warm;
+    std::size_t nextRep_ = 0; ///< snaps_ slot of the next detail end
 
-    /** Entry state of the detail interval being recorded, if any. */
+    /** Entry state of the detail interval being recorded. */
     std::string entryState_;
     /** Events of that interval so far: its detail slice. */
     TraceRecorder slice_;
@@ -221,21 +213,31 @@ SampledReplayer::replaySlices(const PickResult &picked,
                               std::vector<PmcCounters> &snaps,
                               SampledReplayStats &stats, bool &touched)
 {
+    const std::size_t reps = picked.reps.size();
     std::uint64_t detail = 0, bytes = 0;
-    for (std::size_t r = 0; r < picked.reps.size(); ++r) {
+    for (std::size_t r = 0; r < reps; ++r) {
         const std::size_t interval = picked.reps[r].interval;
         const std::string what = ckptCache_->path(ckptKey_, interval);
         CheckpointEntry entry;
         TraceRecorder slice;
         try {
             if (!ckptCache_->read(ckptKey_, interval, &entry)
-                || entry.ops.empty())
+                || entry.ops.empty()) {
+                // Absent or slice-less: nothing of this pass restores.
+                counters::add(Counter::CkptMisses, reps);
                 return false;
+            }
+            // A slice that does not decode makes the entry as corrupt
+            // as a bad checksum does.
             slice = TraceRecorder::decode(entry.ops, sys_.numCores(),
                                           what);
-        } catch (const Error &) {
-            // The re-execution path reads the entry again, and
-            // reports and counts what is wrong with it.
+        } catch (const Error &e) {
+            // Corrupt, truncated, foreign or stale: reported once, and
+            // every other representative of the pass is a miss.
+            warn(std::string("checkpoint: ") + e.what());
+            counters::add(Counter::CkptFallbacks);
+            if (reps > 1)
+                counters::add(Counter::CkptMisses, reps - 1);
             return false;
         }
         touched = true;
@@ -253,12 +255,12 @@ SampledReplayer::replaySlices(const PickResult &picked,
         detail += slice.size() - dma;
         bytes += entry.state.size() + entry.ops.size();
     }
-    counters::add(Counter::CkptHits, picked.reps.size());
+    counters::add(Counter::CkptHits, reps);
     counters::add(Counter::CkptBytesRead, bytes);
     stats.totalOps = picked.totalOps;
     stats.detailOps = detail;
     stats.skippedOps = picked.totalOps - detail;
-    stats.ckptRestores = picked.reps.size();
+    stats.ckptRestores = reps;
     return true;
 }
 
@@ -275,92 +277,14 @@ SampledReplayer::replay(const StreamSource &drive,
             *stats = local;
         return snaps;
     }
-    // Re-execute the stream. When the slice path got partway, start
-    // from a fresh model: an entry it restored may be gone (evicted
-    // by another process) by the time the probe below reads it, and
-    // warming must then begin from zero state.
+    // Simulate from zero: on a fresh model when the slice path got
+    // partway, under the plan a run without checkpoints uses.
     std::optional<SystemModel> fresh;
     SystemModel &sys = touched ? fresh.emplace(sys_.config()) : sys_;
-
-    // Build the per-interval plan. Representatives run in detail;
-    // with a bounded warmup window, only the W intervals before each
-    // representative are warmed and the rest are skipped. W == 0
-    // warms everything.
-    std::size_t n = static_cast<std::size_t>(
-        (picked.totalOps + intervalUops_ - 1) / intervalUops_);
-    for (const Representative &r : picked.reps)
-        n = std::max(n, r.interval + 1);
-    std::vector<IntervalMode> plan(
-        n, warmupIntervals_ == 0 ? IntervalMode::Warm
-                                 : IntervalMode::Skip);
-    std::vector<int> rep_of(n, -1);
-    for (std::size_t r = 0; r < picked.reps.size(); ++r) {
-        std::size_t i = picked.reps[r].interval;
-        plan[i] = IntervalMode::Detail;
-        rep_of[i] = static_cast<int>(r);
-    }
-    if (warmupIntervals_ > 0) {
-        for (const Representative &r : picked.reps) {
-            std::size_t lo = r.interval > warmupIntervals_
-                ? r.interval - warmupIntervals_ : 0;
-            for (std::size_t i = lo; i < r.interval; ++i)
-                if (plan[i] == IntervalMode::Skip)
-                    plan[i] = IntervalMode::Warm;
-        }
-    }
-
-    // Probe the checkpoint cache up front — never mid-stream, so a
-    // corrupt entry can still fall back to warming from zero. Every
-    // interval strictly before a restorable representative is
-    // covered by its snapshot and jumps; a representative without a
-    // valid checkpoint keeps its warm-up plan intact and writes one,
-    // with its slice, when its interval ends. Reps arrive in
-    // ascending interval order
-    // (picker contract), so the cursor walks the stream once.
-    CkptPlan ckpt;
-    if (ckptCache_) {
-        ckpt.cache = ckptCache_.get();
-        ckpt.key = &ckptKey_;
-        std::size_t cursor = 0;
-        for (const Representative &r : picked.reps) {
-            CheckpointEntry entry;
-            bool have = false;
-            try {
-                have = ckptCache_->read(ckptKey_, r.interval, &entry);
-                if (!have) {
-                    counters::add(Counter::CkptMisses);
-                } else {
-                    // A slice that does not decode makes the entry
-                    // as corrupt as a bad checksum does.
-                    TraceRecorder::decode(
-                        entry.ops, sys.numCores(),
-                        ckptCache_->path(ckptKey_, r.interval));
-                    counters::add(Counter::CkptHits);
-                    counters::add(Counter::CkptBytesRead,
-                                  entry.state.size() + entry.ops.size());
-                }
-            } catch (const std::exception &e) {
-                // Corrupt/truncated/foreign entry: report, warm from
-                // zero, rewrite when its interval ends.
-                warn(std::string("checkpoint: ") + e.what());
-                counters::add(Counter::CkptFallbacks);
-                have = false;
-            }
-            if (have) {
-                ckpt.payloads[r.interval] = std::move(entry.state);
-                for (std::size_t i = cursor; i < r.interval; ++i)
-                    plan[i] = IntervalMode::Jump;
-            }
-            cursor = r.interval + 1;
-        }
-        // Nothing is observed after the last representative's
-        // snapshot, so the tail never needs warming either.
-        for (std::size_t i = cursor; i < n; ++i)
-            plan[i] = IntervalMode::Jump;
-    }
-
-    PlanSink sink(sys, intervalUops_, plan, rep_of, snaps, local,
-                  ckptCache_ ? &ckpt : nullptr);
+    const std::vector<IntervalMode> plan =
+        replayPlan(picked, warmupIntervals_);
+    PlanSink sink(sys, intervalUops_, plan, snaps, local,
+                  ckptCache_.get(), ckptKey_);
     drive(sink);
     sink.finish();
 

@@ -11,22 +11,24 @@
  * SystemModel's counter-freeze mode, so caches, TLBs, the branch
  * predictor and coherence advance while PmcCounters stand still — or
  * fast-forwarded entirely when outside the warmup window (DMA events
- * still apply, keeping the memory image in sync).
+ * still apply, keeping the memory image in sync). Nothing after the
+ * last representative is observed, so its ops and DMA are dropped.
  *
- * With a checkpoint cache attached (setCheckpoints), the replayer
- * additionally snapshots the full SystemModel state at each
- * representative's entry — after the unfreeze + counter reset, so
- * the payload is exactly what detail replay starts from — and stores
- * it, when the interval ends, together with the interval's detail
- * slice: every op and DMA fill the model received in between. A
- * later run whose representatives all have such entries never calls
- * the stream: it restores each entry in turn and feeds the model its
- * slice. Otherwise it re-executes the stream, restoring the entries
- * it has instead of warming the intervals that precede them.
- * Restored replays are bitwise-identical to warming from zero
- * (test-pinned); a corrupt, truncated or foreign checkpoint is a
- * typed error the replayer converts into a transparent
- * warm-from-zero fallback for that interval.
+ * With a checkpoint cache attached (setCheckpoints), a replay takes
+ * one of two routes. When every representative's entry verifies and
+ * carries its detail slice, the stream is never called: each entry is
+ * restored in turn and the model is fed its slice (replaySlices, the
+ * one place that reads or restores a checkpoint). Otherwise the
+ * stream is re-executed on a fresh model under the same plan a replay
+ * without checkpoints uses, and each representative's entry is
+ * written: the full SystemModel state at detail entry (after the
+ * unfreeze + counter reset, so it is exactly what detail replay
+ * starts from) plus the slice of every op and DMA fill the model
+ * received until the interval ended. Restored replays are
+ * bitwise-identical to warming from zero (test-pinned). An absent or
+ * slice-less entry is a miss; a corrupt, truncated or foreign one is
+ * a typed error the replayer turns into one counted, warned fallback;
+ * either way that pass simulates from zero and rewrites every entry.
  */
 
 #ifndef BDS_SAMPLE_REPLAY_H
@@ -71,7 +73,8 @@ class SampledReplayer
      * @param sys Target node (fresh, same geometry as the recording).
      * @param interval_uops Interval size used by the profiler.
      * @param warmup_intervals Warming window before each
-     *        representative; 0 warms every non-detail interval.
+     *        representative; 0 warms every interval before the last
+     *        representative. Intervals after it are never replayed.
      */
     SampledReplayer(SystemModel &sys, std::uint64_t interval_uops,
                     unsigned warmup_intervals);
@@ -82,11 +85,12 @@ class SampledReplayer
      * index is appended per representative. When every
      * representative's entry is valid and carries a slice, replay()
      * restores and replays them one at a time and never calls the
-     * stream. Otherwise the stream is re-executed (on a fresh model)
-     * after every entry is probed: present-and-valid ones are
-     * restored (the preceding intervals jump — no warming, no DMA,
-     * all already embodied in the snapshot), the rest warm as usual
-     * and are written, with their slices, for the next run.
+     * stream. Otherwise the stream is re-executed on a fresh model,
+     * exactly as without a cache, and every representative's entry is
+     * written, with its slice, for the next run. Each replay counts
+     * every representative once: all ckpt.hits on the first route;
+     * on the second, one ckpt.fallbacks for a bad entry the slice
+     * route stopped at and a ckpt.misses for every other one.
      */
     void setCheckpoints(std::shared_ptr<const CheckpointCache> cache,
                         CheckpointKey key);
@@ -116,8 +120,9 @@ class SampledReplayer
      * The stream-free path: restore each representative's entry and
      * feed the model its slice, reading one entry at a time. Counts
      * the hits and fills `stats` only when every entry served; false
-     * as soon as one is absent, corrupt or sliceless, with `touched`
-     * telling whether the model was already changed.
+     * as soon as one is absent, sliceless or bad (counting the pass's
+     * misses and fallback), with `touched` telling whether the model
+     * was already changed.
      */
     bool replaySlices(const PickResult &picked,
                       std::vector<PmcCounters> &snaps,

@@ -1,10 +1,12 @@
 #include "serve/request.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "metrics/schema.h"
 #include "uarch/machine.h"
@@ -19,13 +21,15 @@ std::vector<std::string>
 splitList(const std::string &what, const std::string &csv)
 {
     std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
+    // Split as std::getline(..., ',') does: a trailing comma ends the
+    // list rather than naming an empty entry.
+    for (std::size_t pos = 0; pos < csv.size();) {
+        const std::size_t comma = std::min(csv.find(',', pos), csv.size());
+        if (comma == pos)
             BDS_RAISE(ErrorCode::InvalidConfig,
                       what << " has an empty name in '" << csv << "'");
-        out.push_back(item);
+        out.emplace_back(csv, pos, comma - pos);
+        pos = comma + 1;
     }
     if (out.empty())
         BDS_RAISE(ErrorCode::InvalidConfig,
@@ -208,9 +212,21 @@ metricNamesFromMask(std::uint64_t mask)
 RequestRecord
 parseRequestLine(const std::string &line)
 {
-    std::istringstream ss(line);
-    std::string verb;
-    ss >> verb;
+    // Whitespace-separated tokens, split where `>>` splits (the C
+    // locale's isspace), without a stream per request.
+    auto space = [&](std::size_t i) {
+        return std::isspace(static_cast<unsigned char>(line[i])) != 0;
+    };
+    std::size_t pos = 0;
+    auto next = [&]() {
+        while (pos < line.size() && space(pos))
+            ++pos;
+        const std::size_t start = pos;
+        while (pos < line.size() && !space(pos))
+            ++pos;
+        return std::string_view(line).substr(start, pos - start);
+    };
+    const std::string_view verb = next();
     if (verb != "characterize")
         BDS_RAISE(ErrorCode::InvalidConfig,
                   "unknown request verb '" << verb << "'");
@@ -218,15 +234,15 @@ parseRequestLine(const std::string &line)
     RequestRecord req;
     req.op = static_cast<std::uint32_t>(ServeOp::Characterize);
     req.scale = serveScaleIndex("quick");
-    std::string token;
-    while (ss >> token) {
-        std::string::size_type eq = token.find('=');
-        if (eq == std::string::npos)
+    for (std::string_view token = next(); !token.empty();
+         token = next()) {
+        const std::size_t eq = token.find('=');
+        if (eq == std::string_view::npos)
             BDS_RAISE(ErrorCode::InvalidConfig,
                       "request token '" << token
                           << "' is not key=value");
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
+        const std::string_view key = token.substr(0, eq);
+        const std::string value(token.substr(eq + 1));
         if (key == "scale") {
             req.scale = serveScaleIndex(value);
         } else if (key == "seed") {

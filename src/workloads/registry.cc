@@ -367,7 +367,6 @@ guardedSweep(const std::vector<WorkloadId> &ids,
     });
 
     SweepReport rep;
-    rep.policy = rec.policy;
     rep.records = std::move(records);
     if (rec.policy == FailPolicy::FailFast) {
         for (const RunRecord &r : rep.records)

@@ -4,10 +4,15 @@
  * stands in for execute, profile and pick, and each representative's
  * checkpoint carries the detail slice the restored model is fed.
  *
- *  - slice replay equals re-executed replay bitwise (metrics,
- *    counters, op accounting) for all 32 workloads at quick/42;
- *  - each way one file goes bad costs one counted miss or fallback,
- *    changes no result, and is rewritten;
+ *  - slice replay equals the cold, re-executed pass bitwise
+ *    (metrics, counters, total and detail ops) for all 32 workloads
+ *    at quick/42;
+ *  - each way one file goes bad sends the pass down the simulation
+ *    from zero: one counted fallback or miss for that file, a miss
+ *    for every other representative, no changed result, and every
+ *    entry rewritten;
+ *  - every pass counts each representative exactly once, and
+ *    slice-less entries never restore;
  *  - retry attempts never read or write capture records;
  *  - seeded mutants of the slice section, the slice decoder and the
  *    capture record either parse identically or raise bds::Error.
@@ -21,7 +26,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,7 +49,6 @@ namespace {
 
 using bds::allWorkloads;
 using bds::captureWorkload;
-using bds::CheckpointCache;
 using bds::CheckpointContext;
 using bds::checkpointContextFor;
 using bds::CheckpointEntry;
@@ -103,10 +106,10 @@ samplePass(const WorkloadRunner &runner, const RunConfig &cfg,
     return replayCapture(cap, runner.config(), cfg.sampling, &ctx);
 }
 
-/** Bitwise equality of metrics, counters and op accounting. */
+/** Bitwise equality of metrics and counters; equal op totals. */
 void
-expectSameResult(const SampledWorkloadResult &a,
-                 const SampledWorkloadResult &b)
+expectSameEstimate(const SampledWorkloadResult &a,
+                   const SampledWorkloadResult &b)
 {
     EXPECT_EQ(std::memcmp(a.metrics.data(), b.metrics.data(),
                           sizeof(double) * a.metrics.size()),
@@ -117,6 +120,14 @@ expectSameResult(const SampledWorkloadResult &a,
               0);
     EXPECT_EQ(a.stats.totalOps, b.stats.totalOps);
     EXPECT_EQ(a.stats.detailOps, b.stats.detailOps);
+}
+
+/** expectSameEstimate() plus the rest of the op accounting. */
+void
+expectSameResult(const SampledWorkloadResult &a,
+                 const SampledWorkloadResult &b)
+{
+    expectSameEstimate(a, b);
     EXPECT_EQ(a.stats.warmOps, b.stats.warmOps);
     EXPECT_EQ(a.stats.skippedOps, b.stats.skippedOps);
     EXPECT_EQ(a.stats.ckptRestores, b.stats.ckptRestores);
@@ -140,53 +151,37 @@ minus(const CkptStats &a, const CkptStats &b)
 
 TEST(SliceReplay, EqualsReexecutedReplayForEveryWorkload)
 {
-    // The reference re-executes the stream over state-only copies of
-    // the same entries: every representative restores, none has a
-    // slice, so the stack engines run.
+    // The reference is the cold pass that wrote the entries: it
+    // re-executed the stream from zero and restored nothing.
     const RunConfig cfg = quickConfig("bds_slice_every_workload");
-    const std::string mirror_dir = cfg.ckpt.dir + "_state_only";
-    std::system(("rm -rf '" + mirror_dir + "'").c_str());
     const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
     const CheckpointContext ctx = checkpointContextFor(cfg);
-    CheckpointContext state_only = ctx;
-    state_only.cache = std::make_shared<CheckpointCache>(mirror_dir);
 
     const std::vector<WorkloadId> ids = allWorkloads();
     ASSERT_EQ(ids.size(), 32u);
     std::vector<SampledWorkloadResult> cold(ids.size()),
-        sliced(ids.size()), reexecuted(ids.size());
+        sliced(ids.size());
     std::vector<std::size_t> reps(ids.size());
     bds::parallelFor(ids.size(), 4, [&](std::size_t i) {
         cold[i] = samplePass(runner, cfg, ctx, ids[i]);
+        // Slices alone: a capture with no way to run the stream.
         WorkloadCapture cap =
             captureWorkload(runner, cfg.sampling, ids[i], 0, &ctx);
         reps[i] = cap.picked.reps.size();
-        const CheckpointKey key = ctx.keyFor(ids[i].name(), 0);
-        for (const Representative &r : cap.picked.reps) {
-            std::string state;
-            if (ctx.cache->load(key, r.interval, &state))
-                state_only.cache->store(key, r.interval, state);
-        }
-        reexecuted[i] = replayCapture(cap, runner.config(), cfg.sampling,
-                                      &state_only);
-        // Slices alone: a capture with no way to run the stream.
         cap.runner = nullptr;
         sliced[i] = replayCapture(cap, runner.config(), cfg.sampling,
                                   &ctx);
     });
     for (std::size_t i = 0; i < ids.size(); ++i) {
         SCOPED_TRACE(ids[i].name());
-        expectSameResult(sliced[i], reexecuted[i]);
+        expectSameEstimate(sliced[i], cold[i]);
+        EXPECT_EQ(cold[i].stats.ckptRestores, 0u);
+        EXPECT_EQ(cold[i].stats.ckptWrites, reps[i]);
         EXPECT_EQ(sliced[i].stats.ckptRestores, reps[i]);
         EXPECT_EQ(sliced[i].stats.warmOps, 0u);
         EXPECT_EQ(sliced[i].stats.ckptWrites, 0u);
-        EXPECT_EQ(std::memcmp(sliced[i].metrics.data(),
-                              cold[i].metrics.data(),
-                              sizeof(double) * cold[i].metrics.size()),
-                  0);
     }
-    std::system(("rm -rf '" + cfg.ckpt.dir + "' '" + mirror_dir + "'")
-                    .c_str());
+    std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
 }
 
 /** The v2 container of an entry: no slice lines, version 2. */
@@ -240,7 +235,9 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
     ASSERT_GE(reps, 3u);
 
     // A representative in the middle: the slice path restores the
-    // ones before it, then has to start over on a fresh model.
+    // ones before it, then has to start over on a fresh model. The
+    // pass restores nothing and rewrites every entry; a bad entry is
+    // one fallback and every other representative a miss.
     const std::vector<Case> cases = {
         {"flipped-slice-byte",
          [](const CheckpointContext &ctx, const CheckpointKey &key,
@@ -252,14 +249,14 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
              bytes[bytes.find('\n', ops) + 30] ^= 0x10;
              spit(path, bytes);
          },
-         stats(reps - 1, 0, 1, 1, 1, 0)},
+         stats(0, reps - 1, reps, 1, 1, 0)},
         {"evicted-entry",
          [](const CheckpointContext &ctx, const CheckpointKey &key,
             std::uint64_t interval) {
              ASSERT_EQ(std::remove(ctx.cache->path(key, interval).c_str()),
                        0);
          },
-         stats(reps - 1, 1, 1, 0, 1, 0)},
+         stats(0, reps, reps, 0, 1, 0)},
         {"version-2",
          [](const CheckpointContext &ctx, const CheckpointKey &key,
             std::uint64_t interval) {
@@ -268,7 +265,7 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
              spit(ctx.cache->path(key, interval),
                   versionTwoEntry(key, interval, state));
          },
-         stats(reps - 1, 0, 1, 1, 1, 0)},
+         stats(0, reps - 1, reps, 1, 1, 0)},
         {"corrupt-capture-record",
          [](const CheckpointContext &ctx, const CheckpointKey &key,
             std::uint64_t) {
@@ -304,13 +301,17 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
         EXPECT_EQ(met.metrics, base.metrics);
         EXPECT_EQ(met.counters.toArray(), healthy.counters.toArray());
         EXPECT_EQ(met.stats.detailOps, healthy.stats.detailOps);
+        EXPECT_EQ(met.stats.ckptRestores + met.stats.ckptWrites, reps);
 
         // Rewritten: the next pass is stream-free and clean again.
         EXPECT_EQ(slurp(ctx.cache->path(key, interval)).rfind("BDSCKPT 3\n", 0),
                   0u);
         before = ckptStats();
+        WorkloadCapture again =
+            captureWorkload(runner, cfg.sampling, id, 0, &ctx);
+        again.runner = nullptr;
         const SampledWorkloadResult healed =
-            samplePass(runner, cfg, ctx, id);
+            replayCapture(again, runner.config(), cfg.sampling, &ctx);
         const CkptStats h = minus(ckptStats(), before);
         EXPECT_EQ(h.hits, reps);
         EXPECT_EQ(h.misses + h.writes + h.fallbacks, 0u);
@@ -319,6 +320,116 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
         expectSameResult(healed, healthy);
         std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
     }
+}
+
+TEST(SliceReplay, EveryPassCountsEachRepresentativeOnce)
+{
+    // hits + misses + fallbacks == reps on every pass, whatever the
+    // cache holds; at most one fallback, and a pass that cannot
+    // replay its slices writes every entry.
+    const RunConfig cfg = quickConfig("bds_slice_count_once");
+    const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
+    const CheckpointContext ctx = checkpointContextFor(cfg);
+    const WorkloadId id = allWorkloads()[9];
+    const CheckpointKey key = ctx.keyFor(id.name(), 0);
+    const WorkloadCapture cap = captureWorkload(runner, cfg.sampling, id, 0);
+    const std::uint64_t reps = cap.picked.reps.size();
+    ASSERT_GE(reps, 2u);
+    const std::string first =
+        ctx.cache->path(key, cap.picked.reps.front().interval);
+    const std::string last =
+        ctx.cache->path(key, cap.picked.reps.back().interval);
+    auto flip = [](const std::string &path) {
+        std::string bytes = slurp(path);
+        bytes[bytes.size() / 2] ^= 0x40;
+        spit(path, bytes);
+    };
+
+    struct Pass
+    {
+        const char *name;
+        std::function<void()> damage;
+        bool warm; ///< every entry restores, none is written
+    };
+    const std::vector<Pass> passes = {
+        {"cold", [] {}, false},
+        {"warm", [] {}, true},
+        {"flipped-first", [&] { flip(first); }, false},
+        {"evicted-last", [&] { std::remove(last.c_str()); }, false},
+        {"flipped-first-evicted-last",
+         [&] {
+             flip(first);
+             std::remove(last.c_str());
+         },
+         false},
+        {"warm-again", [] {}, true},
+    };
+    for (const Pass &pass : passes) {
+        SCOPED_TRACE(pass.name);
+        pass.damage();
+        const CkptStats before = ckptStats();
+        const SampledWorkloadResult r = samplePass(runner, cfg, ctx, id);
+        const CkptStats d = minus(ckptStats(), before);
+        EXPECT_EQ(d.hits + d.misses + d.fallbacks, reps);
+        EXPECT_LE(d.fallbacks, 1u);
+        EXPECT_EQ(d.hits, pass.warm ? reps : 0u);
+        EXPECT_EQ(d.writes, pass.warm ? 0u : reps);
+        EXPECT_EQ(r.stats.ckptRestores, pass.warm ? reps : 0u);
+        EXPECT_EQ(r.stats.ckptWrites, pass.warm ? 0u : reps);
+    }
+    std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
+}
+
+TEST(SliceReplay, SliceLessEntriesNeverRestore)
+{
+    // Entries from the state-only store() overload verify but spare
+    // no stream: a pass over a directory of them restores nothing,
+    // equals the no-checkpoint pass bit for bit, and rewrites each
+    // entry with its slice.
+    const RunConfig cfg = quickConfig("bds_slice_less");
+    const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
+    const CheckpointContext ctx = checkpointContextFor(cfg);
+    const WorkloadId id = allWorkloads()[12];
+    const CheckpointKey key = ctx.keyFor(id.name(), 0);
+    const WorkloadCapture cap = captureWorkload(runner, cfg.sampling, id, 0);
+    const std::uint64_t reps = cap.picked.reps.size();
+    const SampledWorkloadResult base =
+        replayCapture(cap, runner.config(), cfg.sampling);
+
+    replayCapture(cap, runner.config(), cfg.sampling, &ctx);
+    for (const Representative &r : cap.picked.reps) {
+        CheckpointEntry entry;
+        ASSERT_TRUE(ctx.cache->read(key, r.interval, &entry));
+        ctx.cache->store(key, r.interval, entry.state);
+        ASSERT_TRUE(ctx.cache->read(key, r.interval, &entry));
+        ASSERT_TRUE(entry.ops.empty());
+    }
+
+    CkptStats before = ckptStats();
+    const SampledWorkloadResult met =
+        replayCapture(cap, runner.config(), cfg.sampling, &ctx);
+    CkptStats d = minus(ckptStats(), before);
+    EXPECT_EQ(d.hits, 0u);
+    EXPECT_EQ(d.misses, reps);
+    EXPECT_EQ(d.fallbacks, 0u);
+    EXPECT_EQ(d.writes, reps);
+    expectSameEstimate(met, base);
+    EXPECT_EQ(met.stats.warmOps, base.stats.warmOps);
+    EXPECT_EQ(met.stats.skippedOps, base.stats.skippedOps);
+    EXPECT_EQ(met.stats.ckptRestores, 0u);
+    EXPECT_EQ(met.stats.ckptWrites, reps);
+
+    // Rewritten with slices: the next pass needs no stream.
+    WorkloadCapture sliced = cap;
+    sliced.runner = nullptr;
+    before = ckptStats();
+    const SampledWorkloadResult warm =
+        replayCapture(sliced, runner.config(), cfg.sampling, &ctx);
+    d = minus(ckptStats(), before);
+    EXPECT_EQ(d.hits, reps);
+    EXPECT_EQ(warm.stats.ckptRestores, reps);
+    expectSameEstimate(warm, base);
+    std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
 }
 
 TEST(SliceReplay, RetryAttemptsNeverTouchCaptureRecords)

@@ -91,7 +91,6 @@ TEST(GuardedRun, BadAllocMapsToAllocFailure)
 TEST(SweepReportHelpers, SurvivorsAndFailureViews)
 {
     SweepReport rep;
-    rep.policy = FailPolicy::Quarantine;
     rep.records = {
         RunRecord{"H-Sort", RunStatus::Ok, 1, ErrorCode::None, "", 0.1},
         RunRecord{"H-Grep", RunStatus::Quarantined, 2,

@@ -74,6 +74,22 @@ TEST(ServeRequest, ParsesEveryKey)
               (std::vector<std::string>{"LOAD", "ILP"}));
 }
 
+TEST(ServeRequest, TabsAndCarriageReturnsSeparateTokens)
+{
+    // Tokens split on every isspace character, as `>>` splits them:
+    // a tab between tokens and the '\r' a CRLF client leaves behind
+    // parse like plain spaces.
+    const RequestRecord spaced = parseRequestLine(
+        "characterize scale=standard seed=7 workloads=H-Sort,S-Grep");
+    const RequestRecord tabbed = parseRequestLine(
+        "characterize\tscale=standard seed=7\t workloads=H-Sort,S-Grep\r");
+    EXPECT_EQ(std::memcmp(&spaced, &tabbed, sizeof(spaced)), 0);
+    EXPECT_EQ(tabbed.scale, 1u);
+    EXPECT_EQ(tabbed.seed, 7u);
+    EXPECT_EQ(workloadNamesFromMask(tabbed.workloadMask),
+              (std::vector<std::string>{"H-Sort", "S-Grep"}));
+}
+
 TEST(ServeRequest, TextFormRoundTripsThroughFormat)
 {
     const char *lines[] = {
