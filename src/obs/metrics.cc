@@ -24,6 +24,8 @@ namespace counters {
 void
 add(Counter c, std::uint64_t n)
 {
+    if (n == 0)
+        return;
     slot(c).fetch_add(n, std::memory_order_relaxed);
     Tracer::global().counter(kCounters[static_cast<std::size_t>(c)].traceName,
                              n);

@@ -30,11 +30,11 @@
 namespace bds {
 
 /**
- * X(id, trace name, stats key), in sink order. The first 22 rows are
- * the `stats` verb's original fields and keep their order; append new
- * counters at the end. A stats key that begins with its trace-name
- * prefix and '_' nests in `--stats-json` under that prefix; the serve
- * keys do not, so they stay at the top level.
+ * X(id, trace name, stats key), in sink order. The first 21 rows keep
+ * the `stats` verb's original field order; append new counters at the
+ * end. A stats key that begins with its trace-name prefix and '_'
+ * nests in `--stats-json` under that prefix; the serve keys do not,
+ * so they stay at the top level.
  */
 #define BDS_COUNTERS(X)                                                       \
     X(ServeRequests, "serve.requests", "requests")                            \
@@ -58,7 +58,6 @@ namespace bds {
     X(StoreLeaseAcquire, "store.lease_acquire", "store_lease_acquires")       \
     X(StoreLeaseWait, "store.lease_wait", "store_lease_waits")                \
     X(StoreLeaseTakeover, "store.lease_takeover", "store_lease_takeovers")    \
-    X(StoreIndexRebuild, "store.index_rebuild", "store_index_rebuilds")       \
     X(CaptureHits, "capture.hits", "capture_hits")                            \
     X(CaptureMisses, "capture.misses", "capture_misses")                      \
     X(CaptureWrites, "capture.writes", "capture_writes")                      \
@@ -97,7 +96,7 @@ inline constexpr std::size_t kNumCounters = std::size(kCounters);
 
 namespace counters {
 
-/** Add `n` to `c` and emit its trace event (even when n is 0). */
+/** Add `n` to `c` and emit its trace event; n == 0 is a no-op. */
 void add(Counter c, std::uint64_t n = 1);
 
 /** The value of `c` since process start (or the last reset()). */

@@ -236,8 +236,7 @@ SampledReplayer::replaySlices(const PickResult &picked,
             // every other representative of the pass is a miss.
             warn(std::string("checkpoint: ") + e.what());
             counters::add(Counter::CkptFallbacks);
-            if (reps > 1)
-                counters::add(Counter::CkptMisses, reps - 1);
+            counters::add(Counter::CkptMisses, reps - 1);
             return false;
         }
         touched = true;

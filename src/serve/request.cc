@@ -20,21 +20,22 @@ namespace {
 std::vector<std::string>
 splitList(const std::string &what, const std::string &csv)
 {
+    if (csv.empty())
+        BDS_RAISE(ErrorCode::InvalidConfig,
+                  what << " must name at least one entry");
     std::vector<std::string> out;
-    // Split as std::getline(..., ',') does: a trailing comma ends the
-    // list rather than naming an empty entry.
-    for (std::size_t pos = 0; pos < csv.size();) {
+    // Every comma separates two names: a leading, doubled or trailing
+    // one leaves an empty name.
+    for (std::size_t pos = 0;;) {
         const std::size_t comma = std::min(csv.find(',', pos), csv.size());
         if (comma == pos)
             BDS_RAISE(ErrorCode::InvalidConfig,
                       what << " has an empty name in '" << csv << "'");
         out.emplace_back(csv, pos, comma - pos);
+        if (comma == csv.size())
+            return out;
         pos = comma + 1;
     }
-    if (out.empty())
-        BDS_RAISE(ErrorCode::InvalidConfig,
-                  what << " must name at least one entry");
-    return out;
 }
 
 /** Strict 0/1 switch for request fields. */

@@ -1,14 +1,14 @@
 /**
  * @file
  * The one on-disk record discipline every store file shares:
- * checkpoints (BDSCKPT), result entries (BDSRESULT), the LRU index
- * (BDSINDEX) and leases (BDSLEASE). Each is a "<MAGIC> <version>"
+ * checkpoints (BDSCKPT), capture records (BDSCAPTURE), result entries
+ * (BDSRESULT) and leases (BDSLEASE). Each is a "<MAGIC> <version>"
  * line, "<key> <value>" lines, sized fields ("<key>_bytes N\n" then
  * N raw bytes) and, except leases, an "END" line (docs/STORAGE.md
  * §6). Writers append with appendField()/appendSized(), payloads
  * carry one checksum (stateChecksum()), parsers walk the bytes with
- * RecordCursor, whole files come in through readFile(), and the index
- * and lease heartbeats land through replaceFile().
+ * RecordCursor, whole files come in through readFile(), and lease
+ * heartbeats land through replaceFile().
  * SharedStore::publish() stays the durable writer.
  */
 

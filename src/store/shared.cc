@@ -1,9 +1,13 @@
 #include "store/shared.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <limits>
+#include <tuple>
+#include <vector>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -51,10 +55,64 @@ trailingPid(const std::string &name)
     return static_cast<long>(pid);
 }
 
+/**
+ * utimensat/futimens times stamping "now" from the realtime clock.
+ * Explicit rather than UTIME_NOW: the kernel's file clock is coarse,
+ * and same-tick stamps would tie in the LRU order.
+ */
+struct NowStamp
+{
+    struct timespec times[2];
+
+    NowStamp()
+    {
+        ::clock_gettime(CLOCK_REALTIME, &times[0]);
+        times[1] = times[0];
+    }
+};
+
+/** What a directory scan reports about one entry file. */
+struct ScannedEntry
+{
+    std::string name;
+    std::uint64_t bytes = 0;
+
+    /** Last publish or hit, in realtime nanoseconds. */
+    std::int64_t mtimeNs = 0;
+};
+
+/** Every regular file in `dir` whose name ends in `suffix`. */
+std::vector<ScannedEntry>
+scanEntries(const std::string &dir, const std::string &suffix)
+{
+    std::vector<ScannedEntry> scan;
+    DIR *d = ::opendir(dir.c_str());
+    if (!d)
+        return scan;
+    while (struct dirent *ent = ::readdir(d)) {
+        const std::string name = ent->d_name;
+        if (!endsWith(name, suffix))
+            continue;
+        struct stat st;
+        const std::string path = dir + "/" + name;
+        if (::stat(path.c_str(), &st) != 0
+            || !S_ISREG(st.st_mode))
+            continue;
+        ScannedEntry s;
+        s.name = name;
+        s.bytes = static_cast<std::uint64_t>(st.st_size);
+        s.mtimeNs = st.st_mtim.tv_sec * std::int64_t{1000000000}
+            + st.st_mtim.tv_nsec;
+        scan.push_back(std::move(s));
+    }
+    ::closedir(d);
+    return scan;
+}
+
 } // namespace
 
 SharedStore::SharedStore(SharedStoreOptions opts)
-    : opts_(std::move(opts)), indexPath_(opts_.dir + "/store.index")
+    : opts_(std::move(opts))
 {
     if (opts_.dir.empty())
         BDS_RAISE(ErrorCode::InvalidConfig,
@@ -67,22 +125,6 @@ SharedStore::SharedStore(SharedStoreOptions opts)
     }
 
     reapOrphans();
-
-    const std::vector<ScannedEntry> scan = scanEntries();
-    const bool indexOnDisk = fileExists(indexPath_);
-    if (index_.load(indexPath_)) {
-        index_.reconcile(scan);
-    } else {
-        index_.rebuild(scan);
-        if (indexOnDisk) {
-            // A present-but-unreadable index means corruption (a
-            // crash cannot tear it: it is only ever renamed into
-            // place whole).
-            counters::add(Counter::StoreIndexRebuild);
-        }
-        index_.save(indexPath_);
-    }
-
     // Repair a previous killed-mid-evict run (or a budget lowered
     // between runs): the open itself restores the invariant.
     enforceBudget();
@@ -172,13 +214,9 @@ SharedStore::read(const std::string &name, std::string *bytes)
     if (!readFile(path, bytes))
         return false;
 
-    // Bump mtime so this hit counts as recency for other processes'
-    // eviction decisions too; failure only costs LRU accuracy.
-    ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        index_.touch(name, bytes->size());
-    }
+    // The mtime is the recency every process's eviction reads; a
+    // failed stamp only costs LRU accuracy.
+    ::utimensat(AT_FDCWD, path.c_str(), NowStamp().times, 0);
     return true;
 }
 
@@ -219,6 +257,9 @@ SharedStore::publish(const std::string &name, const std::string &bytes)
                   + "': " + std::strerror(err));
         return false;
     }
+    // The entry's first recency stamp (best-effort, like a hit's);
+    // the rename keeps it.
+    ::futimens(fd, NowStamp().times);
     // fsync before rename: after the rename lands, the entry's bytes
     // are durable — a crash can lose the entry, never tear it.
     if (::fsync(fd) != 0) {
@@ -245,11 +286,6 @@ SharedStore::publish(const std::string &name, const std::string &bytes)
     }
 
     counters::add(Counter::StorePublish);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        index_.touch(name, bytes.size());
-        index_.save(indexPath_);
-    }
     enforceBudget();
     return true;
 }
@@ -280,8 +316,7 @@ SharedStore::singleFlight(const std::string &name)
             lease = acquireLease(
                 leasePath, opts_.lease,
                 [&entry]() { return fileExists(entry); }, &ws);
-            if (ws.takeovers)
-                counters::add(Counter::StoreLeaseTakeover, ws.takeovers);
+            counters::add(Counter::StoreLeaseTakeover, ws.takeovers);
             if (ws.canceled) {
                 ticket.entryAppeared = true;
                 return ticket;
@@ -294,32 +329,6 @@ SharedStore::singleFlight(const std::string &name)
         enterDown(std::string("lease machinery failed: ") + e.what());
         return ticket;
     }
-}
-
-std::vector<ScannedEntry>
-SharedStore::scanEntries() const
-{
-    std::vector<ScannedEntry> scan;
-    DIR *d = ::opendir(opts_.dir.c_str());
-    if (!d)
-        return scan;
-    while (struct dirent *ent = ::readdir(d)) {
-        const std::string name = ent->d_name;
-        if (!endsWith(name, opts_.suffix) || name == "store.index")
-            continue;
-        struct stat st;
-        const std::string path = opts_.dir + "/" + name;
-        if (::stat(path.c_str(), &st) != 0
-            || !S_ISREG(st.st_mode))
-            continue;
-        ScannedEntry s;
-        s.name = name;
-        s.bytes = static_cast<std::uint64_t>(st.st_size);
-        s.mtime = static_cast<std::int64_t>(st.st_mtime);
-        scan.push_back(std::move(s));
-    }
-    ::closedir(d);
-    return scan;
 }
 
 void
@@ -358,30 +367,36 @@ SharedStore::enforceBudget()
             return;
     }
 
-    // The directory is the source of truth: the in-memory index
-    // cannot see other daemons' publishes, and a crash mid-evict
-    // leaves the on-disk index stale. Rescan, reconcile, then evict.
-    const std::vector<ScannedEntry> scan = scanEntries();
-
-    std::lock_guard<std::mutex> lock(mu_);
-    index_.reconcile(scan);
-    std::uint64_t total = index_.totalBytes();
+    // The directory is the one recency record: the rescan sees every
+    // process's publishes and hits, and repairs a crash mid-evict.
+    std::vector<ScannedEntry> scan = scanEntries(opts_.dir, opts_.suffix);
+    std::uint64_t total = 0;
+    for (const ScannedEntry &e : scan)
+        total += e.bytes;
     if (total <= opts_.maxBytes)
         return;
+    std::sort(scan.begin(), scan.end(),
+              [](const ScannedEntry &a, const ScannedEntry &b) {
+                  return std::tie(a.mtimeNs, a.name)
+                      < std::tie(b.mtimeNs, b.name);
+              });
 
-    for (const IndexedEntry &victim : index_.lruOrder()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const ScannedEntry &victim : scan) {
         if (total <= opts_.maxBytes)
             break;
         // Unlink-per-entry keeps eviction crash-safe: each step is
         // atomic, and a concurrent reader that already opened the
-        // file keeps its bytes (POSIX unlink semantics).
-        ::unlink(entryPath(victim.name).c_str());
-        index_.erase(victim.name);
-        total -= victim.bytes < total ? victim.bytes : total;
-        counters::add(Counter::StoreEvict);
-        counters::add(Counter::StoreEvictBytes, victim.bytes);
+        // file keeps its bytes (POSIX unlink semantics). An entry
+        // another process unlinked first is gone all the same.
+        if (::unlink(entryPath(victim.name).c_str()) == 0) {
+            counters::add(Counter::StoreEvict);
+            counters::add(Counter::StoreEvictBytes, victim.bytes);
+        } else if (errno != ENOENT) {
+            continue;
+        }
+        total -= victim.bytes;
     }
-    index_.save(indexPath_);
 }
 
 } // namespace bds

@@ -10,9 +10,10 @@
  *    cross-process single-flight: at most one process computes a
  *    given entry while everyone else waits, with deterministic
  *    takeover of dead or wedged holders;
- *  - an LRU index (`store.index`, src/store/index.h) orders entries
- *    for eviction under the byte budget; it is rebuilt from a
- *    directory scan whenever it is corrupt or missing;
+ *  - entry mtimes are the one recency record: a publish and every
+ *    hit stamp the entry with the realtime clock, and eviction under
+ *    the byte budget unlinks the oldest stamps first, so every
+ *    process sharing the directory orders victims the same way;
  *  - a down flag: every filesystem failure (ENOSPC, failed rename,
  *    unwritable directory) flips the store into *store-down* mode
  *    where publishes become counted no-ops and coordination is
@@ -21,7 +22,7 @@
  *    file, at most once per healProbeMs) brings the store back the
  *    moment the disk recovers.
  *
- * Durability: publishes write `<entry>.tmp.<pid>`, fsync, then
+ * Durability: publishes write `<entry>.tmp.<pid>`, stamp, fsync, then
  * rename — a reader never sees a torn entry and a crash never leaves
  * one behind. Eviction unlinks whole entry files (each unlink is
  * atomic), so a crash mid-evict can only leave the store *over*
@@ -46,9 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "store/index.h"
 #include "store/lease.h"
 
 namespace bds {
@@ -60,10 +59,10 @@ struct SharedStoreOptions
     std::string dir;
 
     /**
-     * Entry filename suffix (".res", ".ckpt"): only files ending in
-     * it are entries — everything else in the directory (index,
-     * leases, temps, probes) is coordination state and exempt from
-     * budget accounting and eviction.
+     * Entry filename suffix (".result", ".ckpt"): only files ending
+     * in it are entries — everything else in the directory (leases,
+     * temps, probes) is coordination state and exempt from budget
+     * accounting and eviction.
      */
     std::string suffix;
 
@@ -107,9 +106,8 @@ class SharedStore
      * is Error(InvalidConfig); an *uncreatable* one is not an error —
      * the store opens in down mode (callers compute uncached) and
      * heals if the path becomes writable. Opening also reaps orphan
-     * temp/lease files of dead processes, reconciles or rebuilds the
-     * index, and re-enforces the byte budget (repairing a previous
-     * killed-mid-evict run).
+     * temp/lease files of dead processes and re-enforces the byte
+     * budget (repairing a previous killed-mid-evict run).
      */
     explicit SharedStore(SharedStoreOptions opts);
 
@@ -127,16 +125,16 @@ class SharedStore
 
     /**
      * Read entry `name` into *bytes. False when absent, unreadable,
-     * or the store is down (a cache can always miss). A hit bumps
-     * the file mtime so recency survives process boundaries.
+     * or the store is down (a cache can always miss). A hit stamps
+     * the file mtime, which every process's eviction reads.
      */
     bool read(const std::string &name, std::string *bytes);
 
     /**
-     * Atomically publish entry `name` (tmp + fsync + rename), then
-     * enforce the byte budget. Never throws: any failure — real or
-     * injected — flips the store down and returns false. Callers
-     * treat false as "computed but not cached".
+     * Atomically publish entry `name` (tmp + mtime stamp + fsync +
+     * rename), then enforce the byte budget. Never throws: any
+     * failure — real or injected — flips the store down and returns
+     * false. Callers treat false as "computed but not cached".
      */
     bool publish(const std::string &name, const std::string &bytes);
 
@@ -149,9 +147,9 @@ class SharedStore
     FlightTicket singleFlight(const std::string &name);
 
     /**
-     * Bring entry bytes back under maxBytes, evicting LRU entries.
-     * Rescans the directory as the source of truth (repairs stale
-     * index state from crashes or other daemons). No-op when
+     * Bring entry bytes back under maxBytes, unlinking entries
+     * oldest mtime first (name breaks ties). Rescans the directory,
+     * so other processes' publishes and hits count. No-op when
      * unbounded or down.
      */
     void enforceBudget();
@@ -159,16 +157,13 @@ class SharedStore
   private:
     bool maybeHeal();
     void enterDown(const std::string &what);
-    std::vector<ScannedEntry> scanEntries() const;
     void reapOrphans() const;
 
     SharedStoreOptions opts_;
-    std::string indexPath_;
 
-    mutable std::mutex mu_;
+    mutable std::mutex mu_; ///< guards down_/lastProbe_; serializes eviction
     bool down_ = false;
     std::chrono::steady_clock::time_point lastProbe_{};
-    StoreIndex index_;
 };
 
 } // namespace bds

@@ -382,22 +382,20 @@ guardedSweep(const std::vector<WorkloadId> &ids,
             rep.survivors.push_back(i);
 
     // Failure counters land in the trace only when something went
-    // wrong, keeping clean traces byte-identical. Emitted here, after
-    // the parallel loop, in deterministic order.
+    // wrong (a zero add emits nothing), keeping clean traces
+    // byte-identical. Emitted here, after the parallel loop, in
+    // deterministic order.
     std::uint64_t retries = 0, retried_ok = 0, timeouts = 0;
     for (const RunRecord &r : rep.records) {
         retries += r.attempts - 1;
         retried_ok += r.status == RunStatus::RetriedOk ? 1 : 0;
         timeouts += r.code == ErrorCode::Timeout ? 1 : 0;
     }
-    if (retries)
-        counters::add(Counter::FaultRetries, retries);
-    if (retried_ok)
-        counters::add(Counter::FaultRetriedOk, retried_ok);
-    if (timeouts)
-        counters::add(Counter::FaultTimeout, timeouts);
-    if (std::size_t dropped = rep.records.size() - rep.survivors.size())
-        counters::add(Counter::FaultQuarantined, dropped);
+    counters::add(Counter::FaultRetries, retries);
+    counters::add(Counter::FaultRetriedOk, retried_ok);
+    counters::add(Counter::FaultTimeout, timeouts);
+    counters::add(Counter::FaultQuarantined,
+                  rep.records.size() - rep.survivors.size());
     return rep;
 }
 

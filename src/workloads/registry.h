@@ -100,7 +100,7 @@ struct WorkloadResult
  * any thread count: under fail-fast the lowest-index failure is
  * rethrown as a typed bds::Error; under quarantine the failed
  * records are marked Quarantined. The fault.* counters are then
- * added, each only when nonzero, so clean traces stay unchanged.
+ * added; a zero add emits nothing, so clean traces stay unchanged.
  * @param body Writes slot i; it must derive every seed from the
  *        workload and ctx.attempt (never from shared state).
  * @return One record per id, in list order, and the survivor set.

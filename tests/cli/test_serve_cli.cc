@@ -122,13 +122,12 @@ parseFrames(const std::string &out)
     return frames;
 }
 
-/** Remove a known cache entry, the store index, and the directory. */
+/** Remove a known cache entry and the directory. */
 void
 wipeCache(const std::string &dir, const std::string &hash)
 {
     if (!hash.empty())
         std::remove((dir + "/" + hash + ".result").c_str());
-    std::remove((dir + "/store.index").c_str());
     ::rmdir(dir.c_str());
 }
 
@@ -181,7 +180,7 @@ TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
               " store_evicted=0 store_evicted_bytes=0"
               " store_downs=0 store_heals=0"
               " store_lease_acquires=1 store_lease_waits=0"
-              " store_lease_takeovers=0 store_index_rebuilds=0"
+              " store_lease_takeovers=0"
               " capture_hits=0 capture_misses=0 capture_writes=0"
               " capture_fallbacks=0 sample_total_ops=0"
               " sample_detail_ops=0 fault_retries=0 fault_retried_ok=0"

@@ -2,7 +2,8 @@
  * @file
  * Counter registry tests: every counter has unique names in each
  * sink, concurrent adds are exact, each add emits exactly one trace
- * event under its registered name, reset() zeroes everything, and
+ * event under its registered name while a zero add is a no-op,
+ * reset() zeroes everything, and
  * the ckptStats() snapshot reads the registry.
  */
 
@@ -41,7 +42,7 @@ TEST(ObsMetrics, NamesAreUniqueInEverySink)
         EXPECT_EQ(group.empty(), trace.rfind("serve.", 0) == 0)
             << c.traceName;
     }
-    EXPECT_EQ(kNumCounters, 32u);
+    EXPECT_EQ(kNumCounters, 31u);
     // A top-level key may not shadow a group object.
     for (const CounterDef &c : kCounters) {
         const std::string group(counters::jsonField(c).first);
@@ -68,7 +69,7 @@ TEST(ObsMetrics, EachAddEmitsOneTraceEventUnderItsName)
     std::ostringstream os;
     Tracer::global().enableStream(&os);
     for (std::size_t i = 0; i < kNumCounters; ++i)
-        counters::add(kCounters[i].id, i); // delta 0 is emitted too
+        counters::add(kCounters[i].id, i + 1);
     Tracer::global().disable();
 
     std::istringstream lines(os.str());
@@ -78,9 +79,20 @@ TEST(ObsMetrics, EachAddEmitsOneTraceEventUnderItsName)
         const JsonValue ev = parseJson(line);
         EXPECT_EQ(ev.at("ev").asString(), "C");
         EXPECT_EQ(ev.at("name").asString(), kCounters[n].traceName);
-        EXPECT_EQ(ev.at("delta").asUint(), n);
+        EXPECT_EQ(ev.at("delta").asUint(), n + 1);
     }
     EXPECT_EQ(n, kNumCounters);
+}
+
+TEST(ObsMetrics, ZeroAddIsANoOp)
+{
+    const std::uint64_t before = counters::value(Counter::CkptMisses);
+    std::ostringstream os;
+    Tracer::global().enableStream(&os);
+    counters::add(Counter::CkptMisses, 0);
+    Tracer::global().disable();
+    EXPECT_EQ(counters::value(Counter::CkptMisses), before);
+    EXPECT_EQ(os.str(), "");
 }
 
 TEST(ObsMetrics, ResetZeroesEveryCounter)

@@ -203,7 +203,6 @@ wipeCache(const RunConfig &cfg, ServeEngine *engine,
         std::remove(
             (cfg.serve.storeDir + "/" + hash + ".result").c_str());
     }
-    std::remove((cfg.serve.storeDir + "/store.index").c_str());
     ::rmdir(cfg.serve.storeDir.c_str());
 }
 

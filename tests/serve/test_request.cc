@@ -156,6 +156,8 @@ TEST(ServeRequest, MalformedLinesAreTypedErrors)
         "characterize frobnicate=1",         // unknown key
         "characterize scale",                // not key=value
         "characterize workloads=H-Sort,,S",  // empty element
+        "characterize workloads=H-Sort,",    // trailing comma
+        "characterize metrics=LOAD,",        // trailing comma
     };
     for (const char *line : bad) {
         try {

@@ -49,7 +49,6 @@ class StoreDir
     {
         for (const std::string &hash : knownKeys())
             std::remove((dir_ + "/" + hash + ".result").c_str());
-        std::remove((dir_ + "/store.index").c_str());
         ::rmdir(dir_.c_str());
     }
     static std::vector<std::string> knownKeys()

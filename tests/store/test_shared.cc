@@ -1,8 +1,9 @@
 /**
  * @file
- * SharedStore failure-matrix tests: LRU eviction under a byte
- * budget, eviction sparing already-open readers, index corruption
- * rebuilt at open, killed-mid-evict (over-budget) state repaired at
+ * SharedStore failure-matrix tests: mtime-LRU eviction under a byte
+ * budget (another instance's hits count), eviction sparing
+ * already-open readers, mtime-aged entries evicted at open, orphan
+ * temps reaped, killed-mid-evict (over-budget) state repaired at
  * open, injected disk faults degrading to store-down mode and
  * self-healing, and fork-based two-process single-flight.
  */
@@ -12,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -200,16 +200,34 @@ TEST(SharedStore, EvictionSparesAnAlreadyOpenReader)
     ::close(fd);
 }
 
-TEST(SharedStore, CorruptIndexIsRebuiltFromTheDirectoryAtOpen)
+TEST(SharedStore, HitsInAnotherInstanceKeepAnEntryAlive)
 {
-    const std::string dir = freshDir("bds_shared_rebuild");
+    // Two daemons on one directory, a budget for two entries: B's
+    // hit on the older entry must count in A's next eviction.
+    const std::string dir = freshDir("bds_shared_cross_hit");
+    SharedStore a(testOpts(dir, 250));
+    SharedStore b(testOpts(dir, 250));
+
+    ASSERT_TRUE(a.publish("old.ent", kPayload));
+    ASSERT_TRUE(a.publish("new.ent", kPayload));
+    std::string bytes;
+    ASSERT_TRUE(b.read("old.ent", &bytes));
+    ASSERT_TRUE(a.publish("third.ent", kPayload));
+    EXPECT_TRUE(fileExists(a.entryPath("old.ent")));
+    EXPECT_FALSE(fileExists(a.entryPath("new.ent")));
+    EXPECT_TRUE(fileExists(a.entryPath("third.ent")));
+}
+
+TEST(SharedStore, MtimeAgedEntryIsEvictedFirstAtOpen)
+{
+    const std::string dir = freshDir("bds_shared_aged");
     {
         SharedStore store(testOpts(dir));
-        ASSERT_TRUE(store.publish("old.ent", kPayload));
         ASSERT_TRUE(store.publish("new.ent", kPayload));
+        ASSERT_TRUE(store.publish("old.ent", kPayload));
     }
-    // Age old.ent on disk so the rebuilt (mtime-order) recency is
-    // observable through the next eviction.
+    // Age the later publish on disk: the mtime, not the publish
+    // order, decides the open's own budget pass.
     struct timespec times[2];
     times[0].tv_sec = 1000000;
     times[0].tv_nsec = 0;
@@ -217,39 +235,33 @@ TEST(SharedStore, CorruptIndexIsRebuiltFromTheDirectoryAtOpen)
     ASSERT_EQ(::utimensat(AT_FDCWD, (dir + "/old.ent").c_str(),
                           times, 0),
               0);
-    {
-        std::ofstream f(dir + "/store.index", std::ios::trunc);
-        f << "definitely not an index\n\x01\x02";
-    }
 
-    const std::uint64_t rebuilds = value(Counter::StoreIndexRebuild);
+    const std::uint64_t evicted = value(Counter::StoreEvict);
     SharedStore store(testOpts(dir, 150));
-    EXPECT_EQ(value(Counter::StoreIndexRebuild), rebuilds + 1);
-    // The open's own budget pass used the rebuilt recency: the aged
-    // entry was the victim.
+    EXPECT_EQ(value(Counter::StoreEvict), evicted + 1);
     EXPECT_FALSE(fileExists(store.entryPath("old.ent")));
     EXPECT_TRUE(fileExists(store.entryPath("new.ent")));
 }
 
-TEST(SharedStore, IndexTempsArePerProcessAndReaped)
+TEST(SharedStore, EntryTempsArePerProcessAndReaped)
 {
-    // Index saves write "store.index.tmp.<pid>", so two processes
-    // sharing a store never truncate each other's temp, and a temp
-    // orphaned by a dead process is reaped at the next open.
-    const std::string dir = freshDir("bds_shared_index_tmp");
+    // Publishes write "<entry>.tmp.<pid>", so two processes sharing a
+    // store never truncate each other's temp, and a temp orphaned by
+    // a dead process is reaped at the next open.
+    const std::string dir = freshDir("bds_shared_entry_tmp");
     ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     // A squatter on a shared, pid-less temp name blocks nothing.
-    ASSERT_EQ(::mkdir((dir + "/store.index.tmp").c_str(), 0777), 0);
+    ASSERT_EQ(::mkdir((dir + "/a.ent.tmp").c_str(), 0777), 0);
     const pid_t child = ::fork();
     if (child == 0)
         ::_exit(0);
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
     const std::string orphan =
-        dir + "/store.index.tmp." + std::to_string(child);
+        dir + "/a.ent.tmp." + std::to_string(child);
     {
         std::ofstream f(orphan, std::ios::trunc);
-        f << "BDSINDEX 1\nentr";
+        f << "BDSRESU";
     }
     // A tail too long for any pid is not a pid: left alone.
     const std::string foreign = dir + "/x.tmp.99999999999999999999999";
@@ -259,19 +271,20 @@ TEST(SharedStore, IndexTempsArePerProcessAndReaped)
     EXPECT_FALSE(fileExists(orphan));
     EXPECT_TRUE(fileExists(foreign));
     ASSERT_TRUE(store.publish("a.ent", kPayload));
-    EXPECT_FALSE(fileExists(dir + "/store.index.tmp."
-                            + std::to_string(::getpid())));
-    std::ifstream f(dir + "/store.index", std::ios::binary);
-    const std::string index((std::istreambuf_iterator<char>(f)),
-                            std::istreambuf_iterator<char>());
-    EXPECT_EQ(index, "BDSINDEX 1\nentries 1\n1 100 a.ent\nEND\n");
+    EXPECT_FALSE(
+        fileExists(dir + "/a.ent.tmp." + std::to_string(::getpid())));
+    std::string bytes;
+    ASSERT_TRUE(store.read("a.ent", &bytes));
+    EXPECT_EQ(bytes, kPayload);
+    // The directory holds the entries and nothing that records them.
+    EXPECT_FALSE(fileExists(dir + "/store.index"));
 }
 
 TEST(SharedStore, OverBudgetStateIsRepairedAtOpen)
 {
     // A store killed mid-evict (or whose budget was lowered) is over
-    // budget with a stale index; the next open restores the
-    // invariant from a directory rescan.
+    // budget; the next open restores the invariant from a directory
+    // rescan.
     const std::string dir = freshDir("bds_shared_repair");
     {
         SharedStore store(testOpts(dir)); // unbounded
@@ -279,8 +292,7 @@ TEST(SharedStore, OverBudgetStateIsRepairedAtOpen)
         ASSERT_TRUE(store.publish("b.ent", kPayload));
         ASSERT_TRUE(store.publish("c.ent", kPayload));
     }
-    // Stale index: one indexed file already vanished (the crash got
-    // through the unlink but not the index rewrite).
+    // One entry already vanished (the crash got through its unlink).
     ASSERT_EQ(std::remove((dir + "/b.ent").c_str()), 0);
 
     SharedStore store(testOpts(dir, 150));
