@@ -20,13 +20,12 @@
  * matrix is bitwise identical for every BDS_THREADS value (see
  * docs/THREADING.md), so the thread count is not part of the key.
  *
- * A bench main is three lines of plumbing:
+ * A matrix study resolves its session and reads the pipeline over
+ * the cell (see the `repro` studies):
  *
- *   int main(int argc, char **argv) {
- *       bds::Session session(bdsbench::benchConfig("tool", argc, argv));
- *       auto res = bdsbench::characterizedPipeline(session);
- *       ... print the table/figure to stdout ...
- *   }
+ *   bds::Session session(bds::RunConfig::resolve("tool", argc, argv));
+ *   auto res = bdsbench::characterizedPipeline(session);
+ *   ... print the table/figure to stdout ...
  *
  * The Session destructor writes the run manifest (tool.manifest.json)
  * and, when BDS_TRACE=1, the trace summary.
@@ -56,41 +55,18 @@
 namespace bdsbench {
 
 /**
- * Resolve the bench's RunConfig from the environment and command
- * line. Benches take no positional arguments, so any unconsumed
- * argument is fatal (RunConfig::resolve enforces this).
- */
-inline bds::RunConfig
-benchConfig(const std::string &tool, int argc = 0, char **argv = nullptr)
-{
-    return bds::RunConfig::resolve(tool, argc, argv);
-}
-
-/**
- * Resolve the session's machine geometry (--machine / BDS_MACHINE)
- * through the preset registry. Benches never construct NodeConfig
- * inline: the machine is an axis of the run configuration, and this
- * is the one funnel it flows through.
- */
-inline bds::NodeConfig
-benchMachine(const bds::RunConfig &cfg)
-{
-    return bds::resolveMachineSpec(cfg.machineSpec);
-}
-
-/**
- * Machine for the benches that manage their own tiny flag sets
- * instead of RunConfig (uarch_speed, micro_uarch): BDS_MACHINE still
- * wins, absent means the Table III sim default. Funneled through
- * RunConfig::applyEnv() — the one env reader — so these benches get
- * the same strict validation as everything else.
+ * Machine for a bench that manages its own tiny flag set instead of
+ * RunConfig (uarch_speed): BDS_MACHINE still wins, absent means the
+ * Table III sim default. Funneled through RunConfig::applyEnv() — the
+ * one env reader — and the preset registry, so the bench gets the
+ * same strict validation as everything else.
  */
 inline bds::NodeConfig
 benchMachineFromEnv()
 {
     bds::RunConfig cfg;
     cfg.applyEnv();
-    return benchMachine(cfg);
+    return bds::resolveMachineSpec(cfg.machineSpec);
 }
 
 /**

@@ -58,25 +58,6 @@ struct PassResult
     std::string csv;          ///< the pass's metric matrix as CSV
 };
 
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
 std::string
 q(const std::string &s)
 {
@@ -118,12 +99,7 @@ runPass(const std::string &name, const RunConfig &cfg,
         const SampledWorkloadResult &r = results[i];
         m.setRow(i, std::vector<double>(r.metrics.begin(),
                                         r.metrics.end()));
-        pass.ops.totalOps += r.stats.totalOps;
-        pass.ops.detailOps += r.stats.detailOps;
-        pass.ops.warmOps += r.stats.warmOps;
-        pass.ops.skippedOps += r.stats.skippedOps;
-        pass.ops.ckptRestores += r.stats.ckptRestores;
-        pass.ops.ckptWrites += r.stats.ckptWrites;
+        pass.ops += r.stats;
     }
     PipelineResult res;
     for (const WorkloadId &id : selected)
@@ -158,7 +134,8 @@ runCkptReplay(int argc, char **argv)
             return v;
         };
         if (*it == "--ckpt-workloads")
-            workload_names = splitList(value("--ckpt-workloads"));
+            workload_names = splitList("--ckpt-workloads",
+                                       value("--ckpt-workloads"));
         else if (*it == "--ckpt-out")
             out_path = value("--ckpt-out");
         else
@@ -176,16 +153,8 @@ runCkptReplay(int argc, char **argv)
     if (workload_names.empty())
         selected = all;
     else
-        for (const std::string &name : workload_names) {
-            auto it = std::find_if(all.begin(), all.end(),
-                                   [&](const WorkloadId &id) {
-                                       return id.name() == name;
-                                   });
-            if (it == all.end())
-                BDS_FATAL("unknown workload '" << name
-                          << "' (names are H-Sort, S-Grep, ...)");
-            selected.push_back(*it);
-        }
+        for (const std::string &name : workload_names)
+            selected.push_back(all[workloadIndex(name)]);
 
     std::cerr << "[ckpt] 3 passes x " << selected.size()
               << " workloads, scale '" << cfg.scaleName
@@ -280,12 +249,6 @@ main(int argc, char **argv)
 {
     try {
         return runCkptReplay(argc, argv);
-    } catch (const Error &e) {
-        std::cerr << "ckpt_replay: " << e.what() << "\n";
-        return 1;
-    } catch (const FatalError &e) {
-        std::cerr << "ckpt_replay: " << e.what() << "\n";
-        return 1;
     } catch (const std::exception &e) {
         std::cerr << "ckpt_replay: " << e.what() << "\n";
         return 1;

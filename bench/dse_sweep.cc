@@ -87,25 +87,6 @@ struct PresetResult
     std::vector<std::string> flips; ///< finding ids flipped vs default
 };
 
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
 std::string
 q(const std::string &s)
 {
@@ -154,9 +135,11 @@ runDse(int argc, char **argv)
             return v;
         };
         if (*it == "--dse-presets")
-            preset_names = splitList(value("--dse-presets"));
+            preset_names = splitList("--dse-presets",
+                                     value("--dse-presets"));
         else if (*it == "--dse-workloads")
-            workload_names = splitList(value("--dse-workloads"));
+            workload_names = splitList("--dse-workloads",
+                                       value("--dse-workloads"));
         else if (*it == "--dse-out")
             out_path = value("--dse-out");
         else if (*it == "--dse-full") {
@@ -197,16 +180,8 @@ runDse(int argc, char **argv)
     if (workload_names.empty())
         selected = all;
     else
-        for (const std::string &name : workload_names) {
-            auto it = std::find_if(all.begin(), all.end(),
-                                   [&](const WorkloadId &id) {
-                                       return id.name() == name;
-                                   });
-            if (it == all.end())
-                BDS_FATAL("unknown workload '" << name
-                          << "' (names are H-Sort, S-Grep, ...)");
-            selected.push_back(*it);
-        }
+        for (const std::string &name : workload_names)
+            selected.push_back(all[workloadIndex(name)]);
     const bool full_suite = selected.size() == all.size();
 
     std::cerr << "[dse] " << presets.size() << " presets x "
@@ -532,15 +507,9 @@ main(int argc, char **argv)
 {
     try {
         return runDse(argc, argv);
-    } catch (const Error &e) {
+    } catch (const std::exception &e) {
         // A settled fail-fast failure or a typed config error: exit
         // nonzero with the cause, like every sweep layer.
-        std::cerr << "dse_sweep: " << e.what() << "\n";
-        return 1;
-    } catch (const FatalError &e) {
-        std::cerr << "dse_sweep: " << e.what() << "\n";
-        return 1;
-    } catch (const std::exception &e) {
         std::cerr << "dse_sweep: " << e.what() << "\n";
         return 1;
     }

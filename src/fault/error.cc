@@ -1,5 +1,7 @@
 #include "fault/error.h"
 
+#include <algorithm>
+
 namespace bds {
 
 const char *
@@ -33,6 +35,25 @@ errorCodeFromName(const std::string &name, ErrorCode *out)
         }
     }
     return false;
+}
+
+std::vector<std::string>
+splitList(const std::string &what, const std::string &csv)
+{
+    if (csv.empty())
+        BDS_RAISE(ErrorCode::InvalidConfig,
+                  what << " must name at least one entry");
+    std::vector<std::string> out;
+    for (std::size_t pos = 0;;) {
+        const std::size_t comma = std::min(csv.find(',', pos), csv.size());
+        if (comma == pos)
+            BDS_RAISE(ErrorCode::InvalidConfig,
+                      what << " has an empty name in '" << csv << "'");
+        out.emplace_back(csv, pos, comma - pos);
+        if (comma == csv.size())
+            return out;
+        pos = comma + 1;
+    }
 }
 
 namespace detail {

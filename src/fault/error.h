@@ -19,6 +19,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
 
@@ -63,6 +64,15 @@ class Error : public FatalError
   private:
     ErrorCode code_;
 };
+
+/**
+ * Split a comma-separated name list (a flag, an env var, a request
+ * field). Every comma separates two names, so an empty list or a
+ * leading, doubled or trailing comma raises InvalidConfig, naming
+ * the list as `what`.
+ */
+std::vector<std::string> splitList(const std::string &what,
+                                   const std::string &csv);
 
 namespace detail {
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "fault/error.h"
 
 namespace bds {
 
@@ -37,24 +38,6 @@ checkScaleName(const std::string &what, const std::string &name)
     if (name != "quick" && name != "standard" && name != "full")
         BDS_FATAL(what << " must be quick, standard or full, got '"
                        << name << "'");
-}
-
-/** Split a comma-separated list, rejecting empty elements. */
-std::vector<std::string>
-splitNames(const std::string &what, const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            BDS_FATAL(what << " has an empty metric name in '" << csv
-                           << "'");
-        out.push_back(item);
-    }
-    if (out.empty())
-        BDS_FATAL(what << " must name at least one metric");
-    return out;
 }
 
 /** A 0/1 switch (BDS_SAMPLE, BDS_TRACE). */
@@ -117,7 +100,7 @@ RunConfig::applyEnv()
         machineSpec = v;
     }
     if (const char *v = std::getenv("BDS_METRICS"))
-        metricNames = splitNames("BDS_METRICS", v);
+        metricNames = splitList("BDS_METRICS", v);
 
     if (const char *v = std::getenv("BDS_SAMPLE"))
         sampling.enabled = parseSwitch("BDS_SAMPLE", v);
@@ -262,8 +245,8 @@ RunConfig::applyArgs(const std::vector<std::string> &args)
                 BDS_FATAL("--machine must be a machine spec "
                           "(preset name and/or key=value overrides)");
         } else if (flag == "--metrics") {
-            metricNames = splitNames(
-                "--metrics", take(flag, inlineVal, hasInline));
+            metricNames = splitList("--metrics",
+                                    take(flag, inlineVal, hasInline));
         } else if (flag == "--sampled" || flag == "--sample") {
             sampling.enabled = true;
         } else if (flag == "--trace") {

@@ -49,12 +49,7 @@ SampledCharacterizer::run(const WorkloadId &id) const
         for (unsigned node = 1; node < nodes; ++node) {
             SampledWorkloadResult per = runOnNode(id, node);
             total.counters += per.counters;
-            total.stats.totalOps += per.stats.totalOps;
-            total.stats.detailOps += per.stats.detailOps;
-            total.stats.warmOps += per.stats.warmOps;
-            total.stats.skippedOps += per.stats.skippedOps;
-            total.stats.ckptRestores += per.stats.ckptRestores;
-            total.stats.ckptWrites += per.stats.ckptWrites;
+            total.stats += per.stats;
             total.numIntervals += per.numIntervals;
             total.k += per.k;
             total.numReps += per.numReps;

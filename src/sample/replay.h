@@ -56,6 +56,18 @@ struct SampledReplayStats
     std::uint64_t skippedOps = 0; ///< fast-forwarded entirely
     std::uint64_t ckptRestores = 0; ///< representatives restored
     std::uint64_t ckptWrites = 0;   ///< checkpoints written
+
+    /** Field-wise sum (nodes of one workload, workloads of a pass). */
+    SampledReplayStats &operator+=(const SampledReplayStats &o)
+    {
+        totalOps += o.totalOps;
+        detailOps += o.detailOps;
+        warmOps += o.warmOps;
+        skippedOps += o.skippedOps;
+        ckptRestores += o.ckptRestores;
+        ckptWrites += o.ckptWrites;
+        return *this;
+    }
 };
 
 /** Replays a stream, detailing only the representative intervals. */

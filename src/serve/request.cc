@@ -16,28 +16,6 @@ namespace bds {
 
 namespace {
 
-/** Split a comma-separated list; empty elements are InvalidConfig. */
-std::vector<std::string>
-splitList(const std::string &what, const std::string &csv)
-{
-    if (csv.empty())
-        BDS_RAISE(ErrorCode::InvalidConfig,
-                  what << " must name at least one entry");
-    std::vector<std::string> out;
-    // Every comma separates two names: a leading, doubled or trailing
-    // one leaves an empty name.
-    for (std::size_t pos = 0;;) {
-        const std::size_t comma = std::min(csv.find(',', pos), csv.size());
-        if (comma == pos)
-            BDS_RAISE(ErrorCode::InvalidConfig,
-                      what << " has an empty name in '" << csv << "'");
-        out.emplace_back(csv, pos, comma - pos);
-        if (comma == csv.size())
-            return out;
-        pos = comma + 1;
-    }
-}
-
 /** Strict 0/1 switch for request fields. */
 bool
 parseFlag(const std::string &what, const std::string &value)
@@ -67,25 +45,13 @@ parseRequestUint(const std::string &what, const std::string &value)
     return v;
 }
 
-/** Workload-name list to mask; unknown names are InvalidConfig. */
+/** Workload-name list to mask; unknown names are UnknownName. */
 std::uint32_t
 workloadMaskFromNames(const std::vector<std::string> &names)
 {
-    const std::vector<WorkloadId> all = allWorkloads();
     std::uint32_t mask = 0;
-    for (const std::string &name : names) {
-        bool found = false;
-        for (std::size_t i = 0; i < all.size(); ++i)
-            if (all[i].name() == name) {
-                mask |= 1u << i;
-                found = true;
-                break;
-            }
-        if (!found)
-            BDS_RAISE(ErrorCode::UnknownName,
-                      "request names unknown workload '" << name
-                          << "'");
-    }
+    for (const std::string &name : names)
+        mask |= 1u << workloadIndex(name);
     return mask;
 }
 

@@ -212,15 +212,10 @@ resolveMachineSpec(const std::string &spec)
         return cfg;
     }
 
-    std::vector<std::string> tokens;
-    std::istringstream ss(spec);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        tokens.push_back(tok);
-
+    const std::vector<std::string> tokens =
+        splitList("machine spec", spec);
     std::size_t first = 0;
-    if (!tokens.empty()
-        && tokens[0].find('=') == std::string::npos) {
+    if (tokens[0].find('=') == std::string::npos) {
         cfg = machineByName(tokens[0]); // UnknownName on a typo
         first = 1;
     }
@@ -228,7 +223,7 @@ resolveMachineSpec(const std::string &spec)
     for (std::size_t i = first; i < tokens.size(); ++i) {
         const std::string &t = tokens[i];
         const std::size_t eq = t.find('=');
-        if (t.empty() || eq == std::string::npos || eq == 0)
+        if (eq == std::string::npos || eq == 0)
             BDS_RAISE(ErrorCode::InvalidConfig,
                       "machine spec '" << spec
                                        << "': expected key=value, got '"

@@ -71,6 +71,18 @@ allWorkloads()
     return out;
 }
 
+std::size_t
+workloadIndex(const std::string &name)
+{
+    const std::vector<WorkloadId> all = allWorkloads();
+    for (std::size_t i = 0; i < all.size(); ++i)
+        if (all[i].name() == name)
+            return i;
+    BDS_RAISE(ErrorCode::UnknownName,
+              "unknown workload '" << name
+                                   << "' (names are H-Sort, S-Grep, ...)");
+}
+
 double
 relativeInputSize(Algorithm a)
 {

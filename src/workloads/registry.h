@@ -78,6 +78,12 @@ struct WorkloadId
 /** All 32 workloads: the 16 Hadoop ones, then the 16 Spark ones. */
 std::vector<WorkloadId> allWorkloads();
 
+/**
+ * Position of the workload named `name` ("H-Sort", "S-Grep", ...) in
+ * allWorkloads(); an unknown name raises UnknownName.
+ */
+std::size_t workloadIndex(const std::string &name);
+
 /** Relative input size of an algorithm (Table I problem sizes). */
 double relativeInputSize(Algorithm a);
 

@@ -184,6 +184,9 @@ TEST_F(ObsRunConfigTest, MalformedEnvironmentValuesAreFatal)
 
     ::setenv("BDS_METRICS", "IPC,,L3_MPKI", 1);
     EXPECT_THROW(RunConfig::resolve("t"), FatalError);
+
+    ::setenv("BDS_METRICS", "IPC,", 1);
+    EXPECT_THROW(RunConfig::resolve("t"), FatalError);
 }
 
 TEST_F(ObsRunConfigTest, StrictUintParsing)

@@ -122,6 +122,7 @@ TEST(Machine, SpecTyposAreTypedErrors)
         "history=0",        // degenerate gshare
         "history=40",       // oversized gshare
         "l2=512k,,cores=2", // empty element
+        "l3-4m,",           // trailing comma
     };
     for (const char *spec : bad) {
         try {
