@@ -617,27 +617,73 @@ sampledVsFull(Session &session)
     return pass ? 0 : 1;
 }
 
+/** The RunConfig knobs a study's output depends on (Study::reads). */
+enum : unsigned
+{
+    kReadsScale = 1u << 0,
+    kReadsSeed = 1u << 1,
+    kReadsMachine = 1u << 2,
+    kReadsSampled = 1u << 3,
+    kReadsMetrics = 1u << 4,
+    kReadsCell = kReadsScale | kReadsSeed | kReadsMachine
+        | kReadsSampled | kReadsMetrics,
+};
+
 /** One study: an experiment of its own, run alone (not by `all`). */
 struct Study
 {
     const char *name;
     const char *title;
     int (*run)(Session &);
+    unsigned reads;          ///< kReads* bits
+    const char *pinnedScale; ///< the scale it always runs at, or null
 };
 
 const Study kStudies[] = {
     {"ablation-pipeline",
      "linkage, PC retention, K selection, representative strategy",
-     ablationPipeline},
+     ablationPipeline, kReadsCell, nullptr},
     {"ablation-engines",
      "code footprint transplanted across engines (WordCount)",
-     ablationEngines},
-    {"cpi-stack", "per-workload CPI stacks at quick scale", cpiStack},
+     ablationEngines, kReadsMachine, nullptr},
+    {"cpi-stack", "per-workload CPI stacks at quick scale", cpiStack,
+     kReadsSeed | kReadsMachine, "quick"},
     {"sampled-vs-full",
      "sampled vs full sweep: ops, error, findings; writes "
      "BENCH_sampled.json",
-     sampledVsFull},
+     sampledVsFull, kReadsCell, nullptr},
 };
+
+/**
+ * Reject every knob set away from its RunConfig default that `st`
+ * does not read, so a study never prints another experiment's bytes
+ * under the knobs the user asked for. Its pinned scale is accepted.
+ */
+void
+rejectIgnoredKnobs(const Study &st, const RunConfig &cfg)
+{
+    const RunConfig def;
+    std::string ignored;
+    auto check = [&](unsigned knob, bool set, const char *flag) {
+        if (set && !(st.reads & knob))
+            ignored += (ignored.empty() ? "" : ", ") + std::string(flag);
+    };
+    check(kReadsScale,
+          cfg.scaleName != def.scaleName
+              && !(st.pinnedScale && cfg.scaleName == st.pinnedScale),
+          "--scale");
+    check(kReadsSeed, cfg.seed != def.seed, "--seed");
+    check(kReadsMachine, cfg.machineSpec != def.machineSpec,
+          "--machine");
+    check(kReadsSampled, cfg.sampling.enabled != def.sampling.enabled,
+          "--sampled");
+    check(kReadsMetrics, cfg.metricNames != def.metricNames,
+          "--metrics");
+    if (!ignored.empty())
+        BDS_RAISE(ErrorCode::InvalidConfig,
+                  "repro " << st.name << " ignores " << ignored
+                           << "; unset it (flag or BDS_* variable)");
+}
 
 void
 usage()
@@ -678,6 +724,7 @@ run(int argc, char **argv)
     const std::string sub = rest[0];
     for (const Study &st : kStudies)
         if (sub == st.name) {
+            rejectIgnoredKnobs(st, cfg);
             Session session(cfg);
             return st.run(session);
         }

@@ -66,7 +66,8 @@
  *                                           excess requests shed
  *                                           with `err overloaded`
  *   BDS_SERVE_BYPASS   = 0 | 1              skip the result store
- *   BDS_SERVE_LOG      = <path>             binary request log
+ *   BDS_SERVE_LOG      = <path>             request log: one protocol
+ *                                           line per request
  *   BDS_STORE_MAX_BYTES = <bytes>           result-store byte budget
  *                                           (0 = unbounded)
  *   BDS_CKPT           = 0 | 1              interval checkpoint/

@@ -6,13 +6,12 @@
  *
  *   bds_serve                      line protocol on stdin/stdout
  *   bds_serve --serve-socket P     line protocol on Unix socket P
- *   bds_serve --replay LOG         serve a binary request log, exit
+ *   bds_serve < LOG                replay a request log, then exit
  *
  * Extra flags on top of the common RunConfig set
  * (src/obs/runconfig.h; the BDS_SERVE_* environment configures the
  * same serve knobs, flags win):
  *
- *   --replay LOG        replay a binary request log, then exit
  *   --payload-dir DIR   mirror every response payload to DIR/<i>.csv
  *   --stats-json FILE   write the final counter snapshot as JSON
  *
@@ -45,16 +44,15 @@ printUsage(std::ostream &os)
           "modes:\n"
           "  (default)                 line protocol on stdin/stdout\n"
           "  --serve-socket PATH       line protocol on a Unix socket\n"
-          "  --replay LOG              replay a binary request log, "
-          "exit\n\n"
+          "  < LOG                     replay a request log, exit\n\n"
           "serve options (flags win over BDS_SERVE_*):\n"
           "  --serve-cache DIR         result-store directory\n"
           "  --serve-max-inflight N    concurrent sweep bound (0 = "
           "cores)\n"
           "  --serve-bypass            compute every request, skip "
           "the store\n"
-          "  --serve-log FILE          append requests to a binary "
-          "log\n"
+          "  --serve-log FILE          log each request as its protocol "
+          "line\n"
           "  --payload-dir DIR         mirror payloads to DIR/<i>.csv\n"
           "  --stats-json FILE         final counters as JSON\n"
           "  --ckpt / --ckpt-dir DIR   interval checkpoint cache for\n"
@@ -119,7 +117,7 @@ main(int argc, char **argv)
         std::vector<std::string> leftovers = cfg.applyArgs(args);
         cfg.serve.enabled = true;
 
-        std::string replay_log, payload_dir, stats_json;
+        std::string payload_dir, stats_json;
         for (auto it = leftovers.begin(); it != leftovers.end();) {
             auto take = [&](std::string *out) {
                 if (it + 1 == leftovers.end())
@@ -128,9 +126,7 @@ main(int argc, char **argv)
                 *out = *it;
                 it = leftovers.erase(it);
             };
-            if (*it == "--replay")
-                take(&replay_log);
-            else if (*it == "--payload-dir")
+            if (*it == "--payload-dir")
                 take(&payload_dir);
             else if (*it == "--stats-json")
                 take(&stats_json);
@@ -144,13 +140,7 @@ main(int argc, char **argv)
         if (!payload_dir.empty())
             server.setPayloadDir(payload_dir);
 
-        if (!replay_log.empty()) {
-            const bds::ReplaySummary sum = server.replayLog(replay_log);
-            std::cerr << "bds_serve: replayed " << sum.requests
-                      << " request(s) from " << replay_log << " in "
-                      << sum.seconds << " s (" << sum.hits
-                      << " hit(s), " << sum.errors << " error(s))\n";
-        } else if (!cfg.serve.socketPath.empty()) {
+        if (!cfg.serve.socketPath.empty()) {
             server.serveSocket(cfg.serve.socketPath);
         } else {
             server.serveStream(std::cin, std::cout);

@@ -90,9 +90,9 @@ struct ServeOptions
     bool bypassStore = false;
 
     /**
-     * Durable request log: every accepted request is appended as a
-     * fixed-size binary record (src/serve/request.h), replayable with
-     * `bds_serve --replay` and bench/serve_replay. Empty = no log.
+     * Request log: every request that parses is appended as its
+     * canonical protocol line (src/serve/request.h) and flushed, so
+     * `bds_serve < LOG` replays it. Empty = no log.
      */
     std::string logPath;
 };

@@ -1,10 +1,8 @@
 #include "serve/request.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string_view>
 
@@ -272,135 +270,6 @@ formatRequestLine(const RequestRecord &req)
             os << (i ? "," : "") << wireMetricName(names[i]);
     }
     return os.str();
-}
-
-void
-storeRequestLog(const std::string &path,
-                const std::vector<RequestRecord> &requests)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        BDS_RAISE(ErrorCode::Io,
-                  "cannot write request log '" << path << "'");
-    const std::uint32_t magic = kRequestLogMagic;
-    const std::uint32_t version = kRequestLogVersion;
-    const std::uint32_t count =
-        static_cast<std::uint32_t>(requests.size());
-    out.write(reinterpret_cast<const char *>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char *>(&version),
-              sizeof(version));
-    out.write(reinterpret_cast<const char *>(&count), sizeof(count));
-    for (const RequestRecord &req : requests)
-        out.write(reinterpret_cast<const char *>(&req), sizeof(req));
-    if (!out)
-        BDS_RAISE(ErrorCode::Io,
-                  "short write to request log '" << path << "'");
-}
-
-std::vector<RequestRecord>
-loadRequestLog(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        BDS_RAISE(ErrorCode::Io,
-                  "cannot open request log '" << path << "'");
-    std::uint32_t magic = 0, version = 0, count = 0;
-    in.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    in.read(reinterpret_cast<char *>(&version), sizeof(version));
-    in.read(reinterpret_cast<char *>(&count), sizeof(count));
-    if (!in)
-        BDS_RAISE(ErrorCode::Io,
-                  "request log '" << path << "' is truncated (header)");
-    if (magic != kRequestLogMagic)
-        BDS_RAISE(ErrorCode::Io,
-                  "'" << path << "' is not a bds request log "
-                      << "(bad magic)");
-    if (version != kRequestLogVersion && version != 1)
-        BDS_RAISE(ErrorCode::Io,
-                  "request log '" << path << "' has unsupported "
-                      << "version " << version << " (expected "
-                      << kRequestLogVersion << ")");
-    // v1 records are a strict 32-byte prefix of the v2 layout — the
-    // machine/reserved tail was appended, never reordered — so a v1
-    // log reads as v2 records with machine 0 (the default, which is
-    // exactly what every v1 request meant).
-    const std::streamsize rec_bytes = static_cast<std::streamsize>(
-        version == 1 ? kRequestRecordV1Bytes : sizeof(RequestRecord));
-    // The count is outside input: reserve no more records than the
-    // bytes after the header can hold, and let the read loop below
-    // reject an overstated count.
-    const std::streamoff header_end = in.tellg();
-    in.seekg(0, std::ios::end);
-    const std::streamoff left = in.tellg() - header_end;
-    in.seekg(header_end);
-    std::vector<RequestRecord> out;
-    out.reserve(std::min<std::uint64_t>(
-        count, static_cast<std::uint64_t>(left) / rec_bytes));
-    for (std::uint32_t i = 0; i < count; ++i) {
-        RequestRecord req;
-        in.read(reinterpret_cast<char *>(&req), rec_bytes);
-        if (!in || in.gcount() != rec_bytes)
-            BDS_RAISE(ErrorCode::Io,
-                      "request log '" << path << "' declares " << count
-                          << " records but ends after " << i);
-        out.push_back(req);
-    }
-    char extra;
-    if (in.read(&extra, 1))
-        BDS_RAISE(ErrorCode::Io,
-                  "request log '" << path << "' has trailing bytes "
-                      << "beyond its declared " << count << " records");
-    return out;
-}
-
-struct RequestLogWriter::Impl
-{
-    std::fstream out;
-    std::string path;
-};
-
-RequestLogWriter::RequestLogWriter(const std::string &path)
-    : impl_(new Impl)
-{
-    impl_->path = path;
-    impl_->out.open(path, std::ios::binary | std::ios::out
-                              | std::ios::trunc);
-    if (!impl_->out) {
-        delete impl_;
-        BDS_RAISE(ErrorCode::Io,
-                  "cannot write request log '" << path << "'");
-    }
-    const std::uint32_t magic = kRequestLogMagic;
-    const std::uint32_t version = kRequestLogVersion;
-    const std::uint32_t count = 0;
-    impl_->out.write(reinterpret_cast<const char *>(&magic),
-                     sizeof(magic));
-    impl_->out.write(reinterpret_cast<const char *>(&version),
-                     sizeof(version));
-    impl_->out.write(reinterpret_cast<const char *>(&count),
-                     sizeof(count));
-    impl_->out.flush();
-}
-
-RequestLogWriter::~RequestLogWriter()
-{
-    delete impl_;
-}
-
-void
-RequestLogWriter::append(const RequestRecord &req)
-{
-    std::fstream &out = impl_->out;
-    out.seekp(0, std::ios::end);
-    out.write(reinterpret_cast<const char *>(&req), sizeof(req));
-    ++count_;
-    // Patch the header count so a crash leaves a loadable prefix.
-    out.seekp(2 * sizeof(std::uint32_t), std::ios::beg);
-    out.write(reinterpret_cast<const char *>(&count_), sizeof(count_));
-    out.flush();
-    if (!out)
-        BDS_RAISE(ErrorCode::Io, "short write to request log '"
-                                     << impl_->path << "'");
 }
 
 } // namespace bds

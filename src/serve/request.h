@@ -1,8 +1,7 @@
 /**
  * @file
- * The serving request formats: the text line protocol clients speak
- * and the fixed-size binary record streams that make request logs
- * durable and replayable.
+ * The serving request format: the text line protocol clients speak,
+ * which is also the format of the daemon's request log.
  *
  * A characterization request names a cell of the sweep space —
  * workload set x scale x seed x metric set x sim/sample config — in
@@ -16,30 +15,20 @@
  * Metric names spell their spaces as '_' on the wire ("SSE FP"
  * travels as "SSE_FP") because tokens split on whitespace. The
  * machine key accepts registry preset names only — the record stores
- * a preset index, keeping it fixed-size; free-form key=value
- * override specs are a library/CLI feature (--machine), not a wire
- * one.
+ * a preset index; free-form key=value override specs are a
+ * library/CLI feature (--machine), not a wire one.
  *
  * parseRequestLine() resolves it strictly (unknown keys, unknown
  * workload or metric names, malformed integers are typed
  * InvalidConfig errors) into a RequestRecord; formatRequestLine()
- * renders the canonical text back, so text and binary forms
- * round-trip.
- *
- * The binary form follows the load_workload/store_workload idiom of
- * the index-benchmark literature: a small header (magic, version,
- * record count) followed by packed fixed-size records, so a million-
- * request log is one sequential read. Loading applies the same
- * hardening as the trace loader: bad magic, wrong version, truncated
- * records or an overstated count are typed Io errors, never silent
- * short reads.
+ * renders the canonical text back, and that canonical line is what
+ * the request log (BDS_SERVE_LOG) holds, one per accepted request.
  */
 
 #ifndef BDS_SERVE_REQUEST_H
 #define BDS_SERVE_REQUEST_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -60,11 +49,7 @@ enum : std::uint32_t
     kServeFlagBypass = 1u << 1,  ///< skip the result store
 };
 
-/**
- * One durable request: a fixed-size, trivially copyable record.
- * Integers are stored in host byte order; the log header's magic
- * doubles as an endianness check.
- */
+/** One parsed request: the cell it names and its projection. */
 struct RequestRecord
 {
     std::uint32_t op = 0;    ///< ServeOp
@@ -87,16 +72,12 @@ struct RequestRecord
 
     /**
      * Machine geometry as an index into machinePresets() (0 is the
-     * Table III default, so a v1 record — which lacks the field —
-     * loads as the machine every v1 request implicitly meant).
+     * Table III default).
      */
     std::uint32_t machine = 0;
 
-    std::uint32_t reserved0 = 0; ///< padding, must be 0 on the wire
+    bool operator==(const RequestRecord &) const = default;
 };
-
-static_assert(sizeof(RequestRecord) == 40,
-              "RequestRecord is the on-disk log format");
 
 /** Scale name of a record's scale field; fatal on junk values. */
 std::string serveScaleName(std::uint32_t scale);
@@ -106,7 +87,7 @@ std::uint32_t serveScaleIndex(const std::string &name);
 
 /**
  * Preset name of a record's machine field; Error(InvalidConfig) on
- * indices beyond the registry (a log from a newer build).
+ * indices beyond the registry.
  */
 std::string serveMachineName(std::uint32_t machine);
 
@@ -135,60 +116,6 @@ RequestRecord parseRequestLine(const std::string &line);
 
 /** The canonical text form of a record (parses back identically). */
 std::string formatRequestLine(const RequestRecord &req);
-
-/** Magic of a binary request log ("BRQ1" little-endian). */
-constexpr std::uint32_t kRequestLogMagic = 0x31515242u;
-
-/**
- * Version of the binary log layout. v1 records are 32 bytes (no
- * machine field); the loader still accepts v1 logs, resolving every
- * record to the default machine, so pre-DSE logs stay replayable.
- */
-constexpr std::uint32_t kRequestLogVersion = 2;
-
-/** Byte size of one record in a v1 log (no machine/reserved tail). */
-constexpr std::size_t kRequestRecordV1Bytes = 32;
-
-/**
- * Write a whole request log: header (magic, version, count) plus
- * packed records. Raises Error(Io) when the file cannot be written.
- */
-void storeRequestLog(const std::string &path,
-                     const std::vector<RequestRecord> &requests);
-
-/**
- * Load a request log. Raises Error(Io) on unreadable files, bad
- * magic, unsupported versions, truncated records, or trailing bytes
- * beyond the declared count.
- */
-std::vector<RequestRecord> loadRequestLog(const std::string &path);
-
-/**
- * Append-friendly log writer for the daemon: writes the header up
- * front and patches the record count after every append, so a
- * crashed daemon leaves a loadable prefix instead of a torn file.
- */
-class RequestLogWriter
-{
-  public:
-    /** Create/truncate the log at `path`; Error(Io) on failure. */
-    explicit RequestLogWriter(const std::string &path);
-    ~RequestLogWriter();
-
-    RequestLogWriter(const RequestLogWriter &) = delete;
-    RequestLogWriter &operator=(const RequestLogWriter &) = delete;
-
-    /** Append one record and update the header count. */
-    void append(const RequestRecord &req);
-
-    /** Records appended so far. */
-    std::uint32_t count() const { return count_; }
-
-  private:
-    struct Impl;
-    Impl *impl_;
-    std::uint32_t count_ = 0;
-};
 
 } // namespace bds
 

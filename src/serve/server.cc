@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <fstream>
@@ -61,10 +60,16 @@ struct ClientRoster
 } // namespace
 
 ServeServer::ServeServer(RunConfig cfg, Session *session)
-    : engine_(cfg, session), requestLogPath_(cfg.serve.logPath)
+    : engine_(cfg, session)
 {
-    if (!requestLogPath_.empty())
-        log_ = std::make_unique<RequestLogWriter>(requestLogPath_);
+    const std::string &path = cfg.serve.logPath;
+    if (path.empty())
+        return;
+    log_ = std::make_unique<std::ofstream>(
+        path, std::ios::binary | std::ios::trunc);
+    if (!*log_)
+        BDS_RAISE(ErrorCode::Io,
+                  "cannot write request log '" << path << "'");
 }
 
 ServeServer::~ServeServer() = default;
@@ -79,18 +84,17 @@ ServeServer::setPayloadDir(const std::string &dir)
                                      << "': "
                                      << std::strerror(err));
     }
-    std::lock_guard<std::mutex> lock(mutex_);
     payloadDir_ = dir;
 }
 
 void
 ServeServer::mirrorPayload(const std::string &payload)
 {
+    if (payloadDir_.empty())
+        return;
     std::string path;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (payloadDir_.empty())
-            return;
         path = payloadDir_ + "/" + std::to_string(payloadIndex_++)
             + ".csv";
     }
@@ -153,10 +157,12 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
     ServeResponse resp;
     try {
         const RequestRecord req = parseRequestLine(line);
-        {
+        if (log_) {
+            const std::string entry = formatRequestLine(req) + '\n';
             std::lock_guard<std::mutex> lock(mutex_);
-            if (log_)
-                log_->append(req);
+            *log_ << entry << std::flush;
+            if (!*log_)
+                BDS_RAISE(ErrorCode::Io, "short write to the request log");
         }
         resp = engine_.handle(req);
         // Inside the try: a mirror failure (full disk, unwritable
@@ -185,7 +191,19 @@ ServeServer::serveStream(std::istream &in, std::ostream &out)
     std::uint64_t id = 0;
     while (std::getline(in, line)) {
         response.clear();
-        const bool open = handleLine(line, id++, response);
+        bool open = true;
+        if (in.eof()) {
+            // EOF before the newline: a torn write, such as the last
+            // line of a request log cut by a crash. Its prefix may
+            // still parse as another cell, so it is never served.
+            ServeResponse torn;
+            torn.code = ErrorCode::InvalidConfig;
+            torn.message = "request line '" + chomp(line)
+                + "' ends without a newline (torn write)";
+            appendResponse(response, id++, torn);
+        } else {
+            open = handleLine(line, id++, response);
+        }
         out << response << std::flush;
         if (!open)
             break;
@@ -320,29 +338,6 @@ ServeServer::serveSocket(const std::string &path)
     }
     ::close(fd);
     ::unlink(path.c_str());
-}
-
-ReplaySummary
-ServeServer::replayLog(const std::string &path)
-{
-    const std::vector<RequestRecord> requests = loadRequestLog(path);
-    ReplaySummary sum;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const RequestRecord &req : requests) {
-        const ServeResponse resp = engine_.handle(req);
-        ++sum.requests;
-        if (!resp.ok)
-            ++sum.errors;
-        else if (resp.hit)
-            ++sum.hits;
-        if (resp.ok)
-            mirrorPayload(resp.payload);
-        sum.latencies.push_back(resp.seconds);
-    }
-    sum.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    return sum;
 }
 
 } // namespace bds

@@ -2,17 +2,14 @@
  * @file
  * ServeServer: the transports of the characterization service.
  *
- * Three front-ends drive one ServeEngine:
+ * Two front-ends drive one ServeEngine:
  *
  *  - serveStream(): the text line protocol on an istream/ostream
- *    pair (the daemon's stdin/stdout mode, and what tests talk to a
- *    popen'd bds_serve through).
+ *    pair (the daemon's stdin/stdout mode, what tests talk to a
+ *    popen'd bds_serve through, and how a request log is replayed).
  *  - serveSocket(): the same protocol on a Unix-domain socket, one
  *    thread per accepted client, so concurrent clients exercise the
  *    store's single-flight path.
- *  - replayLog(): feed a binary request log (serve/request.h)
- *    straight into the engine and summarize — the CI smoke and the
- *    serve_replay bench both ride on this.
  *
  * Protocol, one request per line:
  *
@@ -28,8 +25,10 @@
  *
  * When the configuration names a request log
  * (BDS_SERVE_LOG/--serve-log), every characterize request that
- * arrives over a stream or socket is appended to it as a binary
- * record, making live traffic replayable.
+ * parses is appended to it as its canonical protocol line and
+ * flushed, so `bds_serve < LOG` replays live traffic. A crash leaves
+ * whole lines plus at most one torn last line; serveStream() answers
+ * a last line without its newline with an invalid_config err.
  */
 
 #ifndef BDS_SERVE_SERVER_H
@@ -40,23 +39,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "serve/engine.h"
 
 namespace bds {
-
-/** What replayLog() measured. */
-struct ReplaySummary
-{
-    std::uint64_t requests = 0; ///< records replayed
-    std::uint64_t hits = 0;     ///< served from the store
-    std::uint64_t errors = 0;   ///< error responses
-    double seconds = 0.0;       ///< wall clock for the whole replay
-
-    /** Per-request latencies, seconds, log order. */
-    std::vector<double> latencies;
-};
 
 /**
  * Append one response to `out` in the framed format above; `id` is
@@ -82,7 +68,9 @@ class ServeServer
 
     /**
      * Serve the line protocol until EOF or a `quit` line. Thread-safe
-     * against other transports of the same server.
+     * against other transports of the same server. A last line that
+     * EOF cuts before its newline is a torn write, answered with an
+     * invalid_config err instead of being served.
      */
     void serveStream(std::istream &in, std::ostream &out);
 
@@ -93,13 +81,11 @@ class ServeServer
      */
     void serveSocket(const std::string &path);
 
-    /** Replay a binary request log through the engine. */
-    ReplaySummary replayLog(const std::string &path);
-
     /**
      * Mirror every response payload into `dir` as
-     * <request-index>.csv (creating the directory). The CI smoke
-     * compares these files byte-for-byte against batch-mode output.
+     * <request-index>.csv (creating the directory). Call it before
+     * serving. The CI smoke compares these files byte-for-byte
+     * against batch-mode output.
      */
     void setPayloadDir(const std::string &dir);
 
@@ -119,11 +105,12 @@ class ServeServer
     void mirrorPayload(const std::string &payload);
 
     ServeEngine engine_;
-    std::string requestLogPath_;
 
-    std::mutex mutex_; ///< guards log_, payloadDir_, payloadIndex_
-    std::unique_ptr<RequestLogWriter> log_;
-    std::string payloadDir_;
+    /** The request log; null when none is configured. */
+    std::unique_ptr<std::ofstream> log_;
+    std::string payloadDir_; ///< set before serving, then read-only
+
+    std::mutex mutex_; ///< guards writes to *log_, and payloadIndex_
     std::uint64_t payloadIndex_ = 0;
 };
 

@@ -1,21 +1,10 @@
 #include "trace/recorder.h"
 
-#include <istream>
-#include <iterator>
-#include <ostream>
-
 #include "ckpt/state.h"
 #include "common/log.h"
 #include "fault/error.h"
 
 namespace bds {
-
-namespace {
-
-constexpr char kMagic[9] = "BDSTRACE";
-constexpr std::uint32_t kVersion = 1;
-
-} // namespace
 
 void
 TraceRecorder::consume(unsigned core, const MicroOp &op)
@@ -114,54 +103,6 @@ TraceRecorder::decode(std::string_view bytes, unsigned numCores,
         p += kEventBytes;
     }
     return rec;
-}
-
-void
-TraceRecorder::save(std::ostream &os) const
-{
-    os.write(kMagic, 8);
-    std::uint32_t version = kVersion;
-    os.write(reinterpret_cast<const char *>(&version), sizeof(version));
-    std::uint64_t count = entries_.size();
-    os.write(reinterpret_cast<const char *>(&count), sizeof(count));
-    const std::string events = encode();
-    os.write(events.data(), static_cast<std::streamsize>(events.size()));
-    if (!os)
-        BDS_FATAL("trace write failed");
-}
-
-TraceRecorder
-TraceRecorder::load(std::istream &is)
-{
-    char magic[8];
-    is.read(magic, 8);
-    if (!is || std::string(magic, 8) != std::string(kMagic, 8))
-        BDS_RAISE(ErrorCode::Io, "not a bds trace file");
-    std::uint32_t version = 0;
-    is.read(reinterpret_cast<char *>(&version), sizeof(version));
-    if (version != kVersion)
-        BDS_RAISE(ErrorCode::Io, "unsupported trace version " << version);
-    std::uint64_t count = 0;
-    is.read(reinterpret_cast<char *>(&count), sizeof(count));
-    if (!is)
-        BDS_RAISE(ErrorCode::Io, "truncated trace header");
-
-    // The body is whatever the stream holds, so its size — never the
-    // header's count — bounds every allocation; the count must then
-    // match it exactly (truncation and trailing garbage both fail).
-    const std::string body{std::istreambuf_iterator<char>(is),
-                           std::istreambuf_iterator<char>()};
-    if (count > body.size() / kEventBytes)
-        BDS_RAISE(ErrorCode::Io,
-                  "truncated trace: header promises "
-                      << count << " entries but only " << body.size()
-                      << " payload bytes remain");
-    if (body.size() != count * kEventBytes)
-        BDS_RAISE(ErrorCode::Io,
-                  "oversized trace: " << body.size() - count * kEventBytes
-                                      << " trailing bytes after "
-                                      << count << " entries");
-    return decode(body, 256, "trace");
 }
 
 } // namespace bds

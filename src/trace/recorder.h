@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,8 +64,8 @@ class TraceRecorder : public OpSink
     /**
      * The recorded events, kEventBytes each, little-endian: ip and
      * addr as u64, then the core, op-class, mode and flag bytes.
-     * save() writes these bytes after its header; checkpoint entries
-     * carry a representative's detail slice in them.
+     * Checkpoint entries carry a representative's detail slice in
+     * them.
      */
     std::string encode() const;
 
@@ -82,20 +81,6 @@ class TraceRecorder : public OpSink
 
     /** Bytes one event occupies in encode()'s layout. */
     static constexpr std::size_t kEventBytes = 20;
-
-    /**
-     * Serialize to a binary stream: a magic, a version and the event
-     * count, then encode()'s bytes. A private interchange format for
-     * this library, not an archive format.
-     */
-    void save(std::ostream &os) const;
-
-    /**
-     * Deserialize a trace written by save(). Any corruption is an
-     * Error(Io): a foreign header, a count that disagrees with the
-     * bytes that follow, or an event decode() rejects.
-     */
-    static TraceRecorder load(std::istream &is);
 
   private:
     /** One packed trace entry. */

@@ -2,7 +2,7 @@
  * @file
  * The bench funnel (bench/bench_common.h): every batch tool gets its
  * matrix from the result store bds_serve answers from, through the
- * one cell compute both front ends share (serve/cell.h).
+ * one cell compute both front ends share (serve/engine.h).
  *
  *  - A sampled config that differs from a stored one only in its
  *    sampling knobs is a miss, never a stale hit.
@@ -14,6 +14,7 @@
  *    the funnel reads, and equals a direct compute of that config.
  *  - A quarantined dse_sweep drops the failed workload from every
  *    preset and records it in the run manifest, like every driver.
+ *  - A `repro` study refuses a knob its output does not depend on.
  */
 
 #include <cstdio>
@@ -21,7 +22,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -236,6 +240,47 @@ TEST(BenchFunnel, DseQuarantineDropsTheRowAndRecordsIt)
     ASSERT_EQ(m.failures.size(), 1u);
     EXPECT_EQ(m.failures.front().name, "H-Grep");
     EXPECT_EQ(m.failures.front().code, ErrorCode::InjectedFault);
+}
+
+/** Run `cmd` under sh, stderr folded in: {exit status, output}. */
+std::pair<int, std::string>
+runFolded(const std::string &cmd)
+{
+    FILE *pipe = ::popen((cmd + " 2>&1").c_str(), "r");
+    if (!pipe)
+        return {-1, ""};
+    std::string out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out.append(buf, n);
+    const int status = ::pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(ReproStudies, KnobsAStudyIgnoresAreInvalidConfig)
+{
+    // cpi-stack always runs the full-detail quick sweep, and
+    // ablation-engines a fixed WordCount corpus: each rejects, before
+    // simulating anything, every knob that would not change its bytes.
+    const std::pair<const char *, const char *> cases[] = {
+        {"cpi-stack --sampled", "--sampled"},
+        {"cpi-stack --scale full", "--scale"},
+        {"cpi-stack --metrics LOAD", "--metrics"},
+        {"ablation-engines --scale full --seed 7", "--scale, --seed"},
+    };
+    for (const auto &[args, named] : cases) {
+        const auto [rc, out] = runFolded(
+            std::string("env -u BDS_SCALE -u BDS_SEED -u BDS_MACHINE "
+                        "-u BDS_SAMPLE -u BDS_METRICS BDS_MANIFEST=0 ")
+            + BDS_REPRO_BIN + " " + args);
+        EXPECT_EQ(rc, 1) << args << ": " << out;
+        EXPECT_NE(out.find("invalid_config"), std::string::npos)
+            << args << ": " << out;
+        EXPECT_NE(out.find(std::string("ignores ") + named),
+                  std::string::npos)
+            << args << ": " << out;
+    }
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "serve/request.h"
 
 namespace bds {
 namespace {
@@ -58,11 +59,9 @@ capture(const std::string &cmd)
  * stderr are dropped so stdout is pure protocol.
  */
 std::string
-serveCmd(const std::string &requests, const std::string &extraEnv,
-         const std::string &extraArgs)
+daemonCmd(const std::string &extraEnv, const std::string &extraArgs)
 {
-    return "printf '" + requests
-        + "' | env -u BDS_TRACE_FILE -u BDS_METRICS -u BDS_SAMPLE "
+    return "env -u BDS_TRACE_FILE -u BDS_METRICS -u BDS_SAMPLE "
           "-u BDS_FAULT_THROW -u BDS_FAULT_STALL -u BDS_FAULT_CORRUPT "
           "-u BDS_FAULT_ALLOC -u BDS_FAIL_POLICY "
           "-u BDS_SERVE_SOCKET -u BDS_SERVE_CACHE "
@@ -72,6 +71,14 @@ serveCmd(const std::string &requests, const std::string &extraEnv,
           "BDS_TRACE=0 BDS_MANIFEST=0 "
         + extraEnv + " " + BDS_SERVE_BIN + " " + extraArgs
         + " 2>/dev/null";
+}
+
+/** daemonCmd() with `requests` (printf escapes) piped to stdin. */
+std::string
+serveCmd(const std::string &requests, const std::string &extraEnv,
+         const std::string &extraArgs)
+{
+    return "printf '" + requests + "' | " + daemonCmd(extraEnv, extraArgs);
 }
 
 /** One framed response: the header line plus its counted payload. */
@@ -120,6 +127,15 @@ parseFrames(const std::string &out)
         frames.push_back(f);
     }
     return frames;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 /** Remove a known cache entry and the directory. */
@@ -338,14 +354,12 @@ TEST(ServeCli, StatsVerbAndStatsJsonCarryEveryCounter)
     }
     EXPECT_EQ(line.size(), kNumCounters) << stats;
 
-    std::ifstream in(json);
-    std::stringstream text;
-    text << in.rdbuf();
-    const JsonValue doc = parseJson(text.str());
+    const std::string text = slurp(json);
+    const JsonValue doc = parseJson(text);
     std::size_t leaves = 0;
     for (const auto &[name, v] : doc.asObject())
         leaves += v.isObject() ? v.asObject().size() : 1;
-    EXPECT_EQ(leaves, kNumCounters) << text.str();
+    EXPECT_EQ(leaves, kNumCounters) << text;
 
     for (const CounterDef &c : kCounters) {
         const auto [group, key] = counters::jsonField(c);
@@ -361,6 +375,74 @@ TEST(ServeCli, StatsVerbAndStatsJsonCarryEveryCounter)
 
     std::system(
         ("rm -rf '" + cache + "' '" + ckpt + "' '" + json + "'").c_str());
+}
+
+TEST(ServeCli, TheRequestLogIsProtocolLinesThatReplayFromStdin)
+{
+    const std::string cache =
+        ::testing::TempDir() + "bds_serve_cli_log_cache";
+    const std::string log = ::testing::TempDir() + "bds_serve_cli.log";
+    const std::string torn = log + ".torn";
+    std::system(("rm -rf '" + cache + "'").c_str());
+
+    // Daemon A logs each characterize request it parses as its
+    // canonical line: a full-width cell (keys out of order), a
+    // projection of it, and a machine preset. ping and stats are not
+    // requests and stay out of the log.
+    const std::string sent[] = {
+        "characterize seed=42 scale=quick",
+        "characterize scale=quick seed=42 metrics=ILP,LOAD "
+        "workloads=S-Grep,H-Sort",
+        "characterize scale=quick seed=42 machine=l3-4m",
+    };
+    const std::string a = capture(serveCmd(
+        "ping\\n" + sent[0] + "\\n" + sent[1] + "\\nstats\\n" + sent[2]
+            + "\\nquit\\n",
+        "", "--serve-cache " + cache + " --serve-log " + log));
+    const std::vector<Frame> af = parseFrames(a);
+    ASSERT_EQ(af.size(), 6u) << a;
+    const Frame *served[] = {&af[1], &af[2], &af[4]};
+    for (const Frame *f : served)
+        EXPECT_EQ(f->header.rfind("ok ", 0), 0u) << f->header;
+    std::string expected;
+    for (const std::string &line : sent)
+        expected += formatRequestLine(parseRequestLine(line)) + '\n';
+    EXPECT_EQ(expected.rfind("characterize scale=quick seed=42\n", 0),
+              0u);
+    EXPECT_EQ(slurp(log), expected);
+
+    // Daemon B on the same store replays the log from stdin: every
+    // line is a hit with A's bytes.
+    const std::string b = capture(
+        daemonCmd("", "--serve-cache " + cache + " < " + log));
+    const std::vector<Frame> bf = parseFrames(b);
+    ASSERT_EQ(bf.size(), 3u) << b;
+    for (std::size_t i = 0; i < bf.size(); ++i) {
+        EXPECT_EQ(field(bf[i].header, "hit"), "1") << bf[i].header;
+        EXPECT_EQ(bf[i].payload, served[i]->payload) << i;
+        ASSERT_FALSE(bf[i].payload.empty());
+    }
+
+    // A crash mid-append leaves a torn last line. Cut before
+    // " machine=", its prefix would parse as the full-width cell;
+    // it is an err instead, and the daemon still exits 0.
+    const std::string whole = slurp(log);
+    {
+        std::ofstream out(torn, std::ios::binary | std::ios::trunc);
+        out << whole.substr(0, whole.rfind(" machine="));
+    }
+    const std::string c = capture(
+        daemonCmd("", "--serve-cache " + cache + " < " + torn));
+    const std::vector<Frame> cf = parseFrames(c);
+    ASSERT_EQ(cf.size(), 3u) << c;
+    EXPECT_EQ(cf[0].payload, af[1].payload);
+    EXPECT_EQ(cf[1].payload, af[2].payload);
+    EXPECT_EQ(cf[2].header.rfind("err id=2 ", 0), 0u) << cf[2].header;
+    EXPECT_EQ(field(cf[2].header, "code"), "invalid_config")
+        << cf[2].header;
+
+    std::system(("rm -rf '" + cache + "' '" + log + "' '" + torn + "'")
+                    .c_str());
 }
 
 /** Connect to a Unix socket with a read timeout; -1 on failure. */

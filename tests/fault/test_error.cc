@@ -1,5 +1,8 @@
 /** Tests for the typed error taxonomy (src/fault/error.h). */
 
+#include <exception>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/log.h"
@@ -40,6 +43,41 @@ TEST(ErrorTaxonomy, CodeNamesRoundTrip)
         EXPECT_TRUE(errorCodeFromName(errorCodeName(code), &parsed))
             << errorCodeName(code);
         EXPECT_EQ(parsed, code);
+    }
+}
+
+/** The "(file:line)" location that ends an error's what(). */
+std::string
+location(const std::exception &e)
+{
+    const std::string what = e.what();
+    const std::size_t open = what.rfind(" (");
+    return open == std::string::npos ? what : what.substr(open + 2);
+}
+
+TEST(ErrorTaxonomy, LocationsAreRelativeToTheSourceRoot)
+{
+    // Raised inside the library: the location names the file from the
+    // source root, never the absolute path of the build's checkout.
+    try {
+        splitList("names", "a,,b");
+        FAIL() << "splitList accepted an empty name";
+    } catch (const Error &e) {
+        EXPECT_EQ(location(e).rfind("src/fault/error.cc:", 0), 0u)
+            << e.what();
+    }
+    try {
+        errorCodeName(static_cast<ErrorCode>(255));
+        FAIL() << "errorCodeName accepted an unknown code";
+    } catch (const PanicError &e) {
+        EXPECT_EQ(location(e).rfind("src/fault/error.cc:", 0), 0u)
+            << e.what();
+    }
+    try {
+        BDS_FATAL("from a test");
+    } catch (const FatalError &e) {
+        EXPECT_EQ(location(e).rfind("tests/fault/test_error.cc:", 0), 0u)
+            << e.what();
     }
 }
 

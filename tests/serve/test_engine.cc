@@ -164,7 +164,7 @@ randomProjection(Pcg32 &rng, RequestRecord req)
         req.metricMask = std::uint64_t{1} << rng.nextBounded(kNumMetrics);
         break;
     case 2:
-        // Bits past the schema, as a binary log may carry them.
+        // Bits past the schema, which no parsed line carries.
         req.metricMask = rng.next64();
         break;
     default:

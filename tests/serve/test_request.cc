@@ -1,17 +1,11 @@
 /**
  * @file
- * Request-format tests: the text line protocol (strict parsing,
- * canonical rendering, round-trip with the binary form) and the
- * fixed-size binary request log (header + packed records, hardened
- * loading, the append-with-patched-count writer).
+ * Request-format tests: the text line protocol, which is also the
+ * request log's format (strict parsing, canonical rendering and its
+ * round trip, and a mutational fuzz of the parser).
  */
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,30 +16,6 @@
 
 namespace bds {
 namespace {
-
-/** RAII temp path, removed on scope exit. */
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::remove(path_.c_str());
-    }
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-TEST(ServeRequest, RecordIsAFixedSizePod)
-{
-    // 40 bytes since log v2: the 32-byte v1 record grew a machine
-    // index and a reserved word at the tail.
-    EXPECT_EQ(sizeof(RequestRecord), 40u);
-    EXPECT_TRUE(std::is_trivially_copyable<RequestRecord>::value);
-}
 
 TEST(ServeRequest, ParsesAMinimalLineWithDefaults)
 {
@@ -83,7 +53,7 @@ TEST(ServeRequest, TabsAndCarriageReturnsSeparateTokens)
         "characterize scale=standard seed=7 workloads=H-Sort,S-Grep");
     const RequestRecord tabbed = parseRequestLine(
         "characterize\tscale=standard seed=7\t workloads=H-Sort,S-Grep\r");
-    EXPECT_EQ(std::memcmp(&spaced, &tabbed, sizeof(spaced)), 0);
+    EXPECT_EQ(spaced, tabbed);
     EXPECT_EQ(tabbed.scale, 1u);
     EXPECT_EQ(tabbed.seed, 7u);
     EXPECT_EQ(workloadNamesFromMask(tabbed.workloadMask),
@@ -105,7 +75,7 @@ TEST(ServeRequest, TextFormRoundTripsThroughFormat)
         // Canonical text parses back to the identical record.
         RequestRecord again =
             parseRequestLine(formatRequestLine(req));
-        EXPECT_EQ(std::memcmp(&req, &again, sizeof(req)), 0);
+        EXPECT_EQ(req, again);
     }
 }
 
@@ -241,7 +211,7 @@ TEST(RequestLineMutation, MutantsParseOrRaiseTypedErrors)
             // What parses renders back to a line that parses the same.
             const RequestRecord again =
                 parseRequestLine(formatRequestLine(req));
-            EXPECT_EQ(std::memcmp(&req, &again, sizeof(req)), 0)
+            EXPECT_EQ(req, again)
                 << what << ": " << bytes;
             ++parsed;
         } catch (const Error &) {
@@ -263,8 +233,8 @@ TEST(ServeRequest, MachineNamesRoundTrip)
     EXPECT_EQ(serveMachineName(serveMachineIndex("westmere")),
               "westmere");
     EXPECT_EQ(serveMachineName(serveMachineIndex("l3-4m")), "l3-4m");
-    // An index beyond the registry (a log from a newer build) is a
-    // typed error, not an out-of-bounds read.
+    // An index beyond the registry is a typed error, not an
+    // out-of-bounds read.
     EXPECT_THROW(serveMachineName(1u << 20), Error);
 }
 
@@ -276,226 +246,6 @@ TEST(ServeRequest, ScaleNamesRoundTrip)
     EXPECT_EQ(serveScaleName(serveScaleIndex("full")), "full");
     EXPECT_THROW(serveScaleName(3), Error);
     EXPECT_THROW(serveScaleIndex("tiny"), Error);
-}
-
-TEST(ServeRequest, BinaryLogRoundTrips)
-{
-    TempFile log("serve_req_roundtrip.bin");
-    std::vector<RequestRecord> in;
-    for (std::uint64_t i = 0; i < 5; ++i) {
-        RequestRecord req;
-        req.scale = static_cast<std::uint32_t>(i % 3);
-        req.seed = 100 + i;
-        req.flags = i % 2 ? kServeFlagSampled : 0u;
-        in.push_back(req);
-    }
-    storeRequestLog(log.path(), in);
-    std::vector<RequestRecord> out = loadRequestLog(log.path());
-    ASSERT_EQ(out.size(), in.size());
-    for (std::size_t i = 0; i < in.size(); ++i)
-        EXPECT_EQ(std::memcmp(&in[i], &out[i], sizeof(in[i])), 0);
-}
-
-TEST(ServeRequest, LoadsVersionOneLogsWithDefaultMachine)
-{
-    // A v1 log (32-byte records, no machine field) must keep loading:
-    // v1 records are a strict binary prefix of v2, and machine 0 is
-    // the default preset every v1 request meant.
-    TempFile log("serve_req_v1.bin");
-    RequestRecord a, b;
-    a.scale = 1;
-    a.seed = 7;
-    a.flags = kServeFlagSampled;
-    a.machine = 12345; // must NOT survive: v1 carries no machine
-    b.scale = 2;
-    b.seed = 9;
-    {
-        std::ofstream out(log.path(), std::ios::binary);
-        const std::uint32_t magic = kRequestLogMagic;
-        const std::uint32_t version = 1;
-        const std::uint32_t count = 2;
-        out.write(reinterpret_cast<const char *>(&magic),
-                  sizeof(magic));
-        out.write(reinterpret_cast<const char *>(&version),
-                  sizeof(version));
-        out.write(reinterpret_cast<const char *>(&count),
-                  sizeof(count));
-        out.write(reinterpret_cast<const char *>(&a),
-                  kRequestRecordV1Bytes);
-        out.write(reinterpret_cast<const char *>(&b),
-                  kRequestRecordV1Bytes);
-    }
-    std::vector<RequestRecord> out = loadRequestLog(log.path());
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].scale, 1u);
-    EXPECT_EQ(out[0].seed, 7u);
-    EXPECT_EQ(out[0].flags, kServeFlagSampled);
-    EXPECT_EQ(out[0].machine, 0u);
-    EXPECT_EQ(out[1].scale, 2u);
-    EXPECT_EQ(out[1].seed, 9u);
-    EXPECT_EQ(out[1].machine, 0u);
-}
-
-TEST(ServeRequest, LoadingHardensAgainstCorruption)
-{
-    TempFile log("serve_req_hardened.bin");
-    std::vector<RequestRecord> in(3);
-    storeRequestLog(log.path(), in);
-
-    auto expectIo = [&](const char *why) {
-        try {
-            loadRequestLog(log.path());
-            FAIL() << "expected Error(Io): " << why;
-        } catch (const Error &e) {
-            EXPECT_EQ(e.code(), ErrorCode::Io) << why;
-        }
-    };
-
-    // Truncated mid-record.
-    {
-        std::ifstream f(log.path(), std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(f)),
-                          std::istreambuf_iterator<char>());
-        std::ofstream out(log.path(),
-                          std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() - 7));
-    }
-    expectIo("truncated record");
-
-    // Bad magic.
-    storeRequestLog(log.path(), in);
-    {
-        std::fstream f(log.path(), std::ios::binary | std::ios::in
-                                       | std::ios::out);
-        f.write("XXXX", 4);
-    }
-    expectIo("bad magic");
-
-    // Unsupported version.
-    storeRequestLog(log.path(), in);
-    {
-        std::fstream f(log.path(), std::ios::binary | std::ios::in
-                                       | std::ios::out);
-        f.seekp(4);
-        const std::uint32_t v = 99;
-        f.write(reinterpret_cast<const char *>(&v), sizeof(v));
-    }
-    expectIo("unsupported version");
-
-    // Trailing bytes beyond the declared count.
-    storeRequestLog(log.path(), in);
-    {
-        std::ofstream f(log.path(), std::ios::binary | std::ios::app);
-        f.write("junk", 4);
-    }
-    expectIo("trailing bytes");
-
-    // Missing file.
-    std::remove(log.path().c_str());
-    expectIo("missing file");
-}
-
-TEST(ServeRequest, OverstatedCountIsATypedErrorNotBadAlloc)
-{
-    // Regression: a bare 12-byte header declaring 0xFFFFFFFF records
-    // used to reserve() that many records before reading any and
-    // escaped as std::bad_alloc instead of Error(Io).
-    TempFile log("serve_req_overstated.bin");
-    {
-        const std::uint32_t header[3] = {kRequestLogMagic,
-                                         kRequestLogVersion, 0xFFFFFFFFu};
-        std::ofstream out(log.path(), std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(header), sizeof(header));
-    }
-    try {
-        loadRequestLog(log.path());
-        FAIL() << "expected Error(Io)";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.code(), ErrorCode::Io);
-    }
-}
-
-TEST(RequestLogMutation, MutantsLoadOrRaiseTypedIo)
-{
-    // A deterministic mutational fuzz of the binary log loader. The
-    // records themselves are free-form integers, so a mutant either
-    // loads or is Error(Io) — never another code, never an untyped
-    // exception.
-    TempFile log("serve_req_mutant.bin");
-    std::vector<RequestRecord> reqs(4);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        reqs[i].seed = 40 + i;
-        reqs[i].flags = static_cast<std::uint32_t>(i & 3);
-    }
-    storeRequestLog(log.path(), reqs);
-    std::string file;
-    {
-        std::ifstream f(log.path(), std::ios::binary);
-        file.assign(std::istreambuf_iterator<char>(f),
-                    std::istreambuf_iterator<char>());
-    }
-    Mutator mut(0x72716c67ULL);
-    std::size_t parsed = 0, typed = 0;
-    constexpr int kMutants = 2000;
-    for (int i = 0; i < kMutants; ++i) {
-        const unsigned op = static_cast<unsigned>(mut.below(4));
-        std::string bytes = file;
-        if (op < 3) {
-            mut.mutate(bytes, op);
-        } else {
-            // Inflate the header's record count.
-            const std::uint32_t count = static_cast<std::uint32_t>(
-                mut.inflated(reqs.size()));
-            std::memcpy(&bytes[8], &count, sizeof(count));
-        }
-        {
-            std::ofstream out(log.path(),
-                              std::ios::binary | std::ios::trunc);
-            out.write(bytes.data(),
-                      static_cast<std::streamsize>(bytes.size()));
-        }
-        const std::string what = "mutant " + std::to_string(i);
-        try {
-            loadRequestLog(log.path());
-            ++parsed;
-        } catch (const Error &e) {
-            EXPECT_EQ(e.code(), ErrorCode::Io) << what << ": " << e.what();
-            ++typed;
-        } catch (const std::exception &e) {
-            ADD_FAILURE() << what << ": untyped " << e.what();
-        }
-    }
-    EXPECT_EQ(parsed + typed, static_cast<std::size_t>(kMutants));
-    EXPECT_GT(parsed, 0u);
-    EXPECT_GT(typed, kMutants / 2u);
-}
-
-TEST(ServeRequest, WriterPatchesTheCountAfterEveryAppend)
-{
-    TempFile log("serve_req_writer.bin");
-    {
-        RequestLogWriter writer(log.path());
-        EXPECT_EQ(writer.count(), 0u);
-        // An empty log is loadable immediately.
-        EXPECT_TRUE(loadRequestLog(log.path()).empty());
-
-        RequestRecord req;
-        req.seed = 1;
-        writer.append(req);
-        EXPECT_EQ(writer.count(), 1u);
-        // Loadable after every append, not only at close: a crashed
-        // daemon leaves a consistent prefix.
-        EXPECT_EQ(loadRequestLog(log.path()).size(), 1u);
-
-        req.seed = 2;
-        writer.append(req);
-        EXPECT_EQ(loadRequestLog(log.path()).size(), 2u);
-    }
-    std::vector<RequestRecord> out = loadRequestLog(log.path());
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].seed, 1u);
-    EXPECT_EQ(out[1].seed, 2u);
 }
 
 } // namespace

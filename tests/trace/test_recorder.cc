@@ -1,8 +1,5 @@
-/** @file Tests for trace recording, serialization, and replay. */
+/** @file Tests for trace recording, slice encoding, and replay. */
 
-#include <cstring>
-#include <sstream>
-#include <streambuf>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -63,41 +60,9 @@ TEST(Recorder, ReplayReproducesTheStream)
     EXPECT_EQ(sink.maxCore, 2u);
 }
 
-TEST(Recorder, SaveLoadRoundTrip)
-{
-    TraceRecorder rec;
-    AddressSpace space;
-    CodeImage user(space, Region::UserCode);
-    ExecContext ctx(rec, 1, user.defineFunction(128));
-    ctx.load(0x7f0000000000ULL);
-    ctx.branch(false);
-    rec.recordDma(0xffff900000000000ULL, 4096);
-
-    std::stringstream buf;
-    rec.save(buf);
-    TraceRecorder loaded = TraceRecorder::load(buf);
-    EXPECT_EQ(loaded.size(), rec.size());
-
-    CountingSink a, b;
-    std::uint64_t dma_a = 0, dma_b = 0;
-    rec.replay(a, [&](std::uint64_t, std::uint64_t n) { dma_a = n; });
-    loaded.replay(b, [&](std::uint64_t, std::uint64_t n) { dma_b = n; });
-    EXPECT_EQ(a.total, b.total);
-    EXPECT_EQ(dma_a, 4096u);
-    EXPECT_EQ(dma_b, 4096u);
-}
-
-TEST(Recorder, LoadRejectsGarbage)
-{
-    std::stringstream buf("this is not a trace");
-    EXPECT_THROW(TraceRecorder::load(buf), bds::FatalError);
-    std::stringstream empty;
-    EXPECT_THROW(TraceRecorder::load(empty), bds::FatalError);
-}
-
-/** A small saved trace to corrupt in the round-trip tests below. */
+/** A small trace's encode() bytes, to corrupt in the fuzz below. */
 std::string
-savedTraceBytes()
+encodedTraceBytes()
 {
     TraceRecorder rec;
     AddressSpace space;
@@ -108,104 +73,7 @@ savedTraceBytes()
         ctx.branch(i & 1);
     }
     rec.recordDma(0xffff900000000000ULL, 4096);
-    std::stringstream buf;
-    rec.save(buf);
-    return buf.str();
-}
-
-TEST(Recorder, LoadRejectsTruncatedStream)
-{
-    std::string bytes = savedTraceBytes();
-    // Chop at every structurally interesting point: inside the
-    // header, at the count field, and mid-entry.
-    for (std::size_t cut : {std::size_t{4}, std::size_t{10},
-                            std::size_t{16}, bytes.size() - 1,
-                            bytes.size() - 7}) {
-        std::stringstream buf(bytes.substr(0, cut));
-        EXPECT_THROW(TraceRecorder::load(buf), bds::FatalError)
-            << "load accepted a stream truncated to " << cut
-            << " bytes";
-    }
-}
-
-TEST(Recorder, LoadRejectsOversizedStream)
-{
-    std::string bytes = savedTraceBytes();
-    // Whole extra entries and ragged trailing bytes must both fail:
-    // a trace file holds exactly one trace.
-    for (std::size_t extra : {std::size_t{1}, std::size_t{20}}) {
-        std::stringstream buf(bytes + std::string(extra, '\x5a'));
-        EXPECT_THROW(TraceRecorder::load(buf), bds::FatalError)
-            << "load accepted " << extra << " trailing bytes";
-    }
-}
-
-TEST(Recorder, LoadRejectsOverstatedCount)
-{
-    std::string bytes = savedTraceBytes();
-    // The count field sits right after the 8-byte magic and 4-byte
-    // version. Claim more entries than the payload holds.
-    std::uint64_t huge = 1ULL << 40;
-    bytes.replace(12, sizeof huge,
-                  reinterpret_cast<const char *>(&huge), sizeof huge);
-    std::stringstream buf(bytes);
-    EXPECT_THROW(TraceRecorder::load(buf), bds::FatalError);
-}
-
-/**
- * A read-only streambuf over a byte string that cannot seek, like a
- * pipe or socket: tellg() on an istream over it returns -1.
- */
-class PipeBuf : public std::streambuf
-{
-  public:
-    explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes))
-    {
-        char *p = bytes_.data();
-        setg(p, p, p + bytes_.size());
-    }
-
-  private:
-    std::string bytes_;
-};
-
-TEST(Recorder, NonSeekableLoadRejectsBadCountsTyped)
-{
-    const std::string bytes = savedTraceBytes();
-    {
-        // Intact: the non-seekable path still loads a good trace.
-        PipeBuf pipe(bytes);
-        std::istream in(&pipe);
-        ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));
-        EXPECT_EQ(TraceRecorder::load(in).size(), 17u);
-    }
-    // An inflated header count must fail typed (not as a
-    // std::length_error out of the reserve), as must a truncated body.
-    std::string inflated = bytes;
-    std::uint64_t huge = 1ULL << 61;
-    inflated.replace(12, sizeof huge,
-                     reinterpret_cast<const char *>(&huge), sizeof huge);
-    for (const std::string &b : {inflated, bytes.substr(0, 40)}) {
-        PipeBuf pipe(b);
-        std::istream in(&pipe);
-        EXPECT_THROW(TraceRecorder::load(in), bds::FatalError);
-    }
-}
-
-TEST(Recorder, CorruptionRoundTrip)
-{
-    // The uncorrupted bytes still load fine after all that.
-    std::stringstream buf(savedTraceBytes());
-    TraceRecorder loaded = TraceRecorder::load(buf);
-    // 8 iterations x (load + branch) plus the DMA entry.
-    EXPECT_EQ(loaded.size(), 17u);
-    CountingSink sink;
-    std::uint64_t dma = 0;
-    loaded.replay(sink, [&](std::uint64_t, std::uint64_t n) {
-        dma = n;
-    });
-    EXPECT_EQ(sink.total, 16u);
-    EXPECT_EQ(dma, 4096u);
+    return rec.encode();
 }
 
 /**
@@ -300,11 +168,12 @@ TEST(Recorder, EncodeDecodeRoundTripsAndChecksEveryEvent)
 
 TEST(TraceRecorderMutation, MutantsLoadOrRaiseTypedIo)
 {
-    // Seeded mutants of a saved trace: byte flips, truncation,
-    // splices and an inflated event count. Each loads or raises
-    // Error(Io) — never a crash, an untyped error or an allocation
-    // sized by the damaged count.
-    const std::string file = savedTraceBytes();
+    // Seeded mutants of an encoded slice, as a checkpoint entry holds
+    // it on disk: byte flips, truncation, splices and a damaged core,
+    // class, mode or flag byte. Each decodes or raises Error(Io) —
+    // never a crash or an untyped error.
+    const std::string file = encodedTraceBytes();
+    const std::size_t events = file.size() / TraceRecorder::kEventBytes;
     bds::Mutator mut(0x74726163ULL);
     std::size_t loaded = 0, typed = 0;
     constexpr int kMutants = 2000;
@@ -314,14 +183,13 @@ TEST(TraceRecorderMutation, MutantsLoadOrRaiseTypedIo)
         if (op < 3) {
             mut.mutate(bytes, op);
         } else {
-            std::uint64_t count = 0;
-            std::memcpy(&count, bytes.data() + 12, sizeof count);
-            count = mut.inflated(count);
-            std::memcpy(bytes.data() + 12, &count, sizeof count);
+            const std::size_t at = mut.below(events)
+                    * TraceRecorder::kEventBytes
+                + 16 + mut.below(4);
+            bytes[at] = static_cast<char>(mut.below(256));
         }
-        std::stringstream in(bytes);
         try {
-            TraceRecorder::load(in);
+            TraceRecorder::decode(bytes, 4, "slice");
             ++loaded;
         } catch (const bds::Error &e) {
             EXPECT_EQ(e.code(), bds::ErrorCode::Io) << "mutant " << i;

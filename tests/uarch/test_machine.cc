@@ -25,8 +25,8 @@ TEST(Machine, RegistryLeadsWithDefaultAndCoversTheSweep)
 {
     const std::vector<MachinePreset> &all = machinePresets();
     ASSERT_GE(all.size(), 8u);
-    // Index 0 is part of the wire format: machine=0 in every v1
-    // request log means the default preset.
+    // Index 0 is the record's default: a request line without
+    // machine= means the default preset.
     EXPECT_EQ(all[0].name, "default");
     EXPECT_TRUE(isDefaultMachine(all[0].config));
     // The sweep needs variation on every axis the tech report varies.
