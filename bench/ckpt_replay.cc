@@ -18,7 +18,9 @@
  * restore-identity contract; the bench exits 1 if they differ), and
  * the warm pass should replay a small fraction of the baseline's
  * detail + warming ops — `reduction` in BENCH_ckpt.json
- * (schema bds-ckpt-v1) is that ratio, which CI gates at >= 2x.
+ * (schema bds-ckpt-v1) is that ratio, which CI gates at >= 2x. The
+ * artifact's `entries` block sizes what the cache directory holds
+ * after the passes: the mean entry, its state and its slice per event.
  *
  * Flags on top of the common set (--scale/--seed/--ckpt-dir/...):
  *   --ckpt-workloads a,b   workload subset (default: all 32)
@@ -27,6 +29,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -34,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "ckpt/context.h"
 #include "common/parallel.h"
 #include "common/table.h"
@@ -41,6 +45,8 @@
 #include "metrics/schema.h"
 #include "obs/metrics.h"
 #include "sample/characterizer.h"
+#include "store/record.h"
+#include "trace/recorder.h"
 #include "workloads/registry.h"
 #include "bench_common.h"
 
@@ -62,6 +68,46 @@ std::string
 q(const std::string &s)
 {
     return '"' + s + '"';
+}
+
+/** What the representative entries in a cache directory hold. */
+struct EntrySizes
+{
+    std::uint64_t entries = 0;
+    std::uint64_t stateBytes = 0;
+    std::uint64_t sliceBytes = 0;
+    std::uint64_t sliceEvents = 0; ///< ops and DMA fills
+};
+
+/**
+ * Sum the entries (`*_i<interval>.ckpt`) under `dir` that this build
+ * can read; an older version's file is skipped.
+ */
+EntrySizes
+entrySizes(const std::string &dir, unsigned numCores)
+{
+    namespace fs = std::filesystem;
+    EntrySizes sizes;
+    for (const fs::directory_entry &f : fs::directory_iterator(dir)) {
+        const std::string name = f.path().filename().string();
+        if (name.find("_i") == std::string::npos
+            || f.path().extension() != ".ckpt")
+            continue;
+        FileBytes bytes;
+        if (!readFile(f.path().string(), &bytes))
+            continue;
+        try {
+            const CheckpointEntry e =
+                parseCheckpoint(std::move(bytes), f.path().string());
+            sizes.sliceEvents +=
+                TraceRecorder::decode(e.ops, numCores, name).size();
+            sizes.stateBytes += e.state.size();
+            sizes.sliceBytes += e.ops.size();
+            ++sizes.entries;
+        } catch (const Error &) {
+        }
+    }
+    return sizes;
 }
 
 /** Run one sampled pass over `selected`, checkpointing or not. */
@@ -164,6 +210,11 @@ runCkptReplay(int argc, char **argv)
     passes.push_back(runPass("baseline", cfg, selected, false));
     passes.push_back(runPass("cold", cfg, selected, true));
     passes.push_back(runPass("warm", cfg, selected, true));
+    const EntrySizes sizes = entrySizes(
+        cfg.ckpt.dir, WorkloadRunner::fromRunConfig(cfg).config().numCores);
+    auto per = [](std::uint64_t n, std::uint64_t d) {
+        return d ? static_cast<double>(n) / static_cast<double>(d) : 0.0;
+    };
 
     // --- the identity contract: three byte-identical matrices ------
     const bool identical = passes[1].csv == passes[0].csv
@@ -193,7 +244,15 @@ runCkptReplay(int argc, char **argv)
     std::cout << "\nmatrices byte-identical: "
               << (identical ? "yes" : "NO") << "\n"
               << "detail+warm op reduction (baseline / warm rerun): "
-              << fmtDouble(reduction, 2) << "x\n";
+              << fmtDouble(reduction, 2) << "x\n"
+              << "entries: " << sizes.entries << ", mean "
+              << fmtDouble(per(sizes.stateBytes + sizes.sliceBytes,
+                               sizes.entries) / 1e6, 3)
+              << " MB (state "
+              << fmtDouble(per(sizes.stateBytes, sizes.entries) / 1e6, 3)
+              << " MB, slice "
+              << fmtDouble(per(sizes.sliceBytes, sizes.sliceEvents), 2)
+              << " B/event)\n";
 
     std::ofstream os(out_path);
     os << std::setprecision(6) << std::fixed;
@@ -226,6 +285,14 @@ runCkptReplay(int argc, char **argv)
            << "}}";
     }
     os << "\n  ],\n"
+       << "  \"entries\": {\"count\": " << sizes.entries
+       << ", \"state_bytes\": " << sizes.stateBytes
+       << ", \"slice_bytes\": " << sizes.sliceBytes
+       << ", \"slice_events\": " << sizes.sliceEvents
+       << ", \"mean_entry_bytes\": "
+       << per(sizes.stateBytes + sizes.sliceBytes, sizes.entries)
+       << ", \"slice_bytes_per_event\": "
+       << per(sizes.sliceBytes, sizes.sliceEvents) << "},\n"
        << "  \"identical\": " << (identical ? "true" : "false")
        << ",\n"
        << "  \"reduction\": " << reduction << "\n"

@@ -13,6 +13,7 @@
  * `all`: each runs its own experiment (DESIGN.md §5).
  */
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstring>
@@ -467,23 +468,44 @@ sampledVsFull(Session &session)
     for (const auto &id : ids)
         names.push_back(id.name());
 
-    std::cerr << "[bench] full detailed sweep at scale '" << scale_name
-              << "'\n";
-    std::vector<WorkloadResult> full_details;
-    SweepTiming full_timing;
-    Matrix full = runner.runAll(&full_details, &full_timing);
-
-    std::cerr << "[bench] sampled sweep (interval "
-              << sampling.intervalUops << " uops, kMax "
-              << sampling.kMax << ", warmup "
-              << sampling.warmupIntervals << ")\n";
+    // Each side's wall clock is the median of three sweeps, run
+    // alternately, so a burst of load on the host moves one sample of
+    // each side rather than one side's only sample. The sweeps are
+    // deterministic: the first pair's results are the study's.
+    std::cerr << "[bench] full detailed and sampled sweeps at scale '"
+              << scale_name << "' (interval " << sampling.intervalUops
+              << " uops, kMax " << sampling.kMax << ", warmup "
+              << sampling.warmupIntervals << "), 3 of each, alternating\n";
     SampledCharacterizer sampler(runner, sampling);
-    auto t0 = std::chrono::steady_clock::now();
+    std::vector<WorkloadResult> full_details;
     std::vector<SampledWorkloadResult> s_details;
-    Matrix sampled = sampler.runAll(&s_details);
-    double sampled_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now()
-                                      - t0).count();
+    Matrix full, sampled;
+    std::vector<double> full_runs, sampled_runs;
+    for (int k = 0; k < 3; ++k) {
+        std::vector<WorkloadResult> f_details;
+        SweepTiming full_timing;
+        Matrix f = runner.runAll(&f_details, &full_timing);
+        full_runs.push_back(full_timing.totalSeconds);
+
+        const auto t0 = std::chrono::steady_clock::now();
+        std::vector<SampledWorkloadResult> sd;
+        Matrix sm = sampler.runAll(&sd);
+        sampled_runs.push_back(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
+        if (k == 0) {
+            full = std::move(f);
+            full_details = std::move(f_details);
+            sampled = std::move(sm);
+            s_details = std::move(sd);
+        }
+    }
+    auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
+    const double full_seconds = median(full_runs);
+    const double sampled_seconds = median(sampled_runs);
 
     // --- op accounting and per-metric error aggregation ------------
     SampledReplayStats ops;
@@ -512,7 +534,7 @@ sampledVsFull(Session &session)
             / static_cast<double>(ops.detailOps)
         : 0.0;
     double speedup = sampled_seconds > 0.0
-        ? full_timing.totalSeconds / sampled_seconds : 0.0;
+        ? full_seconds / sampled_seconds : 0.0;
 
     // --- do the paper findings survive sampling? --------------------
     PipelineOptions popts = pipelineOptionsFor(cfg);
@@ -535,10 +557,10 @@ sampledVsFull(Session &session)
               << reduction << "x reduction)\n"
               << "  warmed (frozen)      " << ops.warmOps << "\n"
               << "  fast-forwarded       " << ops.skippedOps << "\n"
-              << "  full sweep           " << full_timing.totalSeconds
-              << " s\n"
-              << "  sampled sweep        " << sampled_seconds << " s ("
-              << speedup << "x)\n"
+              << "  full sweep           " << full_seconds
+              << " s (median of 3)\n"
+              << "  sampled sweep        " << sampled_seconds
+              << " s (median of 3, " << speedup << "x)\n"
               << "  mean metric error    " << mean_err << "\n"
               << "  worst metric error   " << max_err << " ("
               << metricName(worst_metric) << " on "
@@ -575,9 +597,12 @@ sampledVsFull(Session &session)
        << ops.detailOps << ", \"warm\": " << ops.warmOps
        << ", \"skipped\": " << ops.skippedOps << ", \"reduction\": "
        << reduction << "},\n"
-       << "  \"wall_seconds\": {\"full\": " << full_timing.totalSeconds
+       << "  \"wall_seconds\": {\"full\": " << full_seconds
        << ", \"sampled\": " << sampled_seconds << ", \"speedup\": "
-       << speedup << "},\n"
+       << speedup << ", \"full_runs\": [" << full_runs[0] << ", "
+       << full_runs[1] << ", " << full_runs[2] << "], \"sampled_runs\": ["
+       << sampled_runs[0] << ", " << sampled_runs[1] << ", "
+       << sampled_runs[2] << "]},\n"
        << "  \"error\": {\"mean\": " << mean_err << ", \"max\": "
        << max_err << ", \"worst_metric\": "
        << q(metricName(worst_metric)) << ", \"worst_workload\": "

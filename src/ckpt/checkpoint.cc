@@ -61,7 +61,9 @@ std::string
 writeCheckpoint(const CheckpointEntry &entry)
 {
     std::string out;
-    out.reserve(256 + entry.key.machineText.size()
+    out.reserve(256 + entry.key.configHash.size()
+                + entry.key.machineSlug.size()
+                + entry.key.machineText.size()
                 + entry.key.workload.size() + entry.state.size()
                 + entry.ops.size());
     appendField(out, "BDSCKPT", kCheckpointVersion);
@@ -80,12 +82,11 @@ writeCheckpoint(const CheckpointEntry &entry)
 }
 
 CheckpointEntry
-readCheckpoint(std::string bytes, const std::string &what,
-               const CheckpointKey &expected,
-               std::uint64_t expectedInterval)
+parseCheckpoint(FileBytes bytes, const std::string &what)
 {
     CheckpointEntry entry;
-    RecordCursor in(bytes, what);
+    entry.file = std::move(bytes);
+    RecordCursor in(entry.file.view(), what);
     in.header("BDSCKPT", kCheckpointVersion);
     entry.key.configHash = std::string(in.field("hash"));
     if (entry.key.configHash.size() != 16)
@@ -114,14 +115,18 @@ readCheckpoint(std::string bytes, const std::string &what,
                            << "mismatch (corrupt checkpoint)");
         return bytes;
     };
-    const std::string_view state = payload("state");
-    const std::string_view ops = payload("ops");
-    if (ops.size() % TraceRecorder::kEventBytes != 0)
-        BDS_RAISE(ErrorCode::Io,
-                  what << ": slice of " << ops.size()
-                       << " bytes is not a whole number of events");
+    entry.state = payload("state");
+    entry.ops = payload("ops");
     in.end();
+    return entry;
+}
 
+CheckpointEntry
+readCheckpoint(FileBytes bytes, const std::string &what,
+               const CheckpointKey &expected,
+               std::uint64_t expectedInterval)
+{
+    CheckpointEntry entry = parseCheckpoint(std::move(bytes), what);
     // Key verification: the machine text is the load-bearing guard
     // (equal text implies equal geometry, hence an exactly matching
     // state layout); hash/slug/workload/node/interval mismatches mean
@@ -146,17 +151,6 @@ readCheckpoint(std::string bytes, const std::string &what,
                        << expected.configHash << "/"
                        << expected.workload << "/n" << expected.node
                        << "/i" << expectedInterval);
-
-    // The slice is copied out; the state then becomes the entry's
-    // state in place: slide it to the front of the buffer already
-    // read, no second allocation.
-    entry.ops = std::string(ops);
-    const std::size_t offset =
-        static_cast<std::size_t>(state.data() - bytes.data());
-    const std::size_t size = state.size();
-    bytes.resize(offset + size);
-    bytes.erase(0, offset);
-    entry.state = std::move(bytes);
     return entry;
 }
 
@@ -204,7 +198,7 @@ bool
 CheckpointCache::read(const CheckpointKey &key, std::uint64_t interval,
                       CheckpointEntry *entry) const
 {
-    std::string bytes;
+    FileBytes bytes;
     if (!backend_.read(entryName(key, interval), &bytes))
         return false;
     *entry = readCheckpoint(std::move(bytes), path(key, interval), key,
@@ -221,27 +215,28 @@ CheckpointCache::load(const CheckpointKey &key, std::uint64_t interval,
         return false;
     counters::add(Counter::CkptHits);
     counters::add(Counter::CkptBytesRead, entry.state.size());
-    *state = std::move(entry.state);
+    state->assign(entry.state);
     return true;
 }
 
 void
 CheckpointCache::store(const CheckpointKey &key, std::uint64_t interval,
-                       const std::string &state) const
+                       std::string_view state) const
 {
     store(key, interval, state, TraceRecorder());
 }
 
 void
 CheckpointCache::store(const CheckpointKey &key, std::uint64_t interval,
-                       const std::string &state,
+                       std::string_view state,
                        const TraceRecorder &slice) const
 {
+    const std::string ops = slice.encode();
     CheckpointEntry entry;
     entry.key = key;
     entry.interval = interval;
     entry.state = state;
-    entry.ops = slice.encode();
+    entry.ops = ops;
     // A failed publish flips the backend down (counted + warned);
     // the replay simply stops writing checkpoints until it heals.
     if (!backend_.publish(entryName(key, interval),

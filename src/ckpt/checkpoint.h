@@ -52,9 +52,11 @@ namespace bds {
  * silently restored. Version 2 replaced the byte-serial FNV-1a
  * `state_fnv` header field with `state_sum` (stateChecksum());
  * version 3 added the representative's detail slice (`ops_sum`,
- * `ops_bytes`).
+ * `ops_bytes`); version 4 made both payloads dense: per-set valid
+ * bitmaps, fixed-width tag quotients and LRU ranks, packed gshare
+ * counters, and a varint-delta slice (docs/CHECKPOINT.md).
  */
-constexpr unsigned kCheckpointVersion = 3;
+constexpr unsigned kCheckpointVersion = 4;
 
 /** Identity of one checkpoint stream (all intervals share it). */
 struct CheckpointKey
@@ -79,14 +81,18 @@ struct CheckpointKey
     unsigned node = 0;
 };
 
-/** One checkpoint: the key, the interval, and the state payload. */
+/**
+ * One checkpoint: the key, the interval, the state payload and the
+ * slice. The payloads are views: into `file` for an entry read from
+ * disk, into the caller's bytes for one about to be written.
+ */
 struct CheckpointEntry
 {
     CheckpointKey key;
     std::uint64_t interval = 0;
 
     /** SystemModel::saveState() bytes. */
-    std::string state;
+    std::string_view state;
 
     /**
      * The representative's detail slice, in TraceRecorder::encode()
@@ -96,7 +102,10 @@ struct CheckpointEntry
      * restores such an entry (it counts a miss, simulates from zero
      * and rewrites the entry with its slice).
      */
-    std::string ops;
+    std::string_view ops;
+
+    /** The bytes of a read entry, which `state` and `ops` point into. */
+    FileBytes file;
 };
 
 /**
@@ -168,7 +177,8 @@ class CheckpointCache
 
     /**
      * Read and verify the whole entry of (key, interval) — state and
-     * slice — into *entry without counting anything: the sampled
+     * slice — into *entry, in place in the one buffer the file is
+     * read into, without counting anything: the sampled
      * replayer counts its hits (ckpt.hits) only once every
      * representative restored. Returns false when absent; raises as
      * load() does.
@@ -186,12 +196,11 @@ class CheckpointCache
      * restores it.
      */
     void store(const CheckpointKey &key, std::uint64_t interval,
-               const std::string &state) const;
+               std::string_view state) const;
 
     /** store() of an entry that also carries its detail slice. */
     void store(const CheckpointKey &key, std::uint64_t interval,
-               const std::string &state,
-               const TraceRecorder &slice) const;
+               std::string_view state, const TraceRecorder &slice) const;
 
     /**
      * The capture-record file of key's (workload, node) stream. It
@@ -227,14 +236,20 @@ class CheckpointCache
 std::string writeCheckpoint(const CheckpointEntry &entry);
 
 /**
- * Parse and verify a whole checkpoint file's bytes against the
- * expected key/interval; `what` names the source in diagnostics. The
- * returned entry's state reuses `bytes`' buffer. Error(Io) on
- * structural violations — including a checksum mismatch in either
- * payload or a slice that is not a whole number of events —
- * Error(InvalidConfig) on machine/key mismatches.
+ * Parse a whole checkpoint file's bytes, whatever its key; `what`
+ * names the source in diagnostics. The returned entry owns `bytes`,
+ * and its payloads point into them. Error(Io) on structural
+ * violations, including a checksum mismatch in either payload. The
+ * payloads' contents are checked by their decoders
+ * (SystemModel::loadState, TraceRecorder::replayEncoded).
  */
-CheckpointEntry readCheckpoint(std::string bytes, const std::string &what,
+CheckpointEntry parseCheckpoint(FileBytes bytes, const std::string &what);
+
+/**
+ * parseCheckpoint(), then verify the entry is the one of the expected
+ * key/interval: Error(InvalidConfig) on machine/key mismatches.
+ */
+CheckpointEntry readCheckpoint(FileBytes bytes, const std::string &what,
                                const CheckpointKey &expected,
                                std::uint64_t expectedInterval);
 

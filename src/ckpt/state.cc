@@ -53,9 +53,16 @@ StateSink::records(std::uint64_t count, std::size_t stride)
     return RecordWriter(buf_.data() + at);
 }
 
-StateSource::StateSource(const std::string &payload, std::string what)
+StateSource::StateSource(std::string_view payload, std::string what)
     : payload_(payload), what_(std::move(what))
 {
+}
+
+void
+StateSource::fail(const std::string &msg) const
+{
+    BDS_RAISE(ErrorCode::Io, what_ << ": " << msg << " at offset "
+                                   << pos_ << " (corrupt payload)");
 }
 
 const char *

@@ -15,13 +15,13 @@
  * encoding, so a structure's save/load methods are a single visibly
  * symmetric field list.
  *
- * Bulk sections: the flat arrays (cache lines, TLB entries, gshare
- * counters) are runs of fixed-stride records. records(count, stride)
- * reserves (sink) or bounds-checks (source) the whole run at once and
- * hands back a RecordWriter / RecordReader cursor, so the per-record
- * field list stays visibly symmetric while decode pays one bounds
- * check per section instead of one per field. The bytes are exactly
- * what per-field u8/u64 calls would produce.
+ * Bulk sections: fixed-stride runs (the packed gshare counters, the
+ * cache and TLB sets of uarch/ways.h) go through records(count,
+ * stride), which reserves (sink) or bounds-checks (source) the whole
+ * run at once and hands back a RecordWriter / RecordReader cursor, so
+ * decode pays one bounds check per run instead of one per field; a
+ * decoder that sizes its run from the data itself walks rest() and
+ * consumes it with skip().
  *
  * Hardening contract: every structural violation on the read side —
  * underflow, a record count whose run outruns the payload (checked
@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace bds {
 
@@ -91,6 +92,18 @@ class RecordWriter
         storeLe64(p_, v);
         p_ += 8;
     }
+    /**
+     * The low `n` (<= 8) bytes of `v`, little-endian; the run must
+     * have 8 bytes of room left.
+     */
+    void uint(std::uint64_t v, std::size_t n)
+    {
+        storeLe64(p_, v);
+        p_ += n;
+    }
+
+    /** The next byte to write. */
+    const char *at() const { return p_; }
 
   private:
     char *p_;
@@ -143,6 +156,16 @@ class StateSink
      */
     RecordWriter records(std::uint64_t count, std::size_t stride);
 
+    /**
+     * Drop the unwritten end of the last records() run, up to `w`: a
+     * variable-length writer reserves an upper bound and gives back
+     * what it did not use.
+     */
+    void trim(const RecordWriter &w)
+    {
+        buf_.resize(static_cast<std::size_t>(w.at() - buf_.data()));
+    }
+
     /** The serialized payload so far. */
     const std::string &bytes() const { return buf_; }
 
@@ -167,7 +190,7 @@ class StateSource
      *        the source).
      * @param what Names the payload origin in diagnostics.
      */
-    StateSource(const std::string &payload, std::string what);
+    StateSource(std::string_view payload, std::string what);
 
     /** Consume and verify a section tag; Error(Io) on mismatch. */
     void section(const char (&tag)[5]);
@@ -202,11 +225,26 @@ class StateSource
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return payload_.size() - pos_; }
 
+    /**
+     * The bytes not yet consumed, for a decoder that walks them
+     * itself and then consumes what it read with skip().
+     */
+    std::string_view rest() const { return payload_.substr(pos_); }
+
+    /** Consume `n` <= remaining() bytes. */
+    void skip(std::size_t n) { pos_ += n; }
+
+    /**
+     * Raise Error(Io) for a corrupt value the caller found at the
+     * current offset: `msg` says what is wrong with it.
+     */
+    [[noreturn]] void fail(const std::string &msg) const;
+
   private:
     /** Take `n` raw bytes; Error(Io) on underflow. */
     const char *take(std::size_t n, const char *label);
 
-    const std::string &payload_;
+    std::string_view payload_;
     std::string what_;
     std::size_t pos_ = 0;
 };

@@ -60,12 +60,19 @@ replayPlan(const PickResult &picked, unsigned warmup_intervals)
 class PlanSink : public ExecTarget
 {
   public:
+    /**
+     * `verified` leading representatives already have valid entries
+     * (the slice path read, restored and replayed them this pass), so
+     * only the entries after them are written.
+     */
     PlanSink(SystemModel &sys, std::uint64_t interval_uops,
              const std::vector<IntervalMode> &plan,
              std::vector<PmcCounters> &snaps, SampledReplayStats &stats,
-             const CheckpointCache *cache, const CheckpointKey &key)
+             const CheckpointCache *cache, const CheckpointKey &key,
+             std::size_t verified)
         : sys_(sys), intervalUops_(interval_uops), plan_(plan),
-          snaps_(snaps), stats_(stats), cache_(cache), key_(key)
+          snaps_(snaps), stats_(stats), cache_(cache), key_(key),
+          verified_(verified)
     {
         enterInterval(0);
         left_ = intervalUops_;
@@ -128,7 +135,7 @@ class PlanSink : public ExecTarget
         // exactly what detail replay starts from.
         sys_.setCounterFreeze(false);
         sys_.resetCounters();
-        if (!cache_)
+        if (!cache_ || nextRep_ < verified_)
             return;
         // Snapshot now; the entry is written when the interval ends,
         // with the slice of events the model received.
@@ -145,8 +152,9 @@ class PlanSink : public ExecTarget
             return;
         // Representatives ascend (picker contract), so detail
         // intervals end in picked.reps order.
-        snaps_[nextRep_++] = sys_.aggregateCounters();
-        if (!cache_)
+        const std::size_t rep = nextRep_++;
+        snaps_[rep] = sys_.aggregateCounters();
+        if (!cache_ || rep < verified_)
             return;
         sys_.attachRecorder(nullptr);
         // Never throws: a full disk degrades the cache, not the run.
@@ -163,6 +171,7 @@ class PlanSink : public ExecTarget
     SampledReplayStats &stats_;
     const CheckpointCache *cache_;
     const CheckpointKey &key_;
+    const std::size_t verified_; ///< leading entries left as they are
 
     std::uint64_t left_ = 0; ///< uops left in the current interval
     std::size_t current_ = 0;
@@ -208,7 +217,7 @@ SampledReplayer::replay(const TraceRecorder &trace,
     }, picked, stats);
 }
 
-bool
+std::size_t
 SampledReplayer::replaySlices(const PickResult &picked,
                               std::vector<PmcCounters> &snaps,
                               SampledReplayStats &stats, bool &touched)
@@ -218,41 +227,40 @@ SampledReplayer::replaySlices(const PickResult &picked,
     for (std::size_t r = 0; r < reps; ++r) {
         const std::size_t interval = picked.reps[r].interval;
         const std::string what = ckptCache_->path(ckptKey_, interval);
-        CheckpointEntry entry;
-        TraceRecorder slice;
         try {
+            CheckpointEntry entry;
             if (!ckptCache_->read(ckptKey_, interval, &entry)
                 || entry.ops.empty()) {
                 // Absent or slice-less: nothing of this pass restores.
                 counters::add(Counter::CkptMisses, reps);
-                return false;
+                return r;
             }
-            // A slice that does not decode makes the entry as corrupt
-            // as a bad checksum does.
-            slice = TraceRecorder::decode(entry.ops, sys_.numCores(),
-                                          what);
+            touched = true;
+            sys_.setCounterFreeze(false);
+            sys_.resetCounters();
+            StateSource src(entry.state, what);
+            sys_.loadState(src);
+            src.finish();
+            // The slice decodes straight into the model.
+            std::uint64_t dma = 0;
+            const std::size_t events = TraceRecorder::replayEncoded(
+                entry.ops, sys_.numCores(), what, sys_,
+                [&](std::uint64_t addr, std::uint64_t n) {
+                    sys_.dmaFill(addr, n);
+                    ++dma;
+                });
+            detail += events - dma;
+            bytes += entry.state.size() + entry.ops.size();
         } catch (const Error &e) {
-            // Corrupt, truncated, foreign or stale: reported once, and
-            // every other representative of the pass is a miss.
+            // Corrupt, truncated, foreign or stale — in the container,
+            // the state or the slice: reported once, and every other
+            // representative of the pass is a miss.
             warn(std::string("checkpoint: ") + e.what());
             counters::add(Counter::CkptFallbacks);
             counters::add(Counter::CkptMisses, reps - 1);
-            return false;
+            return r;
         }
-        touched = true;
-        sys_.setCounterFreeze(false);
-        sys_.resetCounters();
-        StateSource src(entry.state, what);
-        sys_.loadState(src);
-        src.finish();
-        std::uint64_t dma = 0;
-        slice.replay(sys_, [&](std::uint64_t addr, std::uint64_t n) {
-            sys_.dmaFill(addr, n);
-            ++dma;
-        });
         snaps[r] = sys_.aggregateCounters();
-        detail += slice.size() - dma;
-        bytes += entry.state.size() + entry.ops.size();
     }
     counters::add(Counter::CkptHits, reps);
     counters::add(Counter::CkptBytesRead, bytes);
@@ -260,7 +268,7 @@ SampledReplayer::replaySlices(const PickResult &picked,
     stats.detailOps = detail;
     stats.skippedOps = picked.totalOps - detail;
     stats.ckptRestores = reps;
-    return true;
+    return reps;
 }
 
 std::vector<PmcCounters>
@@ -271,19 +279,24 @@ SampledReplayer::replay(const StreamSource &drive,
     std::vector<PmcCounters> snaps(picked.reps.size());
     SampledReplayStats local;
     bool touched = false;
-    if (ckptCache_ && replaySlices(picked, snaps, local, touched)) {
-        if (stats)
-            *stats = local;
-        return snaps;
+    std::size_t verified = 0;
+    if (ckptCache_) {
+        verified = replaySlices(picked, snaps, local, touched);
+        if (verified == picked.reps.size()) {
+            if (stats)
+                *stats = local;
+            return snaps;
+        }
     }
     // Simulate from zero: on a fresh model when the slice path got
-    // partway, under the plan a run without checkpoints uses.
+    // partway, under the plan a run without checkpoints uses, writing
+    // the entries after the ones the slice path verified.
     std::optional<SystemModel> fresh;
     SystemModel &sys = touched ? fresh.emplace(sys_.config()) : sys_;
     const std::vector<IntervalMode> plan =
         replayPlan(picked, warmupIntervals_);
     PlanSink sink(sys, intervalUops_, plan, snaps, local,
-                  ckptCache_.get(), ckptKey_);
+                  ckptCache_.get(), ckptKey_, verified);
     drive(sink);
     sink.finish();
 

@@ -28,7 +28,8 @@
  * bitwise-identical to warming from zero (test-pinned). An absent or
  * slice-less entry is a miss; a corrupt, truncated or foreign one is
  * a typed error the replayer turns into one counted, warned fallback;
- * either way that pass simulates from zero and rewrites every entry.
+ * either way that pass simulates from zero and rewrites every entry
+ * from that representative on (the ones before it just verified).
  */
 
 #ifndef BDS_SAMPLE_REPLAY_H
@@ -98,8 +99,9 @@ class SampledReplayer
      * representative's entry is valid and carries a slice, replay()
      * restores and replays them one at a time and never calls the
      * stream. Otherwise the stream is re-executed on a fresh model,
-     * exactly as without a cache, and every representative's entry is
-     * written, with its slice, for the next run. Each replay counts
+     * exactly as without a cache, and every representative's entry
+     * from the first one that did not serve on is written, with its
+     * slice, for the next run. Each replay counts
      * every representative once: all ckpt.hits on the first route;
      * on the second, one ckpt.fallbacks for a bad entry the slice
      * route stopped at and a ckpt.misses for every other one.
@@ -131,14 +133,15 @@ class SampledReplayer
     /**
      * The stream-free path: restore each representative's entry and
      * feed the model its slice, reading one entry at a time. Counts
-     * the hits and fills `stats` only when every entry served; false
-     * as soon as one is absent, sliceless or bad (counting the pass's
-     * misses and fallback), with `touched` telling whether the model
-     * was already changed.
+     * the hits and fills `stats` only when every entry served.
+     * Returns how many leading entries served: all of them, or the
+     * index of the first one that is absent, sliceless or bad
+     * (counting the pass's misses and fallback), with `touched`
+     * telling whether the model was already changed.
      */
-    bool replaySlices(const PickResult &picked,
-                      std::vector<PmcCounters> &snaps,
-                      SampledReplayStats &stats, bool &touched);
+    std::size_t replaySlices(const PickResult &picked,
+                             std::vector<PmcCounters> &snaps,
+                             SampledReplayStats &stats, bool &touched);
 
     SystemModel &sys_;
     std::uint64_t intervalUops_;

@@ -125,6 +125,21 @@ appendResponse(std::string &out, std::uint64_t id,
     }
 }
 
+namespace {
+
+/**
+ * Count a request line the engine never saw (it failed to parse, was
+ * torn, or could not be logged): one request, one error.
+ */
+void
+countUnhandled()
+{
+    counters::add(Counter::ServeRequests);
+    counters::add(Counter::ServeErrors);
+}
+
+} // namespace
+
 bool
 ServeServer::handleLine(const std::string &raw, std::uint64_t id,
                         std::string &out)
@@ -155,6 +170,7 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
     }
 
     ServeResponse resp;
+    bool handled = false; // the engine counts what it handles
     try {
         const RequestRecord req = parseRequestLine(line);
         if (log_) {
@@ -164,6 +180,7 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
             if (!*log_)
                 BDS_RAISE(ErrorCode::Io, "short write to the request log");
         }
+        handled = true;
         resp = engine_.handle(req);
         // Inside the try: a mirror failure (full disk, unwritable
         // --payload-dir) must degrade to an err response, not an
@@ -179,6 +196,8 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
         resp.code = ErrorCode::InvalidConfig;
         resp.message = e.what();
     }
+    if (!handled)
+        countUnhandled();
     appendResponse(out, id, resp);
     return true;
 }
@@ -200,6 +219,7 @@ ServeServer::serveStream(std::istream &in, std::ostream &out)
             torn.code = ErrorCode::InvalidConfig;
             torn.message = "request line '" + chomp(line)
                 + "' ends without a newline (torn write)";
+            countUnhandled();
             appendResponse(response, id++, torn);
         } else {
             open = handleLine(line, id++, response);

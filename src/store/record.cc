@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -148,23 +149,32 @@ RecordCursor::end()
                         << "(corrupt record)");
 }
 
+namespace {
+
+/**
+ * Read the file at `path` to EOF through `grow(n)`, which returns a
+ * buffer of at least n bytes holding the bytes read so far; the size
+ * comes from fstat, plus one spare byte so the read that finds EOF
+ * needs no regrow. The byte count lands in *size. False when absent
+ * or unreadable.
+ */
+template <typename Grow>
 bool
-readFile(const std::string &path, std::string *bytes)
+readWhole(const std::string &path, Grow &&grow, std::size_t *size)
 {
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0)
         return false;
     // One copy, kernel to caller; the loop does not trust the size.
     struct stat st;
-    const std::size_t hint = ::fstat(fd, &st) == 0 && st.st_size > 0
-        ? static_cast<std::size_t>(st.st_size) : 0;
-    // One spare byte, so the read that finds EOF needs no regrow.
-    std::string buf(hint + 1, '\0');
+    std::size_t cap = ::fstat(fd, &st) == 0 && st.st_size > 0
+        ? static_cast<std::size_t>(st.st_size) + 1 : 1;
+    char *buf = grow(cap);
     std::size_t got = 0;
     for (;;) {
-        if (got == buf.size())
-            buf.resize(2 * buf.size());
-        const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+        if (got == cap)
+            buf = grow(cap *= 2);
+        const ssize_t n = ::read(fd, buf + got, cap - got);
         if (n < 0 && errno == EINTR)
             continue;
         if (n < 0) {
@@ -176,9 +186,55 @@ readFile(const std::string &path, std::string *bytes)
         got += static_cast<std::size_t>(n);
     }
     ::close(fd);
-    buf.resize(got);
+    *size = got;
+    return true;
+}
+
+} // namespace
+
+bool
+readFile(const std::string &path, std::string *bytes)
+{
+    std::string buf;
+    std::size_t size = 0;
+    if (!readWhole(path, [&](std::size_t n) {
+            buf.resize(n);
+            return buf.data();
+        }, &size))
+        return false;
+    buf.resize(size);
     *bytes = std::move(buf);
     return true;
+}
+
+bool
+readFile(const std::string &path, FileBytes *bytes)
+{
+    FileBytes out;
+    std::size_t size = 0;
+    if (!readWhole(path, [&](std::size_t n) {
+            auto grown = std::make_unique_for_overwrite<char[]>(n);
+            if (out.data_)
+                std::memcpy(grown.get(), out.data_.get(), out.size_);
+            out.data_ = std::move(grown);
+            out.size_ = n;
+            return out.data_.get();
+        }, &size))
+        return false;
+    out.size_ = size;
+    *bytes = std::move(out);
+    return true;
+}
+
+FileBytes
+FileBytes::copyOf(std::string_view bytes)
+{
+    FileBytes out;
+    out.data_ = std::make_unique_for_overwrite<char[]>(bytes.size());
+    if (!bytes.empty())
+        std::memcpy(out.data_.get(), bytes.data(), bytes.size());
+    out.size_ = bytes.size();
+    return out;
 }
 
 std::string

@@ -16,6 +16,7 @@
 #define BDS_STORE_RECORD_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -89,10 +90,35 @@ class RecordCursor
 };
 
 /**
+ * A file's bytes in one heap buffer that, unlike a std::string, is
+ * not zero-filled before the read overwrites it. Move-only, and a
+ * move keeps the bytes where they are, so views into them survive.
+ */
+class FileBytes
+{
+  public:
+    FileBytes() = default;
+
+    /** A buffer holding a copy of `bytes`. */
+    static FileBytes copyOf(std::string_view bytes);
+
+    std::string_view view() const { return {data_.get(), size_}; }
+
+  private:
+    friend bool readFile(const std::string &path, FileBytes *bytes);
+
+    std::unique_ptr<char[]> data_;
+    std::size_t size_ = 0;
+};
+
+/**
  * Read the whole file at `path` into *bytes: one buffer sized by
  * fstat, read to EOF. False when absent or unreadable.
  */
 bool readFile(const std::string &path, std::string *bytes);
+
+/** readFile() into a buffer that is not zero-filled first. */
+bool readFile(const std::string &path, FileBytes *bytes);
 
 /** The temp a replace of `path` writes first: "<path>.tmp.<pid>". */
 std::string tempPath(const std::string &path);

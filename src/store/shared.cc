@@ -205,19 +205,12 @@ SharedStore::maybeHeal()
     return true;
 }
 
-bool
-SharedStore::read(const std::string &name, std::string *bytes)
+void
+SharedStore::touch(const std::string &path)
 {
-    if (!maybeHeal())
-        return false;
-    const std::string path = entryPath(name);
-    if (!readFile(path, bytes))
-        return false;
-
     // The mtime is the recency every process's eviction reads; a
     // failed stamp only costs LRU accuracy.
     ::utimensat(AT_FDCWD, path.c_str(), NowStamp().times, 0);
-    return true;
 }
 
 bool

@@ -49,6 +49,7 @@
 #include <string>
 
 #include "store/lease.h"
+#include "store/record.h"
 
 namespace bds {
 
@@ -124,11 +125,22 @@ class SharedStore
     std::string entryPath(const std::string &name) const;
 
     /**
-     * Read entry `name` into *bytes. False when absent, unreadable,
-     * or the store is down (a cache can always miss). A hit stamps
-     * the file mtime, which every process's eviction reads.
+     * Read entry `name` into *bytes (a std::string or a FileBytes).
+     * False when absent, unreadable, or the store is down (a cache
+     * can always miss). A hit stamps the file mtime, which every
+     * process's eviction reads.
      */
-    bool read(const std::string &name, std::string *bytes);
+    template <typename Bytes>
+    bool read(const std::string &name, Bytes *bytes)
+    {
+        if (!maybeHeal())
+            return false;
+        const std::string path = entryPath(name);
+        if (!readFile(path, bytes))
+            return false;
+        touch(path);
+        return true;
+    }
 
     /**
      * Atomically publish entry `name` (tmp + mtime stamp + fsync +
@@ -156,6 +168,8 @@ class SharedStore
 
   private:
     bool maybeHeal();
+    /** Stamp a read entry's mtime now (its LRU recency). */
+    static void touch(const std::string &path);
     void enterDown(const std::string &what);
     void reapOrphans() const;
 

@@ -62,25 +62,38 @@ class TraceRecorder : public OpSink
                     &dma = {}) const;
 
     /**
-     * The recorded events, kEventBytes each, little-endian: ip and
-     * addr as u64, then the core, op-class, mode and flag bytes.
-     * Checkpoint entries carry a representative's detail slice in
-     * them.
+     * The recorded events in the slice encoding checkpoint entries
+     * carry (docs/CHECKPOINT.md, "The slice encoding"). Each event is
+     * one byte — bits 0-2 the op class (6 marks a DMA fill), bit 3
+     * kernel mode, bit 4 taken, bit 5 newInstruction, bit 6
+     * dependsOnPrevLoad, bit 7 set when a varint `core << 1 | a`
+     * follows (the core changed, or `a`: a non-memory op carries a
+     * nonzero addr) — then zigzag-varint deltas against the same
+     * core's previous event: `ip` always, `addr` for loads, stores
+     * and (when `a`) other ops. A DMA fill is the byte 6 and deltas
+     * of its address and size against the previous fill.
      */
     std::string encode() const;
 
     /**
-     * Decode encode() bytes. The byte count must be a multiple of
-     * kEventBytes, checked before anything is allocated; an event
-     * naming a core >= `numCores`, an unknown op class or mode, or
-     * undefined flag bits is an Error(Io) naming `what`.
+     * Feed encode() bytes to `sink` (and DMA fills to `dma`, when
+     * set) as they decode, without materializing them; returns the
+     * number of events. Only the canonical encoding is accepted: an
+     * event naming a core >= `numCores`, class 7, undefined bits on a
+     * DMA fill, a redundant core escape, or a varint that is
+     * truncated, overlong or over 64 bits is an Error(Io) naming
+     * `what`. The events before a bad one have reached the sink.
      */
+    static std::size_t
+    replayEncoded(std::string_view bytes, unsigned numCores,
+                  const std::string &what, OpSink &sink,
+                  const std::function<void(std::uint64_t, std::uint64_t)>
+                      &dma);
+
+    /** replayEncoded() into a new recorder. */
     static TraceRecorder decode(std::string_view bytes,
                                 unsigned numCores,
                                 const std::string &what);
-
-    /** Bytes one event occupies in encode()'s layout. */
-    static constexpr std::size_t kEventBytes = 20;
 
   private:
     /** One packed trace entry. */

@@ -1,5 +1,7 @@
 #include "uarch/branch.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "fault/error.h"
 
@@ -19,11 +21,14 @@ GshareBranchPredictor::saveState(StateSink &sink) const
     sink.section("BPRD");
     sink.u64(table_.size());
     sink.u32(history_);
-    // Dense: 2-bit counters pack poorly as sparse records and the
-    // whole table is at most 2^24 bytes.
-    RecordWriter rec = sink.records(table_.size(), 1);
-    for (std::uint8_t ctr : table_)
-        rec.u8(ctr);
+    // Dense, four 2-bit counters per byte, the first in the low bits.
+    RecordWriter rec = sink.records((table_.size() + 3) / 4, 1);
+    for (std::size_t i = 0; i < table_.size(); i += 4) {
+        unsigned packed = 0;
+        for (std::size_t k = 0; k < 4 && i + k < table_.size(); ++k)
+            packed |= unsigned(table_[i + k]) << (2 * k);
+        rec.u8(static_cast<std::uint8_t>(packed));
+    }
 }
 
 void
@@ -32,15 +37,15 @@ GshareBranchPredictor::loadState(StateSource &src)
     src.section("BPRD");
     src.check("gshare.table_size", table_.size());
     history_ = src.u32() & mask_;
-    RecordReader rec = src.records(table_.size(), 1, "gshare counter");
-    for (std::uint8_t &ctr : table_) {
-        std::uint8_t v = rec.u8();
-        if (v > 3)
-            BDS_RAISE(ErrorCode::Io,
-                      "gshare state holds counter value "
-                          << unsigned(v)
-                          << " outside [0, 3] (corrupt payload)");
-        ctr = v;
+    RecordReader rec =
+        src.records((table_.size() + 3) / 4, 1, "gshare counters");
+    for (std::size_t i = 0; i < table_.size(); i += 4) {
+        const unsigned packed = rec.u8();
+        const std::size_t n = std::min<std::size_t>(4, table_.size() - i);
+        if (n < 4 && packed >> (2 * n) != 0)
+            src.fail("gshare state sets bits past the last counter");
+        for (std::size_t k = 0; k < n; ++k)
+            table_[i + k] = static_cast<std::uint8_t>(packed >> (2 * k) & 3);
     }
 }
 

@@ -51,7 +51,10 @@ class GshareBranchPredictor
         return prediction == taken;
     }
 
-    /** Serialize the global history and the full counter table. */
+    /**
+     * Serialize the global history and the full counter table, four
+     * 2-bit counters to a byte.
+     */
     void saveState(StateSink &sink) const;
 
     /** Restore a saveState() payload; Error(Io) on any mismatch. */

@@ -1,9 +1,11 @@
 #include "uarch/cache.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/log.h"
 #include "fault/error.h"
+#include "uarch/ways.h"
 
 namespace bds {
 
@@ -176,18 +178,15 @@ SetAssocCache::saveState(StateSink &sink) const
     sink.u64(cfg_.assoc);
     sink.u64(cfg_.lineBytes);
     sink.u64(tick_);
-    const std::uint64_t valid = validLines();
-    sink.u64(valid);
-    RecordWriter rec = sink.records(valid, kLineRecordBytes);
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        if (tags_[i] == kInvalidTag)
-            continue;
-        rec.u64(i);
-        rec.u64(tags_[i]);
-        rec.u64(lru_[i]);
-        rec.u8(static_cast<std::uint8_t>(states_[i]));
-        rec.u8(flags_[i]);
-    }
+    // One byte per line: bits 0-1 the coherence state, 2 dirty, 3
+    // shared.
+    std::vector<std::uint8_t> line(states_.size());
+    for (std::size_t i = 0; i < line.size(); ++i)
+        line[i] = static_cast<std::uint8_t>(
+            static_cast<unsigned>(states_[i]) | unsigned(flags_[i]) << 2);
+    saveWays(sink, tags_.data(), lru_.data(), line.data(), numSets_,
+             cfg_.assoc, kInvalidTag,
+             [&](std::uint64_t la) { return setQuotient(la); });
 }
 
 void
@@ -198,34 +197,23 @@ SetAssocCache::loadState(StateSource &src)
     src.check("cache.assoc", cfg_.assoc);
     src.check("cache.line_bytes", cfg_.lineBytes);
     tick_ = src.u64();
-    std::uint64_t valid = src.u64();
-    if (valid > tags_.size())
-        BDS_RAISE(ErrorCode::Io,
-                  "cache state declares " << valid
-                      << " valid lines but the cache has only "
-                      << tags_.size() << " slots (corrupt payload)");
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-    std::fill(lru_.begin(), lru_.end(), 0);
-    std::fill(states_.begin(), states_.end(), CoherenceState::Invalid);
-    std::fill(flags_.begin(), flags_.end(), 0);
-    RecordReader rec = src.records(valid, kLineRecordBytes, "cache line");
-    for (std::uint64_t n = 0; n < valid; ++n) {
-        std::uint64_t slot = rec.u64();
-        if (slot >= tags_.size())
-            BDS_RAISE(ErrorCode::Io,
-                      "cache state names slot " << slot
-                          << " outside the " << tags_.size()
-                          << "-slot array (corrupt payload)");
-        tags_[slot] = rec.u64();
-        lru_[slot] = rec.u64();
-        std::uint8_t state = rec.u8();
-        if (state > static_cast<std::uint8_t>(CoherenceState::Modified))
-            BDS_RAISE(ErrorCode::Io,
-                      "cache state holds invalid coherence value "
-                          << unsigned(state) << " (corrupt payload)");
-        states_[slot] = static_cast<CoherenceState>(state);
-        flags_[slot] = rec.u8();
-    }
+    CoherenceState *states = states_.data();
+    std::uint8_t *flags = flags_.data();
+    const std::size_t slots = states_.size();
+    const std::uint8_t line_or = loadWays(
+        src, tags_.data(), lru_.data(), numSets_, cfg_.assoc, kInvalidTag,
+        tick_, 1,
+        [=] {
+            std::memset(states, 0, slots);
+            std::memset(flags, 0, slots);
+        },
+        // Bits 0-1 the coherence state, 2 dirty, 3 shared.
+        [=](std::uint64_t i, std::uint8_t b) {
+            states[i] = static_cast<CoherenceState>(b & 3);
+            flags[i] = static_cast<std::uint8_t>(b >> 2);
+        });
+    if (line_or > 15)
+        src.fail("a cache line state byte sets bits above the shared flag");
 }
 
 } // namespace bds

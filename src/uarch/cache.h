@@ -256,11 +256,10 @@ class SetAssocCache
     SetMapKind setMapKind() const { return setMap_; }
 
     /**
-     * Serialize the full replacement-relevant state — the LRU tick
-     * clock plus every valid line's slot, tag, LRU stamp, coherence
-     * state and dirty/shared flags — preceded by a geometry guard.
-     * Valid lines are stored sparsely (a warm cache is usually far
-     * from full), so payload size tracks occupancy, not capacity.
+     * Serialize the full replacement-relevant state, preceded by a
+     * geometry guard: the LRU tick clock, then per set a valid bitmap
+     * and each valid line's tag / set count, LRU rank within the set
+     * and one coherence-state + dirty/shared byte (uarch/ways.h).
      */
     void saveState(StateSink &sink) const;
 
@@ -275,9 +274,6 @@ class SetAssocCache
   private:
     /** Tag value of an invalid way; unreachable as a line address. */
     static constexpr std::uint64_t kInvalidTag = ~0ULL;
-
-    /** One saved line: slot, tag, LRU stamp (u64 each), state, flags. */
-    static constexpr std::size_t kLineRecordBytes = 3 * 8 + 2;
 
     static constexpr std::uint8_t kDirty = 1;      ///< flags_ bit 0
     static constexpr std::uint8_t kSharedEver = 2; ///< flags_ bit 1
@@ -300,6 +296,16 @@ class SetAssocCache
         else
             set = la % numSets_;
         return set * cfg_.assoc;
+    }
+
+    /** la / numSets_, the line's tag within its set (divide-free). */
+    std::uint64_t setQuotient(std::uint64_t la) const
+    {
+        if (setMap_ == SetMapKind::Pow2)
+            return la >> twoPow_;
+        if (setMap_ == SetMapKind::Factor3)
+            return (la >> twoPow_) / 3;
+        return la / numSets_;
     }
 
     /** Way within the set holding the line, or -1. */

@@ -57,9 +57,11 @@ SystemModel::saveState(StateSink &sink) const
     sink.section("SYSM");
     sink.u8(frozen_ ? 1 : 0);
     sink.u64(cores_.size());
+    // The L3 first: every cache and TLB section then has later
+    // sections behind it, which its restore's 8-byte loads rely on.
+    l3_.saveState(sink);
     for (const CoreModel &c : cores_)
         c.saveState(sink);
-    l3_.saveState(sink);
 }
 
 void
@@ -73,9 +75,9 @@ SystemModel::loadState(StateSource &src)
                       << unsigned(frozen) << " (corrupt payload)");
     src.check("system.num_cores", cores_.size());
     frozen_ = frozen != 0;
+    l3_.loadState(src);
     for (CoreModel &c : cores_)
         c.loadState(src);
-    l3_.loadState(src);
 }
 
 void

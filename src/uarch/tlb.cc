@@ -4,6 +4,7 @@
 
 #include "common/log.h"
 #include "fault/error.h"
+#include "uarch/ways.h"
 
 namespace bds {
 
@@ -37,19 +38,9 @@ TlbArray::saveState(StateSink &sink) const
     sink.u64(cfg_.entries);
     sink.u64(cfg_.assoc);
     sink.u64(tick_);
-    std::uint64_t valid = 0;
-    for (std::uint64_t p : pages_)
-        if (p != kInvalidPage)
-            ++valid;
-    sink.u64(valid);
-    RecordWriter rec = sink.records(valid, kEntryRecordBytes);
-    for (std::size_t i = 0; i < pages_.size(); ++i) {
-        if (pages_[i] == kInvalidPage)
-            continue;
-        rec.u64(i);
-        rec.u64(pages_[i]);
-        rec.u64(lru_[i]);
-    }
+    saveWays(sink, pages_.data(), lru_.data(), nullptr, numSets_,
+             cfg_.assoc, kInvalidPage,
+             [&](std::uint64_t page) { return page / numSets_; });
 }
 
 void
@@ -59,25 +50,8 @@ TlbArray::loadState(StateSource &src)
     src.check("tlb.entries", cfg_.entries);
     src.check("tlb.assoc", cfg_.assoc);
     tick_ = src.u64();
-    std::uint64_t valid = src.u64();
-    if (valid > pages_.size())
-        BDS_RAISE(ErrorCode::Io,
-                  "TLB state declares " << valid
-                      << " valid entries but the array has only "
-                      << pages_.size() << " slots (corrupt payload)");
-    std::fill(pages_.begin(), pages_.end(), kInvalidPage);
-    std::fill(lru_.begin(), lru_.end(), 0);
-    RecordReader rec = src.records(valid, kEntryRecordBytes, "TLB entry");
-    for (std::uint64_t n = 0; n < valid; ++n) {
-        std::uint64_t slot = rec.u64();
-        if (slot >= pages_.size())
-            BDS_RAISE(ErrorCode::Io,
-                      "TLB state names slot " << slot
-                          << " outside the " << pages_.size()
-                          << "-slot array (corrupt payload)");
-        pages_[slot] = rec.u64();
-        lru_[slot] = rec.u64();
-    }
+    loadWays(src, pages_.data(), lru_.data(), numSets_, cfg_.assoc,
+             kInvalidPage, tick_, 0, [] {}, [](std::uint64_t, std::uint8_t) {});
 }
 
 void

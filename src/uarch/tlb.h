@@ -80,7 +80,11 @@ class TlbArray
         lru_[i] = ++tick_;
     }
 
-    /** Serialize the LRU clock and every valid translation. */
+    /**
+     * Serialize the LRU clock and every valid translation: per set a
+     * valid bitmap, each page / set count and its LRU rank
+     * (uarch/ways.h).
+     */
     void saveState(StateSink &sink) const;
 
     /** Restore a saveState() payload; Error(Io) on any mismatch. */
@@ -89,9 +93,6 @@ class TlbArray
   private:
     /** Page value of an invalid way; unreachable as a page number. */
     static constexpr std::uint64_t kInvalidPage = ~0ULL;
-
-    /** One saved entry: slot, page, LRU stamp (u64 each). */
-    static constexpr std::size_t kEntryRecordBytes = 3 * 8;
 
     /** First slot of the set holding the page. */
     std::uint64_t setBase(std::uint64_t page) const

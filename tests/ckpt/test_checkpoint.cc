@@ -43,14 +43,17 @@ makeKey()
     return key;
 }
 
+/** A state payload with binary bytes; the entries below view it. */
+const std::string kState = std::string("state-payload-\x01\x02\xff", 17)
+    + std::string(1, '\0') + "-with-binary-bytes";
+
 CheckpointEntry
 makeEntry()
 {
     CheckpointEntry entry;
     entry.key = makeKey();
     entry.interval = 7;
-    entry.state = std::string("state-payload-") + "\x01\x02\xff\x00"
-        + "-with-binary-bytes";
+    entry.state = kState;
     return entry;
 }
 
@@ -66,7 +69,8 @@ parseCode(const std::string &bytes, const CheckpointKey &key,
           std::uint64_t interval)
 {
     try {
-        readCheckpoint(bytes, "test-entry", key, interval);
+        readCheckpoint(bds::FileBytes::copyOf(bytes), "test-entry", key,
+                       interval);
     } catch (const Error &e) {
         return e.code();
     }
@@ -76,8 +80,9 @@ parseCode(const std::string &bytes, const CheckpointKey &key,
 TEST(CheckpointContainer, RoundTripIsExact)
 {
     const CheckpointEntry entry = makeEntry();
-    const CheckpointEntry back = readCheckpoint(
-        serialized(entry), "round-trip", entry.key, entry.interval);
+    const CheckpointEntry back =
+        readCheckpoint(bds::FileBytes::copyOf(serialized(entry)),
+                       "round-trip", entry.key, entry.interval);
     EXPECT_EQ(back.state, entry.state);
     EXPECT_EQ(back.key.configHash, entry.key.configHash);
     EXPECT_EQ(back.key.machineSlug, entry.key.machineSlug);
@@ -105,9 +110,10 @@ TEST(CheckpointContainer, WriterBytesArePinned)
     op.dependsOnPrevLoad = true;
     slice.consume(2, op);
     slice.recordDma(0x1000, 64);
-    entry.ops = slice.encode();
+    const std::string ops = slice.encode();
+    entry.ops = ops;
     const std::string golden =
-        std::string("BDSCKPT 3\n"
+        std::string("BDSCKPT 4\n"
                     "hash 0123456789abcdef\n"
                     "slug default\n"
                     "machine_bytes 15\n"
@@ -119,19 +125,20 @@ TEST(CheckpointContainer, WriterBytesArePinned)
                     "state_sum 41e843ecfccd719a\n"
                     "state_bytes 4\n"
                     "tiny"
-                    "ops_sum ab6bcedd6fd266b2\n"
-                    "ops_bytes 40\n")
-        + std::string("\x00\x10\x40\x00\x00\x00\x00\x00"
-                      "\x40\x00\x00\x00\x00\x7f\x00\x00"
-                      "\x02\x00\x01\x06"
-                      "\x00\x10\x00\x00\x00\x00\x00\x00"
-                      "\x40\x00\x00\x00\x00\x00\x00\x00"
-                      "\x00\x00\x00\x08",
-                      40)
+                    "ops_sum cb4b51ea35c1133d\n"
+                    "ops_bytes 18\n")
+        // The load: Load | kernel | newInstruction | dependsOnPrevLoad
+        // | escape, core 2 << 1, the ip and addr deltas. The DMA fill:
+        // 6, then its address and size deltas.
+        + std::string("\xe8\x04\x80\xc0\x80\x04"
+                      "\x80\x81\x80\x80\x80\xc0\x3f"
+                      "\x06\x80\x40\x80\x01",
+                      18)
         + "END\n";
     EXPECT_EQ(serialized(entry), golden);
     const CheckpointEntry back =
-        readCheckpoint(golden, "golden", entry.key, entry.interval);
+        readCheckpoint(bds::FileBytes::copyOf(golden), "golden", entry.key,
+                       entry.interval);
     EXPECT_EQ(back.state, "tiny");
     EXPECT_EQ(back.ops, entry.ops);
 }
@@ -160,9 +167,10 @@ TEST(CheckpointContainer, FlippedPayloadByteFailsTheChecksum)
     // Three 32-byte checksum blocks plus a 5-byte tail, so the flips
     // cover every lane of the word-wise body and every tail byte.
     CheckpointEntry entry = makeEntry();
-    entry.state.resize(3 * 32 + 5);
-    for (std::size_t i = 0; i < entry.state.size(); ++i)
-        entry.state[i] = static_cast<char>(i * 37 + 11);
+    std::string state(3 * 32 + 5, '\0');
+    for (std::size_t i = 0; i < state.size(); ++i)
+        state[i] = static_cast<char>(i * 37 + 11);
+    entry.state = state;
     const std::string bytes = serialized(entry);
     const std::string marker =
         "state_bytes " + std::to_string(entry.state.size()) + "\n";

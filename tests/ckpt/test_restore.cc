@@ -17,6 +17,7 @@
  */
 
 #include <array>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -174,10 +175,10 @@ TEST(SystemStateRestore, GeometryGuardRejectsForeignPayload)
 }
 
 /** fnv1a64 of the quick/42 cold pass's payloads (first workload). */
-const char *const kColdPayloadDigest = "d4952f4f89906430";
+const char *const kColdPayloadDigest = "3579a5f381646c79";
 
 /** stateChecksum() of the same bytes. */
-const char *const kColdPayloadSum = "789116d1977abd75";
+const char *const kColdPayloadSum = "17dff637da095d8b";
 
 TEST(ReplayCheckpointRestore, RestoredReplayIsBitwiseIdentical)
 {
@@ -401,28 +402,16 @@ TEST(CheckpointMutation, MutantsRestoreOrRaiseTypedErrors)
     ASSERT_TRUE(ctx.cache->load(key, interval, &state));
     std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
 
-    // Where the length fields sit: the container's *_bytes lines and
-    // the payload's per-structure valid counts (u64 right before each
-    // cache / TLB record run).
-    std::vector<std::size_t> count_fields;
-    for (const auto &[tag, offset] :
-         {std::pair<const char *, std::size_t>{"CACH", 36},
-          std::pair<const char *, std::size_t>{"TLBA", 28}})
-        for (std::size_t at = state.find(tag);
-             at != std::string::npos && at + offset + 8 <= state.size();
-             at = state.find(tag, at + 1))
-            count_fields.push_back(at + offset);
-    ASSERT_FALSE(count_fields.empty());
     const std::vector<std::string> size_keys = {
         "machine_bytes ", "workload_bytes ", "state_bytes "};
 
     bds::Mutator mut(0x6d757461ULL);
     SystemModel sys(machine);
     std::size_t restored = 0, typed = 0;
-    auto attempt = [&](std::string bytes, const std::string &what) {
+    auto attempt = [&](const std::string &bytes, const std::string &what) {
         try {
-            const bds::CheckpointEntry entry =
-                bds::readCheckpoint(std::move(bytes), what, key, interval);
+            const bds::CheckpointEntry entry = bds::readCheckpoint(
+                bds::FileBytes::copyOf(bytes), what, key, interval);
             StateSource src(entry.state, what);
             sys.loadState(src);
             src.finish();
@@ -445,23 +434,21 @@ TEST(CheckpointMutation, MutantsRestoreOrRaiseTypedErrors)
                 mut.mutate(bytes, op);
             else
                 mut.inflateField(bytes, size_keys);
-            attempt(std::move(bytes), what);
+            attempt(bytes, what);
         } else {
             // The payload behind a valid checksum, so the mutant
-            // reaches the state decoder.
+            // reaches the state decoder: flips, truncation, splices,
+            // or one byte set to a random value.
+            std::string payload = state;
+            if (op < 3)
+                mut.mutate(payload, op);
+            else
+                payload[mut.below(payload.size())] =
+                    static_cast<char>(mut.below(256));
             bds::CheckpointEntry entry;
             entry.key = key;
             entry.interval = interval;
-            entry.state = state;
-            if (op < 3) {
-                mut.mutate(entry.state, op);
-            } else {
-                const std::size_t at =
-                    count_fields[mut.below(count_fields.size())];
-                bds::storeLe64(entry.state.data() + at,
-                               mut.inflated(bds::loadLe64(
-                                   entry.state.data() + at)));
-            }
+            entry.state = payload;
             attempt(bds::writeCheckpoint(entry), what);
         }
     }
@@ -469,6 +456,160 @@ TEST(CheckpointMutation, MutantsRestoreOrRaiseTypedErrors)
     // Both outcomes occur: the loop reaches past the checks.
     EXPECT_GT(restored, 0u);
     EXPECT_GT(typed, kMutants / 2u);
+}
+
+/** Offsets into a SystemModel::saveState() payload, found by walking it. */
+struct StateLayout
+{
+    std::size_t tlbBitmap = 0; ///< first set bitmap of the first TLB
+    std::size_t width = 0;     ///< the L3's tag width byte
+    std::size_t rank0 = 0;     ///< rank of a set's first line
+    std::size_t flags0 = 0;    ///< that line's state/flags byte
+    std::size_t rank1 = 0;     ///< the same set's second line's rank
+    std::uint64_t lines = 0;   ///< valid lines in that set
+};
+
+/**
+ * Walk the L3 section (the payload's first CACH) to its first set
+ * holding two or more lines: the set bitmaps come first, then the
+ * lines, each a tag of the section's width, a rank byte and a
+ * state/flags byte.
+ */
+StateLayout
+layoutOf(const std::string &state, const NodeConfig &machine)
+{
+    StateLayout at;
+    at.tlbBitmap = state.find("TLBA") + 4 + 3 * 8 + 1;
+    at.width = state.find("CACH") + 4 + 4 * 8;
+    const std::size_t width = static_cast<unsigned char>(state[at.width]);
+    const std::uint32_t assoc = machine.l3.assoc;
+    const std::uint64_t sets =
+        machine.l3.sizeBytes / (std::uint64_t(assoc) * machine.l3.lineBytes);
+    const std::size_t map_bytes = (assoc + 7) / 8;
+    const std::size_t maps = at.width + 1;
+    const std::size_t rec = width + 2;
+    std::size_t line = maps + sets * map_bytes;
+    for (std::uint64_t s = 0; s < sets; ++s) {
+        unsigned k = 0;
+        for (std::size_t b = 0; b < map_bytes; ++b)
+            k += static_cast<unsigned>(std::popcount(
+                static_cast<unsigned char>(state[maps + s * map_bytes + b])));
+        if (k >= 2) {
+            at.rank0 = line + width;
+            at.flags0 = at.rank0 + 1;
+            at.rank1 = line + rec + width;
+            at.lines = k;
+            return at;
+        }
+        line += k * rec;
+    }
+    return at;
+}
+
+TEST(CheckpointMutation, EverySectionMutantIsTypedIoThenACountedFallback)
+{
+    // One targeted mutant per v4 section, each behind a valid
+    // checksum: a decoder must raise Error(Io) on it, and a sampled
+    // pass meeting it in the cache counts one fallback, simulates
+    // from zero and keeps the result.
+    RunConfig cfg;
+    cfg.scaleName = "quick";
+    cfg.sampling.enabled = true;
+    cfg.ckpt.enabled = true;
+    cfg.ckpt.dir = ::testing::TempDir() + "bds_ckpt_section_mutants";
+    std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
+
+    const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
+    const WorkloadId id = allWorkloads().front();
+    const WorkloadCapture cap =
+        captureWorkload(runner, cfg.sampling, id, 0);
+    const NodeConfig machine = resolveMachineSpec(cfg.machineSpec);
+    const SampledWorkloadResult base =
+        replayCapture(cap, machine, cfg.sampling);
+    CheckpointContext ctx = checkpointContextFor(cfg);
+    replayCapture(cap, machine, cfg.sampling, &ctx);
+
+    const bds::CheckpointKey key = ctx.keyFor(id.name(), 0);
+    const std::uint64_t interval = cap.picked.reps.front().interval;
+    bds::CheckpointEntry real;
+    ASSERT_TRUE(ctx.cache->read(key, interval, &real));
+    const std::string state(real.state);
+    const std::string ops(real.ops);
+    const StateLayout at = layoutOf(state, machine);
+    ASSERT_GE(at.lines, 2u);
+    ASSERT_LT(at.lines, 128u);
+
+    // The first slice event's ip varint (the absolute ip, so several
+    // bytes): after the event byte and, when its escape bit is set,
+    // the core varint.
+    std::size_t ip_at = 1;
+    if (static_cast<unsigned char>(ops[0]) & 0x80)
+        while (static_cast<unsigned char>(ops[ip_at++]) & 0x80) {
+        }
+    ASSERT_NE(static_cast<unsigned char>(ops[ip_at]) & 0x80, 0u);
+    // The second byte of that varint, as its own overlong varint:
+    // the byte with its stop bit cleared, then a zero high group.
+    const std::string overlong = ops.substr(0, ip_at)
+        + std::string{static_cast<char>(ops[ip_at] | 0x80), '\0'}
+        + ops.substr(ip_at + 1);
+
+    auto set = [](std::string b, std::size_t at, char v) {
+        b[at] = v;
+        return b;
+    };
+    struct Mutant
+    {
+        const char *name;
+        std::string state;
+        std::string ops;
+    };
+    const std::vector<Mutant> mutants = {
+        {"bitmap bit past the associativity",
+         set(state, at.tlbBitmap,
+             static_cast<char>(state[at.tlbBitmap] | 0x80)),
+         ops},
+        {"duplicate rank", set(state, at.rank1, state[at.rank0]), ops},
+        {"out-of-range rank",
+         set(state, at.rank0, static_cast<char>(at.lines)), ops},
+        {"undefined state/flags bits",
+         set(state, at.flags0, static_cast<char>(state[at.flags0] | 0x10)),
+         ops},
+        {"tag width past 8 bytes", set(state, at.width, 9), ops},
+        {"lines cut short", state.substr(0, at.rank1), ops},
+        {"slice varint overrun", state, ops.substr(0, ip_at + 1)},
+        {"slice overlong varint", state, overlong},
+        {"slice ip delta over 64 bits", state,
+         ops.substr(0, ip_at) + std::string(9, '\xff') + '\x02'},
+    };
+
+    const std::string path = ctx.cache->path(key, interval);
+    for (const Mutant &m : mutants) {
+        SCOPED_TRACE(m.name);
+        try {
+            SystemModel sys(machine);
+            StateSource src(m.state, m.name);
+            sys.loadState(src);
+            src.finish();
+            TraceRecorder::decode(m.ops, machine.numCores, m.name);
+            ADD_FAILURE() << "mutant decoded";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Io) << e.what();
+        }
+
+        bds::CheckpointEntry entry;
+        entry.key = key;
+        entry.interval = interval;
+        entry.state = m.state;
+        entry.ops = m.ops;
+        spit(path, bds::writeCheckpoint(entry));
+        bds::counters::reset();
+        const SampledWorkloadResult met =
+            replayCapture(cap, machine, cfg.sampling, &ctx);
+        EXPECT_EQ(ckptStats().fallbacks, 1u);
+        EXPECT_EQ(ckptStats().hits, 0u);
+        EXPECT_EQ(met.metrics, base.metrics);
+    }
+    std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
 }
 
 /** Every regular file under `dir`, relative path -> bytes. */

@@ -37,7 +37,9 @@
 #include "common/parallel.h"
 #include "fault/error.h"
 #include "fault/inject.h"
+#include "serve/confighash.h"
 #include "sample/capture.h"
+#include "store/record.h"
 #include "trace/recorder.h"
 #include "uarch/machine.h"
 #include "uarch/system.h"
@@ -199,6 +201,13 @@ versionTwoEntry(const CheckpointKey &key, std::uint64_t interval,
     return bytes + "END\n";
 }
 
+/** The header line every entry this build writes starts with. */
+std::string
+currentHeader()
+{
+    return "BDSCKPT " + std::to_string(bds::kCheckpointVersion) + "\n";
+}
+
 TEST(SliceReplay, EachBadFileIsOneCountedFallback)
 {
     struct Case
@@ -236,8 +245,10 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
 
     // A representative in the middle: the slice path restores the
     // ones before it, then has to start over on a fresh model. The
-    // pass restores nothing and rewrites every entry; a bad entry is
-    // one fallback and every other representative a miss.
+    // pass restores nothing and rewrites the entries from the bad one
+    // on (the ones before it verified); a bad entry is one fallback
+    // and every other representative a miss.
+    const std::size_t rewritten = reps - reps / 2;
     const std::vector<Case> cases = {
         {"flipped-slice-byte",
          [](const CheckpointContext &ctx, const CheckpointKey &key,
@@ -249,14 +260,14 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
              bytes[bytes.find('\n', ops) + 30] ^= 0x10;
              spit(path, bytes);
          },
-         stats(0, reps - 1, reps, 1, 1, 0)},
+         stats(0, reps - 1, rewritten, 1, 1, 0)},
         {"evicted-entry",
          [](const CheckpointContext &ctx, const CheckpointKey &key,
             std::uint64_t interval) {
              ASSERT_EQ(std::remove(ctx.cache->path(key, interval).c_str()),
                        0);
          },
-         stats(0, reps, reps, 0, 1, 0)},
+         stats(0, reps, rewritten, 0, 1, 0)},
         {"version-2",
          [](const CheckpointContext &ctx, const CheckpointKey &key,
             std::uint64_t interval) {
@@ -265,7 +276,7 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
              spit(ctx.cache->path(key, interval),
                   versionTwoEntry(key, interval, state));
          },
-         stats(0, reps - 1, reps, 1, 1, 0)},
+         stats(0, reps - 1, rewritten, 1, 1, 0)},
         {"corrupt-capture-record",
          [](const CheckpointContext &ctx, const CheckpointKey &key,
             std::uint64_t) {
@@ -301,10 +312,12 @@ TEST(SliceReplay, EachBadFileIsOneCountedFallback)
         EXPECT_EQ(met.metrics, base.metrics);
         EXPECT_EQ(met.counters.toArray(), healthy.counters.toArray());
         EXPECT_EQ(met.stats.detailOps, healthy.stats.detailOps);
-        EXPECT_EQ(met.stats.ckptRestores + met.stats.ckptWrites, reps);
+        EXPECT_EQ(met.stats.ckptRestores, c.expect.hits);
+        EXPECT_EQ(met.stats.ckptWrites, c.expect.writes);
 
         // Rewritten: the next pass is stream-free and clean again.
-        EXPECT_EQ(slurp(ctx.cache->path(key, interval)).rfind("BDSCKPT 3\n", 0),
+        EXPECT_EQ(slurp(ctx.cache->path(key, interval))
+                      .rfind(currentHeader(), 0),
                   0u);
         before = ckptStats();
         WorkloadCapture again =
@@ -326,7 +339,9 @@ TEST(SliceReplay, EveryPassCountsEachRepresentativeOnce)
 {
     // hits + misses + fallbacks == reps on every pass, whatever the
     // cache holds; at most one fallback, and a pass that cannot
-    // replay its slices writes every entry.
+    // replay its slices writes every entry from the first one that
+    // did not serve: all of them after a bad first entry, one after
+    // an evicted last entry.
     const RunConfig cfg = quickConfig("bds_slice_count_once");
     const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
     const CheckpointContext ctx = checkpointContextFor(cfg);
@@ -350,19 +365,22 @@ TEST(SliceReplay, EveryPassCountsEachRepresentativeOnce)
         const char *name;
         std::function<void()> damage;
         bool warm; ///< every entry restores, none is written
+        std::uint64_t writes;
     };
     const std::vector<Pass> passes = {
-        {"cold", [] {}, false},
-        {"warm", [] {}, true},
-        {"flipped-first", [&] { flip(first); }, false},
-        {"evicted-last", [&] { std::remove(last.c_str()); }, false},
+        {"cold", [] {}, false, reps},
+        {"warm", [] {}, true, 0},
+        {"flipped-first", [&] { flip(first); }, false, reps},
+        {"evicted-last", [&] { std::remove(last.c_str()); }, false, 1},
+        {"evicted-first", [&] { std::remove(first.c_str()); }, false,
+         reps},
         {"flipped-first-evicted-last",
          [&] {
              flip(first);
              std::remove(last.c_str());
          },
-         false},
-        {"warm-again", [] {}, true},
+         false, reps},
+        {"warm-again", [] {}, true, 0},
     };
     for (const Pass &pass : passes) {
         SCOPED_TRACE(pass.name);
@@ -373,10 +391,83 @@ TEST(SliceReplay, EveryPassCountsEachRepresentativeOnce)
         EXPECT_EQ(d.hits + d.misses + d.fallbacks, reps);
         EXPECT_LE(d.fallbacks, 1u);
         EXPECT_EQ(d.hits, pass.warm ? reps : 0u);
-        EXPECT_EQ(d.writes, pass.warm ? 0u : reps);
+        EXPECT_EQ(d.writes, pass.writes);
         EXPECT_EQ(r.stats.ckptRestores, pass.warm ? reps : 0u);
-        EXPECT_EQ(r.stats.ckptWrites, pass.warm ? 0u : reps);
+        EXPECT_EQ(r.stats.ckptWrites, pass.writes);
     }
+    std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
+}
+
+/**
+ * A BDSCKPT 3 entry as that version's writer laid it out: 26-byte
+ * cache-line records in the state (here a 4-byte stand-in) and
+ * 20-byte events in the slice (one load on core 2, one DMA fill).
+ */
+std::string
+versionThreeEntry(const CheckpointKey &key, std::uint64_t interval)
+{
+    const std::string state = "tiny";
+    const std::string ops("\x00\x10\x40\x00\x00\x00\x00\x00"
+                          "\x40\x00\x00\x00\x00\x7f\x00\x00"
+                          "\x02\x00\x01\x06"
+                          "\x00\x10\x00\x00\x00\x00\x00\x00"
+                          "\x40\x00\x00\x00\x00\x00\x00\x00"
+                          "\x00\x00\x00\x08",
+                          40);
+    std::ostringstream os;
+    os << "BDSCKPT 3\n"
+       << "hash " << key.configHash << '\n'
+       << "slug " << key.machineSlug << '\n'
+       << "machine_bytes " << key.machineText.size() << '\n'
+       << key.machineText << "workload_bytes " << key.workload.size()
+       << '\n'
+       << key.workload << "node " << key.node << '\n'
+       << "interval " << interval << '\n'
+       << "state_sum " << bds::toHex64(bds::stateChecksum(state)) << '\n'
+       << "state_bytes " << state.size() << '\n'
+       << state << "ops_sum " << bds::toHex64(bds::stateChecksum(ops))
+       << '\n'
+       << "ops_bytes " << ops.size() << '\n'
+       << ops << "END\n";
+    return os.str();
+}
+
+TEST(SliceReplay, AVersionThreeEntryIsOneFallbackAndOneRewrite)
+{
+    // No v3 decoder is kept: an entry an older build left behind is
+    // damage. In the last representative's place it costs one counted
+    // fallback and one rewrite; the entries before it verified.
+    const RunConfig cfg = quickConfig("bds_slice_version_three");
+    const WorkloadRunner runner = WorkloadRunner::fromRunConfig(cfg);
+    const CheckpointContext ctx = checkpointContextFor(cfg);
+    const WorkloadId id = allWorkloads()[3];
+    const CheckpointKey key = ctx.keyFor(id.name(), 0);
+    const SampledWorkloadResult cold = samplePass(runner, cfg, ctx, id);
+    const WorkloadCapture cap =
+        captureWorkload(runner, cfg.sampling, id, 0, &ctx);
+    const std::uint64_t reps = cap.picked.reps.size();
+    ASSERT_GE(reps, 2u);
+    const std::string path =
+        ctx.cache->path(key, cap.picked.reps.back().interval);
+    spit(path, versionThreeEntry(key, cap.picked.reps.back().interval));
+
+    CkptStats before = ckptStats();
+    const SampledWorkloadResult met = samplePass(runner, cfg, ctx, id);
+    CkptStats d = minus(ckptStats(), before);
+    EXPECT_EQ(d.fallbacks, 1u);
+    EXPECT_EQ(d.misses, reps - 1);
+    EXPECT_EQ(d.hits, 0u);
+    EXPECT_EQ(d.writes, 1u);
+    EXPECT_EQ(met.stats.ckptWrites, 1u);
+    expectSameEstimate(met, cold);
+    EXPECT_EQ(slurp(path).rfind(currentHeader(), 0), 0u);
+
+    before = ckptStats();
+    const SampledWorkloadResult warm = samplePass(runner, cfg, ctx, id);
+    d = minus(ckptStats(), before);
+    EXPECT_EQ(d.hits, reps);
+    EXPECT_EQ(d.fallbacks + d.misses + d.writes, 0u);
+    expectSameEstimate(warm, cold);
     std::system(("rm -rf '" + cfg.ckpt.dir + "'").c_str());
 }
 
@@ -497,6 +588,31 @@ realEntry(const std::string &name)
     return e;
 }
 
+/** The encoding of the first `n` ops of a slice and the fills among them. */
+std::string
+firstEvents(std::string_view ops, std::size_t n, unsigned cores)
+{
+    struct FirstOps : bds::OpSink
+    {
+        TraceRecorder rec;
+        std::size_t left = 0;
+        void consume(unsigned core, const bds::MicroOp &op) override
+        {
+            if (left > 0) {
+                --left;
+                rec.consume(core, op);
+            }
+        }
+    } first;
+    first.left = n;
+    TraceRecorder::replayEncoded(ops, cores, "slice", first,
+                                 [&](std::uint64_t addr, std::uint64_t size) {
+                                     if (first.left > 0)
+                                         first.rec.recordDma(addr, size);
+                                 });
+    return first.rec.encode();
+}
+
 TEST(CheckpointMutation, SliceSectionMutantsParseIdenticallyOrRaise)
 {
     // Even mutants damage the file as read from disk: each must
@@ -510,8 +626,7 @@ TEST(CheckpointMutation, SliceSectionMutantsParseIdenticallyOrRaise)
     const std::vector<std::string> size_keys = {"ops_bytes ",
                                                 "state_bytes "};
     // A short prefix of the slice keeps the decoder mutants cheap.
-    const std::string prefix = real.entry.ops.substr(
-        0, 300 * TraceRecorder::kEventBytes);
+    const std::string prefix = firstEvents(real.entry.ops, 300, cores);
 
     bds::Mutator mut(0x736c6963ULL);
     SystemModel sys(bds::NodeConfig::defaultSim());
@@ -529,18 +644,24 @@ TEST(CheckpointMutation, SliceSectionMutantsParseIdenticallyOrRaise)
                 else
                     mut.inflateField(bytes, size_keys);
                 const CheckpointEntry e = bds::readCheckpoint(
-                    std::move(bytes), what, real.key, real.interval);
+                    bds::FileBytes::copyOf(bytes), what, real.key,
+                    real.interval);
                 TraceRecorder::decode(e.ops, cores, what);
                 EXPECT_TRUE(e.state == real.entry.state
                             && e.ops == real.entry.ops)
                     << what << " parsed to a different entry";
                 ++same;
             } else {
-                CheckpointEntry e = real.entry;
-                e.ops = prefix;
-                mut.mutate(e.ops, op < 3 ? op : 0);
+                std::string ops = prefix;
+                mut.mutate(ops, op < 3 ? op : 0);
+                CheckpointEntry e;
+                e.key = real.key;
+                e.interval = real.interval;
+                e.state = real.entry.state;
+                e.ops = ops;
                 const CheckpointEntry back = bds::readCheckpoint(
-                    bds::writeCheckpoint(e), what, real.key, real.interval);
+                    bds::FileBytes::copyOf(bds::writeCheckpoint(e)), what,
+                    real.key, real.interval);
                 // DMA fills are left out: a checksummed slice comes
                 // from the writer, so their sizes are not re-checked.
                 TraceRecorder::decode(back.ops, cores, what).replay(sys);

@@ -18,6 +18,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -219,10 +220,28 @@ TEST(ServeCli, MalformedRequestsAreErrLinesAndTheDaemonSurvives)
 {
     const std::string cache =
         ::testing::TempDir() + "bds_serve_cli_err_cache";
-    const std::string out = capture(serveCmd(
+    const std::string err = ::testing::TempDir() + "bds_serve_cli_err.txt";
+    // The daemon's stdout, then its exit status; its shutdown line
+    // (stderr) lands in `err`.
+    auto run = [&](const std::string &requests) {
+        std::string out = capture(serveCmd(requests, "",
+                                           "--serve-cache " + cache)
+                                  + " 2>'" + err + "'; echo \"exit=$?\"");
+        const std::size_t at = out.rfind("exit=");
+        EXPECT_NE(at, std::string::npos) << out;
+        const std::string status = out.substr(at);
+        out.erase(at);
+        return std::make_pair(out, status);
+    };
+    const auto [out, status] = run(
         "reticulate\\ncharacterize scale=galactic\\n"
-        "characterize seed=nine\\nping\\nquit\\n",
-        "", "--serve-cache " + cache));
+        "characterize seed=nine\\nping\\nquit\\n");
+    // Lines that fail to parse are requests that failed: counted, and
+    // with no other request the daemon exits 2.
+    EXPECT_NE(slurp(err).find("requests=3 hits=0 misses=0 errors=3 "),
+              std::string::npos)
+        << slurp(err);
+    EXPECT_EQ(status, "exit=2\n");
 
     const std::vector<Frame> frames = parseFrames(out);
     ASSERT_EQ(frames.size(), 5u) << out;
@@ -236,6 +255,16 @@ TEST(ServeCli, MalformedRequestsAreErrLinesAndTheDaemonSurvives)
     EXPECT_EQ(frames[3].header, "pong");
     EXPECT_EQ(frames[4].header, "bye");
 
+    // A torn last line counts like a malformed one.
+    const auto [torn_out, torn_status] = run(
+        "characterize scale=galactic\\ncharacterize scale=quick seed=4");
+    EXPECT_EQ(parseFrames(torn_out).size(), 2u) << torn_out;
+    EXPECT_NE(slurp(err).find("requests=2 hits=0 misses=0 errors=2 "),
+              std::string::npos)
+        << slurp(err);
+    EXPECT_EQ(torn_status, "exit=2\n");
+
+    std::remove(err.c_str());
     wipeCache(cache, "");
 }
 

@@ -1,6 +1,8 @@
 /** @file Tests for trace recording, slice encoding, and replay. */
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -142,11 +144,13 @@ TEST(Recorder, EncodeDecodeRoundTripsAndChecksEveryEvent)
     rec.consume(3, op);
     rec.recordDma(0x2000, 128);
     const std::string bytes = rec.encode();
-    ASSERT_EQ(bytes.size(), 2 * TraceRecorder::kEventBytes);
+    // SseAlu | kernel | taken | newInstruction | escape, the escape
+    // varint core 3 << 1, the ip delta; then the DMA byte 6 and the
+    // deltas of its address and size.
+    ASSERT_EQ(bytes, std::string("\xbd\x06\x80\xc0\x80\x04"
+                                 "\x06\x80\x80\x01\x80\x02"));
     EXPECT_EQ(TraceRecorder::decode(bytes, 4, "slice").encode(), bytes);
 
-    // Byte 16 of an event is its core, 17 the class, 18 the mode and
-    // 19 the flags; each out-of-range value is a typed Io error.
     auto code = [](const std::string &b, unsigned cores) {
         try {
             TraceRecorder::decode(b, cores, "slice");
@@ -156,38 +160,60 @@ TEST(Recorder, EncodeDecodeRoundTripsAndChecksEveryEvent)
         return bds::ErrorCode::None;
     };
     EXPECT_EQ(code(bytes, 3), bds::ErrorCode::Io); // core 3 of 3
-    for (const auto &[at, value] :
-         {std::pair<std::size_t, char>{17, 6}, {18, 2}, {19, 16}}) {
-        std::string bad = bytes;
-        bad[at] = value;
-        EXPECT_EQ(code(bad, 4), bds::ErrorCode::Io) << "byte " << at;
-    }
-    EXPECT_EQ(code(bytes.substr(0, 30), 4), bds::ErrorCode::Io);
+    auto with = [&](std::size_t at, char v) {
+        std::string b = bytes;
+        b[at] = v;
+        return b;
+    };
+    const std::vector<std::pair<const char *, std::string>> bad = {
+        {"class 7", with(0, '\xbf')},
+        {"DMA byte with mode bit", with(6, '\x0e')},
+        {"cut inside a varint", bytes.substr(0, 4)},
+        {"cut before the DMA size", bytes.substr(0, 10)},
+        {"overlong escape varint", std::string("\xbd\x86\x00", 3)
+             + bytes.substr(2)},
+        {"ip over 64 bits",
+         std::string("\xbd\x06\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02")},
+        {"escape to the current core", std::string("\x83\x00\x00", 3)},
+        {"escaped addr on a load", std::string("\x80\x01\x00\x00", 4)},
+        {"escaped zero addr", std::string("\x83\x01\x00\x00", 4)},
+    };
+    for (const auto &[name, b] : bad)
+        EXPECT_EQ(code(b, 4), bds::ErrorCode::Io) << name;
     EXPECT_EQ(code("", 4), bds::ErrorCode::None);
+
+    // A non-memory op with a nonzero addr round-trips through the
+    // escape's addr bit; ops on one core after another stay exact.
+    TraceRecorder odd;
+    MicroOp alu;
+    alu.addr = 0x1234;
+    odd.consume(0, alu);
+    odd.consume(1, op);
+    alu.addr = 0;
+    odd.consume(1, alu);
+    const std::string odd_bytes = odd.encode();
+    EXPECT_EQ(TraceRecorder::decode(odd_bytes, 2, "odd").encode(),
+              odd_bytes);
 }
 
 TEST(TraceRecorderMutation, MutantsLoadOrRaiseTypedIo)
 {
     // Seeded mutants of an encoded slice, as a checkpoint entry holds
-    // it on disk: byte flips, truncation, splices and a damaged core,
-    // class, mode or flag byte. Each decodes or raises Error(Io) —
-    // never a crash or an untyped error.
+    // it on disk: byte flips, truncation, splices and a byte set to a
+    // random value. Each decodes or raises Error(Io) — never a crash
+    // or an untyped error.
     const std::string file = encodedTraceBytes();
-    const std::size_t events = file.size() / TraceRecorder::kEventBytes;
     bds::Mutator mut(0x74726163ULL);
     std::size_t loaded = 0, typed = 0;
     constexpr int kMutants = 2000;
     for (int i = 0; i < kMutants; ++i) {
         std::string bytes = file;
         const unsigned op = static_cast<unsigned>(mut.below(4));
-        if (op < 3) {
+        if (op < 3)
             mut.mutate(bytes, op);
-        } else {
-            const std::size_t at = mut.below(events)
-                    * TraceRecorder::kEventBytes
-                + 16 + mut.below(4);
-            bytes[at] = static_cast<char>(mut.below(256));
-        }
+        else
+            bytes[mut.below(bytes.size())] =
+                static_cast<char>(mut.below(256));
         try {
             TraceRecorder::decode(bytes, 4, "slice");
             ++loaded;
