@@ -15,9 +15,12 @@
  * (line addresses fit in 64 - log2(lineBytes) bits). Set indexing is
  * a mask when the set count is a power of two and a modulo
  * otherwise (the Table III L3 has 12288 sets); line addressing is
- * always a shift. Replacement decisions are bit-identical to the
- * original array-of-structs model — the seed implementation is kept
- * in reference.h and pinned against this one by
+ * always a shift. The set scans are branch-free and fixed to the
+ * associativity where it is a Table III shape (uarch/setscan.h), and
+ * access() checks the slot of the last hit before it scans.
+ * Replacement decisions are bit-identical to the original
+ * array-of-structs model — the seed implementation is kept in
+ * reference.h and pinned against this one by
  * tests/uarch/test_flat_equivalence.cc.
  */
 
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "ckpt/state.h"
+#include "uarch/setscan.h"
 
 namespace bds {
 
@@ -91,14 +95,33 @@ class SetAssocCache
     /** Probe and update LRU on hit. */
     CacheLookup access(std::uint64_t addr)
     {
+        return accessOrFill(addr, false, CoherenceState::Invalid, nullptr);
+    }
+
+    /**
+     * access(), and on a miss with `fill` set, insert(addr, state)
+     * into the set the miss just scanned: one tag scan for an access
+     * followed by an insert that nothing between them could affect.
+     * @param ev Receives the fill's eviction (unused without `fill`).
+     * @return The lookup, as access() reports it before any fill.
+     */
+    CacheLookup accessOrFill(std::uint64_t addr, bool fill,
+                             CoherenceState state, Eviction *ev)
+    {
         std::uint64_t la = lineAddr(addr);
+        // A line occupies at most one slot, so a matching hint slot
+        // is the line's slot; a stale hint only costs the scan.
+        if (tags_[hint_] == la)
+            return hitAt(hint_);
         std::uint64_t base = setBase(la);
         int w = findWay(base, la);
-        if (w < 0)
-            return {};
-        std::uint64_t i = base + static_cast<std::uint64_t>(w);
-        lru_[i] = ++tick_;
-        return {true, states_[i]};
+        if (w >= 0)
+            return hitAt(base + static_cast<std::uint64_t>(w));
+        if (fill) {
+            checkInsertable(state);
+            *ev = fillVictim<false>(base, la, state);
+        }
+        return {};
     }
 
     /**
@@ -311,49 +334,45 @@ class SetAssocCache
     /** Way within the set holding the line, or -1. */
     int findWay(std::uint64_t base, std::uint64_t la) const
     {
-        const std::uint64_t *tags = tags_.data() + base;
-        for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
-            if (tags[w] == la)
-                return static_cast<int>(w);
-        return -1;
+        return withWays(cfg_.assoc, [&](auto n) {
+            return findKey<decltype(n)::value>(tags_.data() + base, la,
+                                               cfg_.assoc);
+        });
+    }
+
+    /** Bump the LRU stamp of the hit at slot `i` and hint it. */
+    CacheLookup hitAt(std::uint64_t i)
+    {
+        hint_ = i;
+        lru_[i] = ++tick_;
+        return {true, states_[i]};
     }
 
     /**
      * Claim a way for `la` in the set at `base` — the first invalid
      * way, else the true-LRU victim — and fill it.
      *
-     * With kCheckPresent, the double-insert tripwire rides the victim
-     * scan instead of costing a second pass over the tags: complete
-     * whenever the set is full (the eviction steady state), partial —
-     * ways up to the first invalid one — while the set still has
-     * holes. Callers that just proved absence via findWay pass false.
+     * With kCheckPresent, the double-insert tripwire checks every way
+     * of the set. Callers that just proved absence via findWay pass
+     * false.
      * @return The eviction when a valid line was displaced.
      */
     template <bool kCheckPresent>
     Eviction fillVictim(std::uint64_t base, std::uint64_t la,
                         CoherenceState state, bool dirty = false)
     {
-        std::uint32_t victim = 0;
-        bool found_invalid = false;
-        std::uint64_t oldest = UINT64_MAX;
-        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-            std::uint64_t i = base + w;
-            if (kCheckPresent && tags_[i] == la)
+        const std::uint64_t *tags = tags_.data() + base;
+        const std::uint32_t victim = withWays(cfg_.assoc, [&](auto n) {
+            constexpr std::uint32_t N = decltype(n)::value;
+            if (kCheckPresent && findKey<N>(tags, la, cfg_.assoc) >= 0)
                 fatalAlreadyPresent(la);
-            if (tags_[i] == kInvalidTag) {
-                victim = w;
-                found_invalid = true;
-                break;
-            }
-            if (lru_[i] < oldest) {
-                oldest = lru_[i];
-                victim = w;
-            }
-        }
+            return victimWay<N>(tags, lru_.data() + base, kInvalidTag,
+                                cfg_.assoc);
+        });
 
         Eviction ev;
         std::uint64_t i = base + victim;
-        if (!found_invalid) {
+        if (tags_[i] != kInvalidTag) {
             ev.valid = true;
             ev.lineAddr = tags_[i];
             ev.dirty = (flags_[i] & kDirty) != 0;
@@ -362,6 +381,7 @@ class SetAssocCache
         states_[i] = state;
         flags_[i] = dirty ? kDirty : 0;
         lru_[i] = ++tick_;
+        hint_ = i;
         return ev;
     }
 
@@ -384,6 +404,9 @@ class SetAssocCache
     std::uint32_t lineShift_; ///< log2(lineBytes)
     SetMapKind setMap_;       ///< validated at construction
     std::uint64_t tick_ = 0;
+    /// Slot of the last hit or fill: checked before a set scan. Not
+    /// state — saveState() skips it, and any value is correct.
+    std::uint64_t hint_ = 0;
 
     // Parallel per-slot arrays, indexed set * assoc + way. A set's
     // tags are contiguous, so the hot scan touches one cache line.

@@ -252,7 +252,14 @@ SystemModel::fillLine(unsigned requester, std::uint64_t addr,
     }
 
     SnoopResult sr = snoop(requester, addr);
-    CacheLookup l3look = l3_.access(addr);
+    // With no sibling holding the line, a miss here ends in the
+    // memory fill below, and nothing in between touches the L3: fill
+    // it during this scan. L3 victims write to memory; no per-core
+    // event.
+    Eviction l3ev;
+    CacheLookup l3look = l3_.accessOrFill(
+        addr, sr.state == CoherenceState::Invalid,
+        CoherenceState::Exclusive, &l3ev);
 
     if (sr.state == CoherenceState::Modified ||
         sr.state == CoherenceState::Exclusive) {
@@ -327,8 +334,6 @@ SystemModel::fillLine(unsigned requester, std::uint64_t addr,
     out.latency = cfg_.memLatency / overlap;
     out.fillState = for_ownership ? CoherenceState::Modified
                                   : CoherenceState::Exclusive;
-    Eviction ev = l3_.insert(addr, CoherenceState::Exclusive);
-    (void)ev; // L3 victims write to memory; no per-core event
     return out;
 }
 

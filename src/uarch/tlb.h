@@ -7,9 +7,10 @@
  * Storage is the same flat structure-of-arrays shape as the caches:
  * a contiguous page-number array scanned per set (invalid ways hold a
  * sentinel page number no translation can produce), set indexing by
- * mask when the set count is a power of two. Replacement is
- * bit-identical to the seed array-of-structs model (reference.h),
- * pinned by tests/uarch/test_flat_equivalence.cc.
+ * mask when the set count is a power of two, the set scans of
+ * uarch/setscan.h, and a last-hit slot hint checked before the scan.
+ * Replacement is bit-identical to the seed array-of-structs model
+ * (reference.h), pinned by tests/uarch/test_flat_equivalence.cc.
  */
 
 #ifndef BDS_UARCH_TLB_H
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "ckpt/state.h"
+#include "uarch/setscan.h"
 
 namespace bds {
 
@@ -46,15 +48,19 @@ class TlbArray
     /** Probe-and-update: true on hit. */
     bool access(std::uint64_t page)
     {
-        std::uint64_t base = setBase(page);
-        const std::uint64_t *pages = pages_.data() + base;
-        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-            if (pages[w] == page) {
-                lru_[base + w] = ++tick_;
-                return true;
-            }
+        // A page occupies at most one slot: a matching hint is exact.
+        if (pages_[hint_] != page) {
+            std::uint64_t base = setBase(page);
+            int w = withWays(cfg_.assoc, [&](auto n) {
+                return findKey<decltype(n)::value>(pages_.data() + base,
+                                                   page, cfg_.assoc);
+            });
+            if (w < 0)
+                return false;
+            hint_ = base + static_cast<std::uint64_t>(w);
         }
-        return false;
+        lru_[hint_] = ++tick_;
+        return true;
     }
 
     /** Install a translation, evicting LRU if needed. */
@@ -62,22 +68,13 @@ class TlbArray
     {
         std::uint64_t base = setBase(page);
         // Prefer an invalid way; otherwise evict true-LRU.
-        std::uint32_t victim = 0;
-        std::uint64_t oldest = UINT64_MAX;
-        for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-            std::uint64_t i = base + w;
-            if (pages_[i] == kInvalidPage) {
-                victim = w;
-                break;
-            }
-            if (lru_[i] < oldest) {
-                oldest = lru_[i];
-                victim = w;
-            }
-        }
-        std::uint64_t i = base + victim;
-        pages_[i] = page;
-        lru_[i] = ++tick_;
+        hint_ = base + withWays(cfg_.assoc, [&](auto n) {
+                    return victimWay<decltype(n)::value>(
+                        pages_.data() + base, lru_.data() + base,
+                        kInvalidPage, cfg_.assoc);
+                });
+        pages_[hint_] = page;
+        lru_[hint_] = ++tick_;
     }
 
     /**
@@ -107,6 +104,9 @@ class TlbArray
     std::uint64_t setMask_; ///< numSets_ - 1 when pow2
     bool setsPow2_;
     std::uint64_t tick_ = 0;
+    /// Slot of the last hit or insert: checked before a set scan.
+    /// Not state — saveState() skips it, and any value is correct.
+    std::uint64_t hint_ = 0;
     std::vector<std::uint64_t> pages_; ///< page number or kInvalidPage
     std::vector<std::uint64_t> lru_;   ///< LRU tick per slot
 };

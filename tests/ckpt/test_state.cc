@@ -6,9 +6,11 @@
  * trailing bytes. Corrupt state payloads must never be UB.
  */
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -21,6 +23,7 @@
 #include "fault/error.h"
 #include "uarch/branch.h"
 #include "uarch/cache.h"
+#include "uarch/system.h"
 #include "uarch/tlb.h"
 
 namespace {
@@ -436,6 +439,71 @@ TEST(StructureState, SaveLoadContinueEqualsUninterrupted)
     StateSink end_a, end_b;
     live.saveState(end_a);
     restored.saveState(end_b);
+    EXPECT_EQ(end_a.bytes(), end_b.bytes());
+}
+
+/**
+ * Feed `n` random ops to a 4-core model: fetches over 256 KB of code,
+ * loads and stores over 8 MB of data (a quarter of them on one hot
+ * page), branches, and now and then a DMA fill.
+ */
+void
+runOps(bds::SystemModel &sys, bds::Pcg32 &rng, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        bds::MicroOp op;
+        const unsigned cls = rng.nextBounded(8);
+        op.cls = cls < 3   ? bds::OpClass::Load
+                 : cls < 5 ? bds::OpClass::Store
+                 : cls < 6 ? bds::OpClass::Branch
+                           : bds::OpClass::IntAlu;
+        op.ip = 0x400000 + std::uint64_t(rng.nextBounded(1 << 16)) * 4;
+        op.addr = 0x10000000 + (rng.nextBounded(4) == 0
+                                    ? rng.nextBounded(4096)
+                                    : std::uint64_t(rng.nextBounded(1 << 20)) * 8);
+        op.taken = rng.nextBounded(2) == 0;
+        sys.consume(rng.nextBounded(4), op);
+        if (i % 4096 == 0)
+            sys.dmaFill(0x10000000 + std::uint64_t(rng.nextBounded(1 << 11)) * 4096,
+                        8192);
+    }
+}
+
+TEST(StructureState, RestoreAfterRunningOnEqualsUninterrupted)
+{
+    // The caches and TLBs check the slot of their last hit before a
+    // set scan. That hint is not state: a model saved, run on (which
+    // moves every hint), restored in place and continued must match
+    // a model that was never interrupted, in its counters and in its
+    // next payload's bytes.
+    const bds::NodeConfig cfg = bds::NodeConfig::defaultSim();
+    ASSERT_EQ(cfg.numCores, 4u);
+    bds::SystemModel live(cfg), straight(cfg);
+    bds::Pcg32 warm_a(3), warm_b(3);
+    runOps(live, warm_a, 200000);
+    runOps(straight, warm_b, 200000);
+
+    StateSink snap;
+    live.saveState(snap);
+    bds::Pcg32 detour(4);
+    runOps(live, detour, 100000);
+    StateSource src(snap.bytes(), "system");
+    live.loadState(src);
+    src.finish();
+
+    bds::Pcg32 rng_a(5), rng_b(5);
+    runOps(live, rng_a, 200000);
+    runOps(straight, rng_b, 200000);
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        const auto a = live.coreCounters(c).toArray();
+        const auto b = straight.coreCounters(c).toArray();
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof a), 0)
+            << "core " << c;
+    }
+    EXPECT_GT(straight.aggregateCounters().l2Misses, 10000u);
+    StateSink end_a, end_b;
+    live.saveState(end_a);
+    straight.saveState(end_b);
     EXPECT_EQ(end_a.bytes(), end_b.bytes());
 }
 

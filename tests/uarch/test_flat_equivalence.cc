@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.h"
 #include "common/rng.h"
 #include "uarch/branch.h"
 #include "uarch/cache.h"
@@ -213,12 +214,90 @@ TEST(FlatCacheEquivalence, NonTableIIIDseGeometry)
     runCachePair(cfg, 2 * 1024 * 1024, 60000, 61);
 }
 
-TEST(FlatTlbEquivalence, OutcomeStreamsMatch)
+/**
+ * Drive one cache with a stream dominated by repeat accesses to a hot
+ * line, so its last-hit hint is almost always right, and go stale on
+ * purpose: the hot line is invalidated, or its slot is refilled with
+ * a conflicting line of the same set, before it is accessed again.
+ */
+void
+runStaleHintPair(const CacheConfig &cfg, std::uint32_t seed)
 {
-    TlbConfig l1i{64, 4}, l1d{64, 4}, stlb{512, 4};
-    bds::TwoLevelTlb flat(l1i, l1d, stlb, 4096);
-    bds::refmodel::TwoLevelTlb ref(l1i, l1d, stlb, 4096);
-    Pcg32 rng(7);
+    bds::SetAssocCache flat(cfg);
+    bds::refmodel::SetAssocCache ref(cfg);
+    Pcg32 rng(seed);
+    const std::uint64_t sets = cfg.sizeBytes / cfg.lineBytes / cfg.assoc;
+    // Lines of one set: the hot line and the lines that conflict with
+    // it, twice as many as the set holds.
+    auto line = [&](std::uint32_t k) { return k * sets * cfg.lineBytes; };
+    std::uint64_t hot = line(0) + 8;
+    std::uint64_t hits = 0;
+
+    auto fill = [&](std::uint64_t addr, int i) {
+        if (ref.probe(addr).hit)
+            return;
+        CoherenceState st = validState(rng.nextBounded(3));
+        auto a = flat.insert(addr, st);
+        auto b = ref.insert(addr, st);
+        ASSERT_EQ(a.valid, b.valid) << "op " << i;
+        ASSERT_EQ(a.lineAddr, b.lineAddr) << "op " << i;
+    };
+    for (int i = 0; i < 40000; ++i) {
+        const std::uint32_t op = rng.nextBounded(100);
+        if (op < 10) {
+            ASSERT_EQ(flat.invalidate(hot), ref.invalidate(hot))
+                << "op " << i;
+        } else if (op < 20) {
+            fill(line(1 + rng.nextBounded(2 * cfg.assoc)), i);
+        } else if (op < 22) {
+            hot = line(rng.nextBounded(2 * cfg.assoc + 1)) + 8;
+        }
+        auto a = flat.access(hot);
+        auto b = ref.access(hot);
+        ASSERT_EQ(a.hit, b.hit) << "op " << i;
+        ASSERT_EQ(a.state, b.state) << "op " << i;
+        hits += a.hit;
+        if (!a.hit)
+            fill(hot, i);
+    }
+    EXPECT_EQ(snapshot(flat), snapshot(ref));
+    // Both the hint's hits and its stale misses were exercised.
+    EXPECT_GT(hits, 25000u);
+    EXPECT_LT(hits, 39000u);
+}
+
+TEST(FlatCacheEquivalence, StaleHintAfterInvalidateOrRefill)
+{
+    // The three instantiated shapes and the run-time fallback.
+    runStaleHintPair({16 * 4 * 64, 4, 64}, 71);
+    runStaleHintPair({16 * 8 * 64, 8, 64}, 73);
+    runStaleHintPair({16 * 16 * 64, 16, 64}, 79);
+    runStaleHintPair({20 * 10 * 64, 10, 64}, 83);
+}
+
+TEST(FlatCacheEquivalence, InsertBehindAnInvalidWayIsFatal)
+{
+    // The double-insert tripwire checks every way: a line held
+    // behind a hole must not be inserted a second time.
+    for (std::uint32_t ways : {4u, 8u, 16u, 10u}) {
+        bds::SetAssocCache c({ways * 64ULL, ways, 64}); // one set
+        c.insert(0, CoherenceState::Shared);
+        c.insert(64, CoherenceState::Exclusive);
+        ASSERT_FALSE(c.invalidate(0)); // clean: not dirty
+        EXPECT_THROW(c.insert(64, CoherenceState::Shared),
+                     bds::FatalError)
+            << ways << " ways";
+        EXPECT_EQ(c.validLines(), 1u);
+    }
+}
+
+/** Drive flat and reference two-level TLBs with one stream. */
+void
+runTlbPair(const TlbConfig &l1, const TlbConfig &stlb, std::uint32_t seed)
+{
+    bds::TwoLevelTlb flat(l1, l1, stlb, 4096);
+    bds::refmodel::TwoLevelTlb ref(l1, l1, stlb, 4096);
+    Pcg32 rng(seed);
 
     for (int i = 0; i < 200000; ++i) {
         // Mix of strided code and clustered-random data addresses,
@@ -234,6 +313,20 @@ TEST(FlatTlbEquivalence, OutcomeStreamsMatch)
         TlbOutcome rd = ref.translateData(data);
         ASSERT_EQ(fd, rd) << "data translation " << i;
     }
+}
+
+TEST(FlatTlbEquivalence, OutcomeStreamsMatch)
+{
+    runTlbPair({64, 4}, {512, 4}, 7);
+}
+
+TEST(FlatTlbEquivalence, TwoEightAndFullyAssociativeShapesMatch)
+{
+    // 2 ways take the run-time fallback, 8 ways an instantiated
+    // shape; fully associative arrays scan 64 and 512 ways.
+    runTlbPair({64, 2}, {512, 2}, 9);
+    runTlbPair({64, 8}, {512, 8}, 10);
+    runTlbPair({64, 64}, {512, 512}, 11);
 }
 
 TEST(FlatBranchEquivalence, PredictionStreamsMatch)

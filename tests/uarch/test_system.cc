@@ -1,12 +1,17 @@
 /** @file Behavioral tests for the full SystemModel data path. */
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "sample/interval.h"
 #include "trace/memlayout.h"
 #include "trace/runtime.h"
 #include "uarch/system.h"
+#include "workloads/registry.h"
 
 namespace {
 
@@ -395,6 +400,65 @@ TEST_F(SystemFixture, OffcoreClassificationCoversAllTypes)
     EXPECT_GT(pmc.offcoreRfo, 0u);
     EXPECT_GT(pmc.offcoreWb, 0u);
     EXPECT_GT(pmc.offcoreCode, 0u);
+}
+
+/** What a replay pins: the `%a` cycle sum and three miss counts. */
+struct ReplayPin
+{
+    std::string cycles;
+    std::uint64_t l2Misses, l3Misses, dtlbWalks;
+};
+
+ReplayPin
+pinOf(const SystemModel &sys)
+{
+    const PmcCounters pmc = sys.aggregateCounters();
+    char hex[64];
+    std::snprintf(hex, sizeof hex, "%a", pmc.cycles);
+    return {hex, pmc.l2Misses, pmc.l3Misses, pmc.dtlbWalks};
+}
+
+TEST(DetailPathPin, QuickGrepReplayCyclesAndMissesArePinned)
+{
+    // The detail path's bitwise contract in tier 1: one recorded
+    // quick/42 workload (H-Grep) replayed at 4 cores, once detailed
+    // from cold and once warmed through the frozen path and then
+    // measured. Every set scan, victim pick and coherence step feeds
+    // these sums, so a change to any of them moves a constant here.
+    const NodeConfig cfg = NodeConfig::defaultSim();
+    ASSERT_EQ(cfg.numCores, 4u);
+    bds::WorkloadRunner runner(cfg, bds::ScaleProfile::quick(), 42);
+    const bds::WorkloadId grep{bds::Algorithm::Grep,
+                               bds::StackKind::Hadoop};
+    ASSERT_EQ(grep.name(), "H-Grep");
+
+    bds::RecordingTarget target(cfg.numCores);
+    runner.execute(grep, target, runner.nodeDataSeed(grep, 0));
+    const bds::TraceRecorder &rec = target.trace();
+
+    auto replay = [&](SystemModel &sys) {
+        rec.replay(sys, [&](std::uint64_t a, std::uint64_t n) {
+            sys.dmaFill(a, n);
+        });
+    };
+    SystemModel detail(cfg);
+    replay(detail);
+    SystemModel warmed(cfg);
+    warmed.setCounterFreeze(true);
+    replay(warmed);
+    warmed.setCounterFreeze(false);
+    replay(warmed);
+
+    const ReplayPin d = pinOf(detail), w = pinOf(warmed);
+    EXPECT_EQ(rec.size(), 1187220u);
+    EXPECT_EQ(d.cycles, "0x1.3cf26df6a7dcp+23");
+    EXPECT_EQ(d.l2Misses, 305987u);
+    EXPECT_EQ(d.l3Misses, 133850u);
+    EXPECT_EQ(d.dtlbWalks, 4656u);
+    EXPECT_EQ(w.cycles, "0x1.b184741c7001bp+22");
+    EXPECT_EQ(w.l2Misses, 305714u);
+    EXPECT_EQ(w.l3Misses, 30000u);
+    EXPECT_EQ(w.dtlbWalks, 4261u);
 }
 
 } // namespace
