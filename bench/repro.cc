@@ -16,15 +16,20 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
+#include "ckpt/context.h"
 #include "common/table.h"
 #include "core/findings.h"
 #include "core/report.h"
@@ -33,6 +38,8 @@
 #include "stack/hadoop.h"
 #include "stack/spark.h"
 #include "stats/silhouette.h"
+#include "store/record.h"
+#include "trace/recorder.h"
 #include "uarch/config.h"
 #include "uarch/system.h"
 #include "workloads/datagen.h"
@@ -446,13 +453,100 @@ q(const std::string &s)
 }
 
 /**
- * The sampling contract, measured end to end: the 32-workload sweep
- * runs fully detailed and sampled, and the study reports the
- * detail-op reduction, the wall-clock speedup, the per-metric
- * reconstruction error and whether every paper finding keeps its
- * verdict. It writes BENCH_sampled.json and fails (exit 1) when the
- * reduction is below 5x or a finding flips. `reduction` is total /
- * detail ops; the warmed ops still cost simulation time.
+ * A directory this process made (mkdtemp in the working directory),
+ * removed with all it holds when the owner goes. The study's
+ * checkpoint routes write only here, so they never read, reuse or
+ * delete a directory the study did not create.
+ */
+class OwnedDir
+{
+  public:
+    OwnedDir()
+    {
+        char name[] = "bds_sampled_ckpt.XXXXXX";
+        if (!::mkdtemp(name))
+            BDS_RAISE(ErrorCode::Io,
+                      "cannot create a checkpoint directory in the "
+                      "working directory");
+        path_ = name;
+    }
+    ~OwnedDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+    OwnedDir(const OwnedDir &) = delete;
+    OwnedDir &operator=(const OwnedDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+/** What the representative entries in a cache directory hold. */
+struct EntrySizes
+{
+    std::uint64_t entries = 0;
+    std::uint64_t stateBytes = 0;
+    std::uint64_t sliceBytes = 0;
+    std::uint64_t sliceEvents = 0; ///< ops and DMA fills
+};
+
+/** Sum the entries (`*_i<interval>.ckpt`) under `dir`. */
+EntrySizes
+entrySizes(const std::string &dir, unsigned numCores)
+{
+    namespace fs = std::filesystem;
+    EntrySizes sizes;
+    for (const fs::directory_entry &f : fs::directory_iterator(dir)) {
+        const std::string name = f.path().filename().string();
+        if (name.find("_i") == std::string::npos
+            || f.path().extension() != ".ckpt")
+            continue;
+        FileBytes bytes;
+        if (!readFile(f.path().string(), &bytes))
+            continue;
+        const CheckpointEntry e =
+            parseCheckpoint(std::move(bytes), f.path().string());
+        sizes.sliceEvents +=
+            TraceRecorder::decode(e.ops, numCores, name).size();
+        sizes.stateBytes += e.state.size();
+        sizes.sliceBytes += e.ops.size();
+        ++sizes.entries;
+    }
+    return sizes;
+}
+
+/** One route of the sampled-vs-full study, over every round. */
+struct Route
+{
+    explicit Route(const char *n) : name(n) {}
+
+    const char *name;
+    std::vector<double> runs; ///< each round's sweep seconds
+    SampledReplayStats ops{}; ///< summed over the workloads
+    CkptStats cache{};        ///< the route's checkpoint-counter delta
+
+    /** Ops the route simulates: detailed plus warmed. */
+    std::uint64_t simulated() const { return ops.detailOps + ops.warmOps; }
+};
+
+/**
+ * The sampling contract, measured end to end over four routes of one
+ * 32-workload sweep: `full` (every op detailed), `sampled`,
+ * `ckpt-cold` (sampled, writing every representative's checkpoint
+ * into a fresh directory) and `ckpt-warm` (sampled, restoring them
+ * all). Three rounds run the routes in turn, each round's cold route
+ * on a new directory; a route's seconds is the median of its rounds.
+ * A route's `reduction` is the full route's simulated ops over its
+ * own (detail + warm), and its `speedup` the same ratio of seconds.
+ * The study reports both, the per-metric reconstruction error and
+ * whether every paper finding keeps its verdict, writes
+ * BENCH_sampled.json, and fails (exit 1) unless ckpt-warm's reduction
+ * is at least 5 and twice sampled's, every sampled route's CSV is
+ * byte-identical in every round, the warm route restores every
+ * representative, and no finding flips.
  */
 int
 sampledVsFull(Session &session)
@@ -468,53 +562,117 @@ sampledVsFull(Session &session)
     for (const auto &id : ids)
         names.push_back(id.name());
 
-    // Each side's wall clock is the median of three sweeps, run
-    // alternately, so a burst of load on the host moves one sample of
-    // each side rather than one side's only sample. The sweeps are
-    // deterministic: the first pair's results are the study's.
-    std::cerr << "[bench] full detailed and sampled sweeps at scale '"
+    constexpr int kRounds = 3;
+    std::cerr << "[bench] full, sampled, ckpt-cold and ckpt-warm sweeps "
+                 "at scale '"
               << scale_name << "' (interval " << sampling.intervalUops
               << " uops, kMax " << sampling.kMax << ", warmup "
-              << sampling.warmupIntervals << "), 3 of each, alternating\n";
-    SampledCharacterizer sampler(runner, sampling);
+              << sampling.warmupIntervals << "), " << kRounds
+              << " rounds\n";
+    Route full_route("full"), sampled_route("sampled"),
+        cold_route("ckpt-cold"), warm_route("ckpt-warm");
     std::vector<WorkloadResult> full_details;
     std::vector<SampledWorkloadResult> s_details;
     Matrix full, sampled;
-    std::vector<double> full_runs, sampled_runs;
-    for (int k = 0; k < 3; ++k) {
-        std::vector<WorkloadResult> f_details;
-        SweepTiming full_timing;
-        Matrix f = runner.runAll(&f_details, &full_timing);
-        full_runs.push_back(full_timing.totalSeconds);
+    std::string first_csv;
+    bool identical = true;
+    EntrySizes sizes;
 
+    // Time one route's sweep; its counts come from the first round,
+    // as every round simulates the same ops.
+    auto timed = [](Route &route, auto &&sweep) {
+        const CkptStats before = ckptStats();
         const auto t0 = std::chrono::steady_clock::now();
-        std::vector<SampledWorkloadResult> sd;
-        Matrix sm = sampler.runAll(&sd);
-        sampled_runs.push_back(std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count());
-        if (k == 0) {
-            full = std::move(f);
-            full_details = std::move(f_details);
-            sampled = std::move(sm);
-            s_details = std::move(sd);
+        sweep();
+        route.runs.push_back(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count());
+        if (route.runs.size() > 1)
+            return;
+        const CkptStats after = ckptStats();
+        route.cache.hits = after.hits - before.hits;
+        route.cache.misses = after.misses - before.misses;
+        route.cache.writes = after.writes - before.writes;
+        route.cache.fallbacks = after.fallbacks - before.fallbacks;
+        route.cache.bytesRead = after.bytesRead - before.bytesRead;
+        route.cache.bytesWritten =
+            after.bytesWritten - before.bytesWritten;
+    };
+    // One sampled sweep; its matrix must print the first one's CSV.
+    auto sampledSweep = [&](Route &route,
+                            const SampledCharacterizer &sampler) {
+        std::vector<SampledWorkloadResult> d;
+        Matrix m;
+        timed(route, [&] { m = sampler.runAll(&d); });
+        PipelineResult res;
+        res.names = names;
+        res.rawMetrics = m;
+        std::ostringstream csv;
+        writeMetricsCsv(csv, res);
+        if (first_csv.empty())
+            first_csv = csv.str();
+        identical = identical && csv.str() == first_csv;
+        if (route.runs.size() > 1)
+            return;
+        for (const SampledWorkloadResult &r : d)
+            route.ops += r.stats;
+        if (&route == &sampled_route) {
+            sampled = std::move(m);
+            s_details = std::move(d);
         }
+    };
+
+    SampledCharacterizer plain(runner, sampling);
+    for (int k = 0; k < kRounds; ++k) {
+        timed(full_route, [&] {
+            std::vector<WorkloadResult> d;
+            Matrix f = runner.runAll(&d);
+            if (k == 0) {
+                full = std::move(f);
+                full_details = std::move(d);
+            }
+        });
+        sampledSweep(sampled_route, plain);
+
+        const OwnedDir dir;
+        RunConfig ckpt_cfg = cfg;
+        ckpt_cfg.ckpt.enabled = true;
+        ckpt_cfg.ckpt.dir = dir.path();
+        SampledCharacterizer checkpointing(runner, sampling);
+        checkpointing.setCheckpoints(checkpointContextFor(ckpt_cfg));
+        sampledSweep(cold_route, checkpointing);
+        sampledSweep(warm_route, checkpointing);
+        if (k == 0)
+            sizes = entrySizes(dir.path(), runner.config().numCores);
     }
+
+    // Every op of the stream is detailed on the full route.
+    full_route.ops.totalOps = sampled_route.ops.totalOps;
+    full_route.ops.detailOps = sampled_route.ops.totalOps;
+    const Route *routes[] = {&full_route, &sampled_route, &cold_route,
+                             &warm_route};
     auto median = [](std::vector<double> v) {
         std::sort(v.begin(), v.end());
         return v[v.size() / 2];
     };
-    const double full_seconds = median(full_runs);
-    const double sampled_seconds = median(sampled_runs);
+    auto ratio = [](double n, double d) { return d > 0.0 ? n / d : 0.0; };
+    auto reduction = [&](const Route &r) {
+        return ratio(static_cast<double>(full_route.simulated()),
+                     static_cast<double>(r.simulated()));
+    };
+    auto speedup = [&](const Route &r) {
+        return ratio(median(full_route.runs), median(r.runs));
+    };
+    std::uint64_t reps = 0;
+    for (const SampledWorkloadResult &r : s_details)
+        reps += r.numReps;
 
-    // --- op accounting and per-metric error aggregation ------------
-    SampledReplayStats ops;
+    // --- per-metric error aggregation -------------------------------
     std::array<double, kNumMetrics> metric_err{};
     std::vector<MetricErrorReport> reports(ids.size());
     double mean_err = 0.0, max_err = 0.0;
     std::size_t worst_metric = 0, worst_workload = 0;
     for (std::size_t i = 0; i < ids.size(); ++i) {
-        ops += s_details[i].stats;
         reports[i] = compareMetrics(full_details[i].metrics,
                                     s_details[i].metrics);
         mean_err += reports[i].meanError;
@@ -529,12 +687,6 @@ sampledVsFull(Session &session)
     mean_err /= static_cast<double>(ids.size());
     for (double &e : metric_err)
         e /= static_cast<double>(ids.size());
-    double reduction = ops.detailOps
-        ? static_cast<double>(ops.totalOps)
-            / static_cast<double>(ops.detailOps)
-        : 0.0;
-    double speedup = sampled_seconds > 0.0
-        ? full_seconds / sampled_seconds : 0.0;
 
     // --- do the paper findings survive sampling? --------------------
     PipelineOptions popts = pipelineOptionsFor(cfg);
@@ -548,19 +700,42 @@ sampledVsFull(Session &session)
             flipped.push_back(full_findings[i].id);
 
     // --- human-readable report --------------------------------------
-    std::cout << std::setprecision(4) << std::fixed;
-    std::cout << "sampled vs full characterization ("
-              << ids.size() << " workloads, scale '" << scale_name
-              << "')\n\n"
-              << "  micro-ops total      " << ops.totalOps << "\n"
-              << "  detail-simulated     " << ops.detailOps << " ("
-              << reduction << "x reduction)\n"
-              << "  warmed (frozen)      " << ops.warmOps << "\n"
-              << "  fast-forwarded       " << ops.skippedOps << "\n"
-              << "  full sweep           " << full_seconds
-              << " s (median of 3)\n"
-              << "  sampled sweep        " << sampled_seconds
-              << " s (median of 3, " << speedup << "x)\n"
+    std::cout << "sampled vs full characterization (" << ids.size()
+              << " workloads, scale '" << scale_name << "', median of "
+              << kRounds << " rounds)\n\n";
+    TextTable t({"route", "seconds", "speedup", "detail ops", "warm ops",
+                 "reduction", "restores", "writes", "fallbacks"});
+    for (const Route *r : routes)
+        t.addRow({r->name, fmtDouble(median(r->runs), 3),
+                  fmtDouble(speedup(*r), 2),
+                  std::to_string(r->ops.detailOps),
+                  std::to_string(r->ops.warmOps),
+                  fmtDouble(reduction(*r), 2),
+                  std::to_string(r->ops.ckptRestores),
+                  std::to_string(r->ops.ckptWrites),
+                  std::to_string(r->cache.fallbacks)});
+    t.print(std::cout);
+    std::cout << std::setprecision(4) << std::fixed
+              << "\n  reduction            full route's simulated ops "
+                 "/ the route's (detail + warm)\n"
+              << "  fast-forwarded       " << sampled_route.ops.skippedOps
+              << " ops on the sampled route\n"
+              << "  sampled CSVs         "
+              << (identical ? "byte-identical" : "DIFFER")
+              << " across routes and rounds\n"
+              << "  representatives      " << reps << ", "
+              << warm_route.ops.ckptRestores << " restored warm\n"
+              << "  checkpoint entries   " << sizes.entries << ", mean "
+              << ratio(static_cast<double>(sizes.stateBytes
+                                           + sizes.sliceBytes),
+                       static_cast<double>(sizes.entries)) / 1e6
+              << " MB (state "
+              << ratio(static_cast<double>(sizes.stateBytes),
+                       static_cast<double>(sizes.entries)) / 1e6
+              << " MB, slice "
+              << ratio(static_cast<double>(sizes.sliceBytes),
+                       static_cast<double>(sizes.sliceEvents))
+              << " B/event)\n"
               << "  mean metric error    " << mean_err << "\n"
               << "  worst metric error   " << max_err << " ("
               << metricName(worst_metric) << " on "
@@ -593,16 +768,42 @@ sampledVsFull(Session &session)
        << "    \"warmup_intervals\": " << sampling.warmupIntervals
        << ",\n"
        << "    \"seed\": " << sampling.seed << "\n  },\n"
-       << "  \"ops\": {\"total\": " << ops.totalOps << ", \"detail\": "
-       << ops.detailOps << ", \"warm\": " << ops.warmOps
-       << ", \"skipped\": " << ops.skippedOps << ", \"reduction\": "
-       << reduction << "},\n"
-       << "  \"wall_seconds\": {\"full\": " << full_seconds
-       << ", \"sampled\": " << sampled_seconds << ", \"speedup\": "
-       << speedup << ", \"full_runs\": [" << full_runs[0] << ", "
-       << full_runs[1] << ", " << full_runs[2] << "], \"sampled_runs\": ["
-       << sampled_runs[0] << ", " << sampled_runs[1] << ", "
-       << sampled_runs[2] << "]},\n"
+       << "  \"routes\": [";
+    for (const Route *r : routes) {
+        os << (r == routes[0] ? "\n    " : ",\n    ") << "{\"name\": "
+           << q(r->name) << ", \"seconds\": " << median(r->runs)
+           << ", \"runs\": [";
+        for (std::size_t i = 0; i < r->runs.size(); ++i)
+            os << (i ? ", " : "") << r->runs[i];
+        os << "], \"speedup\": " << speedup(*r)
+           << ", \"total_ops\": " << r->ops.totalOps
+           << ", \"detail_ops\": " << r->ops.detailOps
+           << ", \"warm_ops\": " << r->ops.warmOps
+           << ", \"skipped_ops\": " << r->ops.skippedOps
+           << ", \"reduction\": " << reduction(*r)
+           << ", \"ckpt_restores\": " << r->ops.ckptRestores
+           << ", \"ckpt_writes\": " << r->ops.ckptWrites
+           << ", \"cache\": {\"hits\": " << r->cache.hits
+           << ", \"misses\": " << r->cache.misses
+           << ", \"writes\": " << r->cache.writes
+           << ", \"fallbacks\": " << r->cache.fallbacks
+           << ", \"bytes_read\": " << r->cache.bytesRead
+           << ", \"bytes_written\": " << r->cache.bytesWritten << "}}";
+    }
+    os << "\n  ],\n"
+       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
+       << "  \"representatives\": " << reps << ",\n"
+       << "  \"entries\": {\"count\": " << sizes.entries
+       << ", \"state_bytes\": " << sizes.stateBytes
+       << ", \"slice_bytes\": " << sizes.sliceBytes
+       << ", \"slice_events\": " << sizes.sliceEvents
+       << ", \"mean_entry_bytes\": "
+       << ratio(static_cast<double>(sizes.stateBytes + sizes.sliceBytes),
+                static_cast<double>(sizes.entries))
+       << ", \"slice_bytes_per_event\": "
+       << ratio(static_cast<double>(sizes.sliceBytes),
+                static_cast<double>(sizes.sliceEvents))
+       << "},\n"
        << "  \"error\": {\"mean\": " << mean_err << ", \"max\": "
        << max_err << ", \"worst_metric\": "
        << q(metricName(worst_metric)) << ", \"worst_workload\": "
@@ -633,10 +834,23 @@ sampledVsFull(Session &session)
     session.noteArtifact("BENCH_sampled.json");
     std::cout << "\n-> BENCH_sampled.json\n";
 
-    // The sampling contract: at least 5x fewer detail-simulated ops
-    // and no paper finding flipping its verdict. Violations fail the
-    // study so CI catches a drifting calibration.
-    bool pass = reduction >= 5.0 && flipped.empty();
+    // The sampling contract. Violations fail the study so CI catches
+    // a drifting calibration or a restore that changes the bytes.
+    const std::pair<bool, const char *> gates[] = {
+        {reduction(warm_route) >= 5.0, "ckpt-warm reduction >= 5"},
+        {reduction(warm_route) >= 2.0 * reduction(sampled_route),
+         "ckpt-warm reduction >= 2x sampled"},
+        {identical, "sampled CSVs byte-identical"},
+        {reps > 0 && warm_route.ops.ckptRestores == reps,
+         "ckpt-warm restores every representative"},
+        {flipped.empty(), "no finding flips"},
+    };
+    bool pass = true;
+    for (const auto &[held, what] : gates)
+        if (!held) {
+            std::cout << "  FAILED: " << what << "\n";
+            pass = false;
+        }
     std::cout << (pass ? "\nsampling contract: PASS\n"
                        : "\nsampling contract: FAIL\n");
     return pass ? 0 : 1;
@@ -650,8 +864,9 @@ enum : unsigned
     kReadsMachine = 1u << 2,
     kReadsSampled = 1u << 3,
     kReadsMetrics = 1u << 4,
+    kReadsCkpt = 1u << 5, ///< --ckpt, --ckpt-dir, --ckpt-max-bytes
     kReadsCell = kReadsScale | kReadsSeed | kReadsMachine
-        | kReadsSampled | kReadsMetrics,
+        | kReadsSampled | kReadsMetrics | kReadsCkpt,
 };
 
 /** One study: an experiment of its own, run alone (not by `all`). */
@@ -673,10 +888,11 @@ const Study kStudies[] = {
      ablationEngines, kReadsMachine, nullptr},
     {"cpi-stack", "per-workload CPI stacks at quick scale", cpiStack,
      kReadsSeed | kReadsMachine, "quick"},
+    // Its checkpoint routes write directories of their own.
     {"sampled-vs-full",
-     "sampled vs full sweep: ops, error, findings; writes "
-     "BENCH_sampled.json",
-     sampledVsFull, kReadsCell, nullptr},
+     "full, sampled and checkpoint routes: ops, seconds, error, "
+     "findings; writes BENCH_sampled.json",
+     sampledVsFull, kReadsCell & ~kReadsCkpt, nullptr},
 };
 
 /**
@@ -704,6 +920,10 @@ rejectIgnoredKnobs(const Study &st, const RunConfig &cfg)
           "--sampled");
     check(kReadsMetrics, cfg.metricNames != def.metricNames,
           "--metrics");
+    check(kReadsCkpt, cfg.ckpt.enabled != def.ckpt.enabled, "--ckpt");
+    check(kReadsCkpt, cfg.ckpt.dir != def.ckpt.dir, "--ckpt-dir");
+    check(kReadsCkpt, cfg.ckpt.maxBytes != def.ckpt.maxBytes,
+          "--ckpt-max-bytes");
     if (!ignored.empty())
         BDS_RAISE(ErrorCode::InvalidConfig,
                   "repro " << st.name << " ignores " << ignored

@@ -260,19 +260,24 @@ runFolded(const std::string &cmd)
 
 TEST(ReproStudies, KnobsAStudyIgnoresAreInvalidConfig)
 {
-    // cpi-stack always runs the full-detail quick sweep, and
-    // ablation-engines a fixed WordCount corpus: each rejects, before
+    // cpi-stack always runs the full-detail quick sweep,
+    // ablation-engines a fixed WordCount corpus, and sampled-vs-full
+    // checkpoints into directories of its own: each rejects, before
     // simulating anything, every knob that would not change its bytes.
     const std::pair<const char *, const char *> cases[] = {
         {"cpi-stack --sampled", "--sampled"},
         {"cpi-stack --scale full", "--scale"},
         {"cpi-stack --metrics LOAD", "--metrics"},
+        {"cpi-stack --ckpt", "--ckpt"},
         {"ablation-engines --scale full --seed 7", "--scale, --seed"},
+        {"sampled-vs-full --ckpt-dir X", "--ckpt, --ckpt-dir"},
     };
     for (const auto &[args, named] : cases) {
         const auto [rc, out] = runFolded(
             std::string("env -u BDS_SCALE -u BDS_SEED -u BDS_MACHINE "
-                        "-u BDS_SAMPLE -u BDS_METRICS BDS_MANIFEST=0 ")
+                        "-u BDS_SAMPLE -u BDS_METRICS -u BDS_CKPT "
+                        "-u BDS_CKPT_DIR -u BDS_CKPT_MAX_BYTES "
+                        "BDS_MANIFEST=0 ")
             + BDS_REPRO_BIN + " " + args);
         EXPECT_EQ(rc, 1) << args << ": " << out;
         EXPECT_NE(out.find("invalid_config"), std::string::npos)
